@@ -120,8 +120,4 @@ struct DistributedSpannerRun {
 DistributedSpannerRun run_distributed_sampler(
     const graph::Graph& g, const SamplerConfig& cfg);
 
-/// Wire round-trip self-check for all 18 sampler payload structs (they
-/// live in the .cpp's anonymous namespace; tests call this hook).
-void distributed_sampler_wire_selftest();
-
 }  // namespace fl::core

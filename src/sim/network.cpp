@@ -65,8 +65,7 @@ util::Xoshiro256& Context::rng() {
 Network::Network(const graph::Graph& graph, Knowledge knowledge,
                  std::uint64_t seed)
     : graph_(&graph), knowledge_(knowledge), streams_(seed),
-      par_(default_parallel_config()), congest_(default_congest_config()),
-      backend_cfg_(default_backend_config()) {
+      par_(default_parallel_config()), congest_(default_congest_config()) {
   if (default_check_enabled()) check_ = std::make_unique<OwnershipChecker>();
   {
     obs::TraceConfig tcfg = obs::default_trace_config();
@@ -75,7 +74,7 @@ Network::Network(const graph::Graph& graph, Knowledge knowledge,
   const NodeId n = graph.num_nodes();
   FL_REQUIRE(n >= 1, "network needs at least one node");
   log_n_bound_ = std::log2(std::max<double>(2.0, n));
-  backend_ = make_backend(backend_cfg_, n);
+  arena_offsets_.assign(n + 1, 0);
 
   incident_edges_.resize(n);
   send_cursor_.assign(n, 0);
@@ -155,10 +154,6 @@ void Network::debug_touch_node(graph::NodeId v, unsigned as_lane) {
   check_->touch_node(v, "debug-probe state");
 }
 
-void Network::debug_mutate_carry(unsigned chunk) {
-  backend_->debug_mutate_carry(*this, chunk);
-}
-
 void Network::set_congest(CongestConfig congest) {
   FL_REQUIRE(!started_, "cannot change the congest budget after the run started");
   // A 0-word budget could never admit anything: Defer would carry forever
@@ -166,25 +161,6 @@ void Network::set_congest(CongestConfig congest) {
   FL_REQUIRE(congest.words_per_edge_per_round >= 1,
              "congest budget must be at least 1 word per edge per round");
   congest_ = congest;
-}
-
-void Network::set_backend(BackendConfig cfg) {
-  // Pre-run sends are still fine after a swap: they live in lane 0's
-  // outbox, which belongs to the Network, not the backend.
-  FL_REQUIRE(!started_, "cannot change the backend after the run started");
-  backend_cfg_ = cfg;
-  backend_ = make_backend(cfg, graph_->num_nodes());
-}
-
-InboxView Network::inbox_span(NodeId v) const {
-  FL_REQUIRE(v < graph_->num_nodes(), "node id out of range");
-  return backend_->inbox(v);
-}
-
-std::uint64_t Network::debug_plane_allocations() const {
-  std::uint64_t total = backend_->plane_allocations();
-  for (const auto& lane : lanes_) total += lane.outbox.allocations();
-  return total;
 }
 
 void Network::install(
@@ -338,15 +314,11 @@ void Network::begin_if_needed() {
       lane.cursors.assign(n, 0);
     }
   }
-  // The backend sees the final plan (shards, lanes, congest policy) before
-  // the ExecPool spins up its threads — the TCP backend forks its shard
-  // processes here, and forking after thread creation is off the table.
-  backend_->on_plan(*this);
+  plan_delivery();
   if (lanes_.size() > 1) pool_ = std::make_unique<ExecPool>(
       static_cast<unsigned>(lanes_.size()));
   if (check_) check_->bind_shards(shards_, n);
   if (trace_) trace_->bind_lanes(lanes_.size());
-  backend_->begin_round(*this, /*starting=*/true);
   phase_step(/*starting=*/true);
   phase_merge();
 }
@@ -397,13 +369,11 @@ void Network::phase_step(bool starting) {
 }
 
 void Network::phase_merge() {
-  // Phase 2 — the backend's merge barrier: this round's sends become next
-  // round's inboxes (congest admission included when enforced). The
-  // Network keeps only the pipeline bookkeeping around it — metrics, the
-  // trace round record, the round counter — so every backend's rounds are
-  // accounted identically.
-  const std::uint64_t count = backend_->merge_barrier(*this);
-  carried_after_merge_ = backend_->carried();
+  // Phase 2 — the merge barrier (sim/delivery.cpp): this round's sends
+  // become next round's inboxes (congest admission included when
+  // enforced). Around it, the pipeline bookkeeping: metrics, the trace
+  // round record, the round counter.
+  const std::uint64_t count = merge_barrier();
   metrics_.messages_total += count;
   metrics_.messages_per_round.push_back(count);
   delivered_last_round_ = count;
@@ -412,14 +382,13 @@ void Network::phase_merge() {
     // header plane, paid only with tracing on. Post-admission, so under a
     // budget a deferred message is counted once, in the round its words
     // actually crossed.
-    const MessagePlanes& delivered = backend_->delivered();
-    for (std::size_t i = 0; i < delivered.size(); ++i)
-      trace_->message_words_hist().add(delivered.header(i).size_hint_words);
+    for (std::size_t i = 0; i < arena_.size(); ++i)
+      trace_->message_words_hist().add(arena_.header(i).size_hint_words);
     // Close the round's profile. The engine hands over model counters and
     // never reads anything back (C12) — deltas and imbalance are computed
     // on the tracer's side of the fence.
     trace_->end_round(round_, count, metrics_.words_total,
-                      metrics_.deferrals_total, carried_after_merge_,
+                      metrics_.deferrals_total, carry_total_,
                       debug_plane_allocations());
   }
   ++round_;
@@ -437,8 +406,8 @@ bool Network::all_done() const {
 bool Network::quiescent() const {
   // Phase 0 — quiesce check: no messages in flight (the last merge counted
   // what it moved, O(1)), nothing parked in a congest carry queue (O(1),
-  // snapshotted at the merge barrier), and every program done (O(S) sum).
-  return delivered_last_round_ == 0 && carried_after_merge_ == 0 && all_done();
+  // written only at the merge barrier), and every program done (O(S) sum).
+  return delivered_last_round_ == 0 && carry_total_ == 0 && all_done();
 }
 
 RunStats Network::run(std::size_t max_rounds) {
@@ -457,7 +426,6 @@ RunStats Network::run(std::size_t max_rounds) {
       stats.terminated = true;
       break;
     }
-    backend_->begin_round(*this, /*starting=*/false);
     phase_step(/*starting=*/false);
     phase_merge();
   }
@@ -498,15 +466,15 @@ RunStats Network::run_until_drained(std::size_t stall_cap) {
     }
     if (delivered_last_round_ > 0) {
       carry_wait = 0;
-    } else if (carried_after_merge_ > 0) {
+    } else if (carry_total_ > 0) {
       ++carry_wait;
       const std::uint64_t budget = congest_.words_per_edge_per_round;
       const std::uint64_t bound =
-          (backend_->max_carried_words() + budget - 1) / budget + 1;
+          (max_carried_words() + budget - 1) / budget + 1;
       FL_ENSURE(carry_wait <= bound,
                 "carry queues wedged: " + std::to_string(carry_wait) +
                     " consecutive zero-delivery rounds with " +
-                    std::to_string(carried_after_merge_) +
+                    std::to_string(carry_total_) +
                     " messages parked exceeds the banking bound " +
                     std::to_string(bound) + " at round " +
                     std::to_string(round_) + " — admission-pass engine bug");
@@ -521,7 +489,6 @@ RunStats Network::run_until_drained(std::size_t stall_cap) {
                      " with programs still not done — a phase failed to "
                      "advance on its barrier");
     }
-    backend_->begin_round(*this, /*starting=*/false);
     phase_step(/*starting=*/false);
     phase_merge();
   }
@@ -537,7 +504,6 @@ void Network::step(std::size_t rounds) {
     if (rounds > 0) --rounds;
   }
   for (std::size_t r = 0; r < rounds; ++r) {
-    backend_->begin_round(*this, /*starting=*/false);
     phase_step(/*starting=*/false);
     phase_merge();
   }

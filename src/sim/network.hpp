@@ -28,12 +28,9 @@
 // carry queue belong to exactly one chunk — and preserves the engine's
 // bit-determinism across thread counts.
 //
-// The merge + admission machinery itself lives behind the DeliveryBackend
-// interface (sim/backend.hpp): the Network owns the pipeline — quiesce,
-// stepping, metrics, tracing — and a backend owns delivery. The default
-// InProcessBackend is the SoA-arena engine described above; the TCP
-// backend (src/net/) runs the same rounds across forked shard processes
-// with this engine as its oracle. FL_SIM_BACKEND selects the default.
+// The merge + admission machinery is the Network's own, in its own
+// translation unit (sim/delivery.cpp); the storage it works on is
+// documented on the private delivery members below.
 #pragma once
 
 #include <functional>
@@ -43,10 +40,10 @@
 
 #include "graph/graph.hpp"
 #include "obs/trace.hpp"
-#include "sim/backend.hpp"
 #include "sim/check.hpp"
 #include "sim/congest.hpp"
 #include "sim/exec.hpp"
+#include "sim/message.hpp"
 #include "sim/metrics.hpp"
 #include "sim/node.hpp"
 #include "util/rng.hpp"
@@ -126,19 +123,9 @@ class Network {
   void set_congest(CongestConfig congest);
   CongestConfig congest() const { return congest_; }
 
-  /// Delivery backend (defaults to FL_SIM_BACKEND, else in-process); only
-  /// legal before the first round. Contract C14: for any fixed seed and
-  /// congest config, RunStats, Metrics and golden traces are bit-identical
-  /// across backends — the backend is a transport knob, never a semantic
-  /// one.
-  void set_backend(BackendConfig cfg);
-  BackendConfig backend_config() const { return backend_cfg_; }
-  DeliveryBackend& backend() { return *backend_; }
-  const DeliveryBackend& backend() const { return *backend_; }
-
   /// Messages held back by the budget and not yet delivered. Zero in LOCAL
   /// mode; a budgeted run is quiescent only once this drains.
-  std::uint64_t carried_messages() const { return carried_after_merge_; }
+  std::uint64_t carried_messages() const { return carry_total_; }
 
   /// The deterministic silence predicate for event-driven phase barriers:
   /// the last merge delivered nothing and no message is parked in a carry
@@ -149,7 +136,7 @@ class Network {
   /// and is stable for the whole step phase (it only mutates at the next
   /// merge). Programs read it through Context::network_silent().
   bool round_silent() const {
-    return delivered_last_round_ == 0 && carried_after_merge_ == 0;
+    return delivered_last_round_ == 0 && carry_total_ == 0;
   }
 
   /// Logical ownership / phase checking (sim/check.hpp; defaults to the
@@ -227,21 +214,29 @@ class Network {
 
  private:
   friend class Context;
-  friend class InProcessBackend;
-  friend class fl::net::TcpBackend;
 
   void enqueue(SendLane& lane, graph::NodeId from, graph::EdgeId edge,
                Payload payload, std::uint32_t size_hint_words);
   graph::NodeId resolve_slow(graph::NodeId from, graph::EdgeId edge,
                              std::span<const graph::Incidence> inc);
   void begin_if_needed();
-  // The per-round phases, in execution order. Merge + admission live in
-  // the backend (sim/backend.cpp); phase_merge wraps its barrier with the
-  // Network-owned bookkeeping (metrics, trace round record, round_).
+  // The per-round phases, in execution order. phase_merge wraps the merge
+  // barrier with the pipeline bookkeeping (metrics, trace round record,
+  // round_).
   bool quiescent() const;
   void phase_step(bool starting);
   void phase_merge();
   bool all_done() const;  // O(S) sum of the lanes' done-counters
+
+  // Delivery (sim/delivery.cpp). plan_delivery sizes the merge scratch and
+  // the CONGEST state once the shard plan is final; merge_barrier drains
+  // the lane outboxes into next round's inboxes (admission included when
+  // the budget is enforced) and returns the messages delivered.
+  void plan_delivery();
+  std::uint64_t merge_barrier();
+  void merge_lanes(std::uint64_t total);
+  std::uint64_t congest_admit();
+  std::uint64_t max_carried_words() const;
 
   const graph::Graph* graph_;
   Knowledge knowledge_;
@@ -294,17 +289,42 @@ class Network {
   // phase never re-scans programs: all_done() sums S counters.
   std::vector<std::uint8_t> done_state_;
 
-  // The delivery backend: owns the arena, the merge, and all CONGEST
-  // admission state (see sim/backend.hpp; the in-process engine's storage
-  // design is documented on InProcessBackend). congest_ stays here — it is
-  // the Network's *policy*; the backend is the mechanism enforcing it.
+  // Delivery storage: this round's messages, counting-sorted by
+  // destination, held as structure-of-arrays planes (message.hpp). Node
+  // v's inbox is the arena's element range [arena_offsets_[v],
+  // arena_offsets_[v + 1]). arena_next_ is the persistent second buffer
+  // of the double-buffered arena (the admission pass relocates into it
+  // and the two swap), so steady-state rounds allocate nothing.
+  MessagePlanes arena_;
+  MessagePlanes arena_next_;
+  std::vector<std::uint32_t> arena_offsets_;  // size n + 1
+  std::vector<std::uint64_t> chunk_weight_;   // offsets scratch, size S
+
+  // CONGEST admission state (congest.hpp): the policy, per-directed-edge
+  // budget tallies and per-chunk carry / admitted planes, all
+  // destination-owned so the pass parallelizes with no shared writes.
+  // None of it is sized in LOCAL mode.
   CongestConfig congest_;
-  BackendConfig backend_cfg_;
-  std::unique_ptr<DeliveryBackend> backend_;
-  // backend_->carried() snapshot taken at the merge barrier, so
-  // round_silent() and carried_messages() stay O(1) reads that mutate only
-  // at the merge — the stability contract programs rely on.
-  std::uint64_t carried_after_merge_ = 0;
+  struct EdgeBudgetState {
+    std::uint64_t remaining = 0;  ///< capacity left in the stamped round;
+                                  ///< banks across rounds while blocked
+    std::uint64_t stamp = 0;      ///< round + 1 of the last touch
+    bool blocked = false;         ///< a message deferred in stamped round
+  };
+  struct CongestChunk {
+    MessagePlanes carry;       // deferred; destination-ascending,
+                               // FIFO within each directed edge
+    MessagePlanes carry_next;  // double buffer for the next round
+    MessagePlanes admitted;    // this round, destination-ascending
+    std::uint64_t deferred_events = 0;
+  };
+  std::vector<EdgeBudgetState> congest_edges_;  // size 2m: 2e + (to>from)
+  std::vector<CongestChunk> congest_chunks_;    // one per shard
+  std::vector<std::uint32_t> congest_counts_;   // admitted per node, size n
+  // Messages across all carry queues. Written only by the admission pass,
+  // so round_silent() and carried_messages() are O(1) reads that mutate
+  // only at the merge — the stability contract programs rely on.
+  std::uint64_t carry_total_ = 0;
 
   // Logical ownership / phase checker (check.hpp). Null unless FL_SIM_CHECK
   // (or set_check) opted in — every instrumentation site below is a single

@@ -1,411 +1,29 @@
-// Explicit little-endian wire framing for protocol payloads.
-//
-// The delivery layer becomes backend-agnostic here: a payload that can be
-// written to and read back from a byte stream can cross a process or
-// machine boundary, so the TCP shard backend (src/net/) can move the same
-// protocol messages the in-process arena moves. The framing rules:
-//
-//   * every primitive is encoded explicitly little-endian, one byte at a
-//     time — the stream's meaning never depends on host byte order or on
-//     struct padding;
-//   * a type is *wire-encodable* when an encoder exists for it. Integers,
-//     enums, bools and floats have fixed-width defaults; empty structs
-//     encode to nothing; trivially-copyable structs whose object
-//     representation is unique (no padding bits) may travel as raw bytes
-//     (guarded by a little-endian static_assert); std::vector,
-//     std::shared_ptr and std::string compose recursively. Everything
-//     else — notably any struct with padding, whose in-memory bytes are
-//     not deterministic — must declare its fields with FL_WIRE_FIELDS
-//     (or hand-write fl_wire_put / fl_wire_get), which serializes
-//     field-by-field and never ships a padding byte;
-//   * the CONGEST word count (MessageHeader::size_hint_words) is part of
-//     the message *header* framing, carried explicitly by the transport —
-//     codecs never re-derive it from encoded byte length, so the model's
-//     accounting is identical on every backend.
-//
-// Customization is ADL-based so protocol payload structs, which live in
-// anonymous namespaces inside their .cpp files, can register themselves
-// right next to their definitions: FL_WIRE_FIELDS(MsgX, a, b) expands to
-// two inline free functions the dispatcher finds via argument-dependent
-// lookup. Payload (payload.hpp) builds its per-type serialize /
-// deserialize ops — and the wire-type registry keyed by a name hash — on
-// top of these encoders.
-#pragma once
-
-#include <bit>
-#include <cstddef>
-#include <cstdint>
-#include <cstring>
-#include <memory>
-#include <span>
-#include <stdexcept>
-#include <string>
-#include <type_traits>
-#include <utility>
-#include <vector>
-
-namespace fl::sim {
-
-/// Thrown on any malformed wire stream (underflow, bad length, unknown
-/// wire-type id) and on attempts to encode a type with no encoder.
-class WireError final : public std::runtime_error {
- public:
-  explicit WireError(const std::string& what) : std::runtime_error(what) {}
-};
-
-/// FNV-1a 64 — the repo's standard cheap stream hash (tests pin golden
-/// traces with the same function). Used for wire-type ids (hash of the
-/// mangled type name — stable across fork()ed shard processes, which
-/// share one binary) and for the cross-backend round digests.
-class Fnv1a64 {
- public:
-  static constexpr std::uint64_t kOffset = 1469598103934665603ULL;
-  static constexpr std::uint64_t kPrime = 1099511628211ULL;
-
-  void byte(std::uint8_t b) {
-    hash_ = (hash_ ^ b) * kPrime;
-  }
-  void bytes(const void* data, std::size_t len) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    for (std::size_t i = 0; i < len; ++i) byte(p[i]);
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = kOffset;
-};
-
-inline std::uint64_t fnv1a64(const void* data, std::size_t len) {
-  Fnv1a64 h;
-  h.bytes(data, len);
-  return h.value();
-}
-
-/// Append-only byte sink with explicit little-endian primitives plus a
-/// patch slot for length prefixes written before their contents exist.
-class WireWriter {
- public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { put_le(v, 2); }
-  void u32(std::uint32_t v) { put_le(v, 4); }
-  void u64(std::uint64_t v) { put_le(v, 8); }
-
-  void bytes(const void* data, std::size_t len) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + len);
-  }
-
-  /// Reserve a u32 slot (returns its offset) to patch once the payload
-  /// that follows it has been written.
-  std::size_t reserve_u32() {
-    const std::size_t at = buf_.size();
-    buf_.insert(buf_.end(), 4, 0);
-    return at;
-  }
-  void patch_u32(std::size_t at, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      buf_[at + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(v >> (8 * i));
-  }
-
-  std::size_t size() const { return buf_.size(); }
-  const std::uint8_t* data() const { return buf_.data(); }
-  std::span<const std::uint8_t> span() const { return {buf_.data(), buf_.size()}; }
-  /// Drop the contents, keep the capacity (arena-style sticky buffers).
-  void clear() { buf_.clear(); }
-
-  std::vector<std::uint8_t>& buffer() { return buf_; }
-
- private:
-  void put_le(std::uint64_t v, int width) {
-    for (int i = 0; i < width; ++i)
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-
-  std::vector<std::uint8_t> buf_;
-};
-
-/// Bounds-checked little-endian reader over a borrowed byte range; every
-/// underflow throws WireError instead of reading past the frame.
-class WireReader {
- public:
-  explicit WireReader(std::span<const std::uint8_t> data) : data_(data) {}
-  WireReader(const std::uint8_t* data, std::size_t len) : data_(data, len) {}
-
-  std::uint8_t u8() { return static_cast<std::uint8_t>(get_le(1)); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(get_le(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(get_le(4)); }
-  std::uint64_t u64() { return get_le(8); }
-
-  void bytes(void* out, std::size_t len) {
-    need(len);
-    std::memcpy(out, data_.data() + pos_, len);
-    pos_ += len;
-  }
-
-  /// Borrow the next `len` bytes without copying (frame sub-ranges).
-  std::span<const std::uint8_t> take(std::size_t len) {
-    need(len);
-    auto out = data_.subspan(pos_, len);
-    pos_ += len;
-    return out;
-  }
-
-  std::size_t remaining() const { return data_.size() - pos_; }
-  std::size_t position() const { return pos_; }
-
- private:
-  void need(std::size_t len) const {
-    if (len > remaining())
-      throw WireError("wire underflow: need " + std::to_string(len) +
-                      " bytes, " + std::to_string(remaining()) + " left");
-  }
-  std::uint64_t get_le(int width) {
-    need(static_cast<std::size_t>(width));
-    std::uint64_t v = 0;
-    for (int i = 0; i < width; ++i)
-      v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    pos_ += static_cast<std::size_t>(width);
-    return v;
-  }
-
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
-
-/// Tag type threaded to ADL decoders so `fl_wire_get` overloads can be
-/// selected by payload type (the return value alone cannot overload).
-template <typename T>
-struct WireTag {};
-
-// ---------------------------------------------------------------- codecs
-//
-// WireCodec<T> supplies the *default* encoders; the wire_put / wire_get
-// dispatchers below prefer an ADL customization (fl_wire_put /
-// fl_wire_get — what FL_WIRE_FIELDS generates) and fall back to these.
-
-template <typename T, typename Enable = void>
-struct WireCodec;  // primary: undefined — T has no default encoding
-
-/// Fixed-width little-endian integrals, enums (via underlying type),
-/// bool (one byte) and IEEE floats (bit pattern, fixed width).
-template <typename T>
-struct WireCodec<T, std::enable_if_t<std::is_integral_v<T> ||
-                                     std::is_enum_v<T> ||
-                                     std::is_floating_point_v<T>>> {
-  static void put(WireWriter& w, const T& v) {
-    if constexpr (std::is_enum_v<T>) {
-      WireCodec<std::underlying_type_t<T>>::put(
-          w, static_cast<std::underlying_type_t<T>>(v));
-    } else if constexpr (std::is_same_v<T, bool>) {
-      w.u8(v ? 1 : 0);
-    } else if constexpr (std::is_floating_point_v<T>) {
-      static_assert(sizeof(T) == 4 || sizeof(T) == 8,
-                    "only IEEE float/double travel on the wire");
-      if constexpr (sizeof(T) == 4) w.u32(std::bit_cast<std::uint32_t>(v));
-      else w.u64(std::bit_cast<std::uint64_t>(v));
-    } else {
-      static_assert(sizeof(T) <= 8, "integral wider than 64 bits");
-      std::uint64_t bits = static_cast<std::uint64_t>(
-          static_cast<std::make_unsigned_t<T>>(v));
-      for (std::size_t i = 0; i < sizeof(T); ++i)
-        w.u8(static_cast<std::uint8_t>(bits >> (8 * i)));
-    }
-  }
-  static T get(WireReader& r) {
-    if constexpr (std::is_enum_v<T>) {
-      return static_cast<T>(WireCodec<std::underlying_type_t<T>>::get(r));
-    } else if constexpr (std::is_same_v<T, bool>) {
-      return r.u8() != 0;
-    } else if constexpr (std::is_floating_point_v<T>) {
-      if constexpr (sizeof(T) == 4) return std::bit_cast<T>(r.u32());
-      else return std::bit_cast<T>(r.u64());
-    } else {
-      std::uint64_t bits = 0;
-      for (std::size_t i = 0; i < sizeof(T); ++i)
-        bits |= static_cast<std::uint64_t>(r.u8()) << (8 * i);
-      return static_cast<T>(static_cast<std::make_unsigned_t<T>>(bits));
-    }
-  }
-};
-
-/// Class types that are safe to ship as raw bytes: empty markers (encode
-/// to nothing) and trivially-copyable structs with *unique object
-/// representations* — i.e. no padding bits, so the in-memory bytes are a
-/// deterministic function of the value. A struct with padding must NOT
-/// default here (two equal values may differ in their padding bytes,
-/// which would break the cross-backend digests): it gets FL_WIRE_FIELDS.
-template <typename T>
-struct WireCodec<
-    T, std::enable_if_t<std::is_class_v<T> && std::is_trivially_copyable_v<T> &&
-                        (std::is_empty_v<T> ||
-                         std::has_unique_object_representations_v<T>)>> {
-  static void put(WireWriter& w, const T& v) {
-    if constexpr (!std::is_empty_v<T>) {
-      static_assert(std::endian::native == std::endian::little,
-                    "raw-bytes default codec assumes a little-endian host; "
-                    "declare the type's fields with FL_WIRE_FIELDS instead");
-      w.bytes(&v, sizeof(T));
-    } else {
-      (void)w;
-      (void)v;
-    }
-  }
-  static T get(WireReader& r) {
-    T v{};
-    if constexpr (!std::is_empty_v<T>) r.bytes(&v, sizeof(T));
-    return v;
-  }
-};
-
-// Forward declarations so the composite codecs below and the trait can
-// recurse through the ADL-aware dispatchers.
-template <typename T>
-void wire_put(WireWriter& w, const T& v);
-template <typename T>
-T wire_get(WireReader& r);
-
-namespace wire_detail {
-
-template <typename T, typename = void>
-inline constexpr bool has_adl_codec = false;
-template <typename T>
-inline constexpr bool has_adl_codec<
-    T, std::void_t<decltype(fl_wire_put(std::declval<WireWriter&>(),
-                                        std::declval<const T&>())),
-                   decltype(fl_wire_get(std::declval<WireReader&>(),
-                                        WireTag<T>{}))>> = true;
-
-template <typename T, typename = void>
-inline constexpr bool has_default_codec = false;
-template <typename T>
-inline constexpr bool has_default_codec<
-    T, std::void_t<decltype(WireCodec<T>::put(std::declval<WireWriter&>(),
-                                              std::declval<const T&>()))>> =
-    true;
-
-}  // namespace wire_detail
-
-/// True when T can travel on the wire: an FL_WIRE_FIELDS / hand-written
-/// ADL codec exists, or one of the defaults applies. The per-protocol
-/// static_asserts mirror the stores_inline contract with this trait.
-template <typename T>
-inline constexpr bool wire_encodable_v =
-    wire_detail::has_adl_codec<std::remove_cv_t<T>> ||
-    wire_detail::has_default_codec<std::remove_cv_t<T>>;
-
-/// std::vector<T> of an encodable element: u32 count + elements.
-template <typename T>
-struct WireCodec<std::vector<T>, std::enable_if_t<wire_encodable_v<T>>> {
-  static void put(WireWriter& w, const std::vector<T>& v) {
-    if (v.size() > 0xFFFFFFFFull)
-      throw WireError("vector too long for u32 wire length");
-    w.u32(static_cast<std::uint32_t>(v.size()));
-    for (const T& e : v) wire_put(w, e);
-  }
-  static std::vector<T> get(WireReader& r) {
-    const std::uint32_t count = r.u32();
-    std::vector<T> v;
-    v.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) v.push_back(wire_get<T>(r));
-    return v;
-  }
-};
-
-/// std::shared_ptr<T> / std::shared_ptr<const T>: presence byte + value.
-/// Decoding allocates a fresh value — shared structure is a sender-side
-/// optimization; across a process boundary every receiver owns a copy,
-/// exactly as the LOCAL model's "messages are values" semantics demand.
-template <typename T>
-struct WireCodec<std::shared_ptr<T>,
-                 std::enable_if_t<wire_encodable_v<std::remove_const_t<T>>>> {
-  using Value = std::remove_const_t<T>;
-  static void put(WireWriter& w, const std::shared_ptr<T>& p) {
-    w.u8(p ? 1 : 0);
-    if (p) wire_put(w, static_cast<const Value&>(*p));
-  }
-  static std::shared_ptr<T> get(WireReader& r) {
-    if (r.u8() == 0) return nullptr;
-    return std::make_shared<Value>(wire_get<Value>(r));
-  }
-};
-
-template <>
-struct WireCodec<std::string> {
-  static void put(WireWriter& w, const std::string& s) {
-    if (s.size() > 0xFFFFFFFFull)
-      throw WireError("string too long for u32 wire length");
-    w.u32(static_cast<std::uint32_t>(s.size()));
-    w.bytes(s.data(), s.size());
-  }
-  static std::string get(WireReader& r) {
-    const std::uint32_t len = r.u32();
-    std::string s(len, '\0');
-    if (len > 0) r.bytes(s.data(), len);
-    return s;
-  }
-};
-
-// ------------------------------------------------------------ dispatchers
-
-/// Encode `v`. Prefers the type's own ADL codec (FL_WIRE_FIELDS or a
-/// hand-written fl_wire_put), else the applicable default.
-template <typename T>
-void wire_put(WireWriter& w, const T& v) {
-  using U = std::remove_cv_t<T>;
-  if constexpr (wire_detail::has_adl_codec<U>) {
-    fl_wire_put(w, v);
-  } else {
-    static_assert(wire_detail::has_default_codec<U>,
-                  "type is not wire-encodable: declare its fields with "
-                  "FL_WIRE_FIELDS or write fl_wire_put/fl_wire_get for it");
-    WireCodec<U>::put(w, v);
-  }
-}
-
-/// Decode a T. Same dispatch as wire_put, so the two always agree.
-template <typename T>
-T wire_get(WireReader& r) {
-  using U = std::remove_cv_t<T>;
-  if constexpr (wire_detail::has_adl_codec<U>) {
-    return fl_wire_get(r, WireTag<U>{});
-  } else {
-    static_assert(wire_detail::has_default_codec<U>,
-                  "type is not wire-encodable: declare its fields with "
-                  "FL_WIRE_FIELDS or write fl_wire_put/fl_wire_get for it");
-    return WireCodec<U>::get(r);
-  }
-}
-
-/// Assign-through convenience used by the FL_WIRE_FIELDS expansion.
-template <typename T>
-void wire_get_into(WireReader& r, T& out) {
-  out = wire_get<std::remove_cv_t<T>>(r);
-}
-
-}  // namespace fl::sim
-
-// ------------------------------------------------------- FL_WIRE_FIELDS
+// Field lists for protocol payload structs.
 //
 // FL_WIRE_FIELDS(Type, field...) — invoked at namespace scope right next
-// to the struct it describes (anonymous namespaces welcome; ADL finds the
-// generated functions wherever the type lives). Serializes the listed
-// fields in order with explicit little-endian framing and reads them back
-// the same way; padding never touches the wire. Up to 8 fields — every
-// payload struct in the repo has at most 4.
+// to the struct it describes — declares which members make up a message's
+// content, in order. It generates one inline free function,
+//
+//   fl_wire_fields(const Type&)  ->  std::tie(v.field...)
+//
+// found by argument-dependent lookup wherever the type lives (protocol
+// payload structs sit in anonymous namespaces inside their .cpp files).
+// The list names the members that carry information and never padding, so
+// a per-message word count can be derived from the tuple instead of being
+// claimed by the protocol. One to 8 fields — every payload struct in the
+// repo has at most 4; empty marker structs declare none.
+#pragma once
+
+#include <tuple>
 
 #define FL_WIRE_DETAIL_FE_1(M, a) M(a)
-#define FL_WIRE_DETAIL_FE_2(M, a, ...) M(a) FL_WIRE_DETAIL_FE_1(M, __VA_ARGS__)
-#define FL_WIRE_DETAIL_FE_3(M, a, ...) M(a) FL_WIRE_DETAIL_FE_2(M, __VA_ARGS__)
-#define FL_WIRE_DETAIL_FE_4(M, a, ...) M(a) FL_WIRE_DETAIL_FE_3(M, __VA_ARGS__)
-#define FL_WIRE_DETAIL_FE_5(M, a, ...) M(a) FL_WIRE_DETAIL_FE_4(M, __VA_ARGS__)
-#define FL_WIRE_DETAIL_FE_6(M, a, ...) M(a) FL_WIRE_DETAIL_FE_5(M, __VA_ARGS__)
-#define FL_WIRE_DETAIL_FE_7(M, a, ...) M(a) FL_WIRE_DETAIL_FE_6(M, __VA_ARGS__)
-#define FL_WIRE_DETAIL_FE_8(M, a, ...) M(a) FL_WIRE_DETAIL_FE_7(M, __VA_ARGS__)
+#define FL_WIRE_DETAIL_FE_2(M, a, ...) M(a), FL_WIRE_DETAIL_FE_1(M, __VA_ARGS__)
+#define FL_WIRE_DETAIL_FE_3(M, a, ...) M(a), FL_WIRE_DETAIL_FE_2(M, __VA_ARGS__)
+#define FL_WIRE_DETAIL_FE_4(M, a, ...) M(a), FL_WIRE_DETAIL_FE_3(M, __VA_ARGS__)
+#define FL_WIRE_DETAIL_FE_5(M, a, ...) M(a), FL_WIRE_DETAIL_FE_4(M, __VA_ARGS__)
+#define FL_WIRE_DETAIL_FE_6(M, a, ...) M(a), FL_WIRE_DETAIL_FE_5(M, __VA_ARGS__)
+#define FL_WIRE_DETAIL_FE_7(M, a, ...) M(a), FL_WIRE_DETAIL_FE_6(M, __VA_ARGS__)
+#define FL_WIRE_DETAIL_FE_8(M, a, ...) M(a), FL_WIRE_DETAIL_FE_7(M, __VA_ARGS__)
 #define FL_WIRE_DETAIL_PICK(_1, _2, _3, _4, _5, _6, _7, _8, NAME, ...) NAME
 #define FL_WIRE_DETAIL_FOR_EACH(M, ...)                                      \
   FL_WIRE_DETAIL_PICK(__VA_ARGS__, FL_WIRE_DETAIL_FE_8, FL_WIRE_DETAIL_FE_7, \
@@ -414,21 +32,11 @@ void wire_get_into(WireReader& r, T& out) {
                       FL_WIRE_DETAIL_FE_2, FL_WIRE_DETAIL_FE_1)              \
   (M, __VA_ARGS__)
 
-#define FL_WIRE_DETAIL_PUT_ONE(f) ::fl::sim::wire_put(w, v.f);
-#define FL_WIRE_DETAIL_GET_ONE(f) ::fl::sim::wire_get_into(r, v.f);
+#define FL_WIRE_DETAIL_MEMBER(f) v.f
 
-#define FL_WIRE_FIELDS(Type, ...)                                            \
-  inline void fl_wire_put(::fl::sim::WireWriter& w, const Type& v) {         \
-    (void)w;                                                                 \
-    (void)v;                                                                 \
-    __VA_OPT__(FL_WIRE_DETAIL_FOR_EACH(FL_WIRE_DETAIL_PUT_ONE, __VA_ARGS__)) \
-  }                                                                          \
-  inline Type fl_wire_get(::fl::sim::WireReader& r,                          \
-                          ::fl::sim::WireTag<Type>) {                        \
-    Type v{};                                                                \
-    (void)r;                                                                 \
-    __VA_OPT__(FL_WIRE_DETAIL_FOR_EACH(FL_WIRE_DETAIL_GET_ONE, __VA_ARGS__)) \
-    return v;                                                                \
-  }                                                                          \
-  static_assert(::fl::sim::wire_encodable_v<Type>,                           \
-                "FL_WIRE_FIELDS failed to make the type wire-encodable")
+#define FL_WIRE_FIELDS(Type, ...)                                     \
+  [[maybe_unused]] inline auto fl_wire_fields(const Type& v) {        \
+    return std::tie(                                                  \
+        FL_WIRE_DETAIL_FOR_EACH(FL_WIRE_DETAIL_MEMBER, __VA_ARGS__)); \
+  }                                                                   \
+  static_assert(true, "FL_WIRE_FIELDS needs a trailing semicolon")

@@ -1,18 +1,21 @@
 // Tests for the small-buffer payload engine: inline vs. heap storage
-// classes, move-only ownership, cast diagnostics, and a pinned golden
-// delivery trace covering every payload category.
+// classes, move-only ownership, cast diagnostics, FL_WIRE_FIELDS field
+// lists, and a pinned golden delivery trace covering every payload
+// category.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "sim/network.hpp"
 #include "sim/payload.hpp"
+#include "sim/wire.hpp"
 #include "trace_hash.hpp"
 
 namespace fl::sim {
@@ -30,7 +33,7 @@ struct TrivialSmall {  // inline, memcpy-relocatable
 };
 static_assert(Payload::stores_inline<TrivialSmall>);
 static_assert(Payload::trivially_relocatable<TrivialSmall>);
-FL_WIRE_FIELDS(TrivialSmall, a, b);  // padded: field-wise, never raw bytes
+FL_WIRE_FIELDS(TrivialSmall, a, b);  // padded: the list skips the padding
 
 struct SharedSmall {  // inline, but needs real move/destroy calls
   std::shared_ptr<int> p;
@@ -46,32 +49,17 @@ struct Oversized {  // > kInlineSize: heap fallback
 };
 static_assert(sizeof(Oversized) > Payload::kInlineSize);
 static_assert(!Payload::stores_inline<Oversized>);
-// No padding: the raw-bytes default codec applies, no declaration needed.
-static_assert(wire_encodable_v<Oversized>);
 
 struct Overaligned {  // alignment the inline buffer cannot honour
   alignas(32) std::uint64_t v = 0;
 };
 static_assert(!Payload::stores_inline<Overaligned>);
-FL_WIRE_FIELDS(Overaligned, v);  // alignment padding must not ship
 
 struct OversizedOwner {  // heap fallback that owns a resource
   std::shared_ptr<int> p;
   std::uint64_t pad[4] = {0, 0, 0, 0};
 };
 static_assert(!Payload::stores_inline<OversizedOwner>);
-// Hand-written codec: FL_WIRE_FIELDS cannot spell a C-array field.
-inline void fl_wire_put(WireWriter& w, const OversizedOwner& v) {
-  wire_put(w, v.p);
-  for (const auto x : v.pad) w.u64(x);
-}
-inline OversizedOwner fl_wire_get(WireReader& r, WireTag<OversizedOwner>) {
-  OversizedOwner v;
-  wire_get_into(r, v.p);
-  for (auto& x : v.pad) x = r.u64();
-  return v;
-}
-static_assert(wire_encodable_v<OversizedOwner>);
 
 TEST(Payload, InlineRoundTrip) {
   Payload p(TrivialSmall{41, 7});
@@ -133,6 +121,28 @@ TEST(Payload, MoveOnlyPayloadType) {
   // Take the value back out through the mutable accessor.
   std::unique_ptr<int> out = std::move(*q.get_if<std::unique_ptr<int>>());
   EXPECT_EQ(*out, 123);
+}
+
+// ---------------------------------------------------------- field lists
+
+// fl_wire_fields ties exactly the listed members, in declaration order, as
+// const references into the value itself — for a padded struct and for a
+// struct owning a shared_ptr alike.
+TEST(WireFields, TiesListedMembersInDeclarationOrder) {
+  using TrivialTie = std::tuple<const std::uint64_t&, const std::uint32_t&>;
+  using SharedTie = std::tuple<const std::shared_ptr<int>&>;
+
+  const TrivialSmall t{41, 7};
+  const auto tf = fl_wire_fields(t);
+  static_assert(std::is_same_v<decltype(fl_wire_fields(t)), TrivialTie>);
+  EXPECT_EQ(&std::get<0>(tf), &t.a);
+  EXPECT_EQ(&std::get<1>(tf), &t.b);
+
+  const SharedSmall s{std::make_shared<int>(3)};
+  const auto sf = fl_wire_fields(s);
+  static_assert(std::is_same_v<decltype(fl_wire_fields(s)), SharedTie>);
+  EXPECT_EQ(&std::get<0>(sf), &s.p);
+  EXPECT_EQ(s.p.use_count(), 1);  // tied by reference, never copied
 }
 
 // ------------------------------------------------------ cast diagnostics
