@@ -2,8 +2,9 @@
 //
 // Every bench prints aligned predicted-vs-measured tables (fl::util::Table)
 // and accepts --quick (smaller sweeps) plus --csv / --json (machine-readable
-// dumps) and --seed. The experiment ids (E1..E10) are indexed in
-// docs/EXPERIMENTS.md; the binaries themselves live in bench/.
+// dumps) and --seed; any other flag must be declared by the caller or the
+// binary exits with an error naming it. The experiment ids (E1..E10) are
+// indexed in docs/EXPERIMENTS.md; the binaries themselves live in bench/.
 #pragma once
 
 #include <cstdio>
@@ -23,8 +24,13 @@ struct Env {
   bool json = false;
   std::uint64_t seed = 1;
 
-  static Env parse(int argc, const char* const* argv) {
+  /// Parse the common flags; `extra` names the caller's own flags (without
+  /// the leading "--"). Any other flag throws util::ContractViolation.
+  static Env parse(int argc, const char* const* argv,
+                   std::vector<std::string> extra = {}) {
     util::Options opt(argc, argv);
+    extra.insert(extra.end(), {"quick", "csv", "json", "seed"});
+    opt.reject_unknown(extra);
     Env env;
     env.quick = opt.get_bool("quick", false);
     env.csv = opt.get_bool("csv", false);
@@ -37,7 +43,7 @@ struct Env {
   /// table becomes one JSON object on stdout (concatenated JSON /
   /// JSON-lines style when a bench emits several tables), keyed by its
   /// title — the machine-readable record the per-PR BENCH_*.json
-  /// trajectory snapshots consume; E1–E10 all route through here.
+  /// trajectory snapshots consume; every bench binary routes through here.
   void emit(const util::Table& table, const std::string& title) const {
     if (json) {
       table.print_json(std::cout, title);

@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace fl;
-  const auto env = bench::Env::parse(argc, argv);
+  const auto env = bench::Env::parse(argc, argv, {"congest"});
   const util::Options opt(argc, argv);
   const bool congest_section = opt.get_bool("congest", false);
 

@@ -1,18 +1,15 @@
-// Micro timing benchmarks: wall-clock throughput of the main building
-// blocks. These measure *our implementation's* speed, not the paper's model
+// Micro timing benchmarks: wall-clock throughput of the simulator's round
+// engine. These measure *our implementation's* speed, not the paper's model
 // quantities — the model quantities live in bench_e1..e10.
 //
-// Two sections:
-//   * a delivery-throughput sweep over the simulator's round engine —
-//     sequential vs `--threads N` execution lanes, across dense, sparse
-//     and skewed (power-law) graph families — run when any of the common
-//     bench flags (--delivery, --json, --csv, --quick, --seed) is present;
-//     --json emits the machine-readable record that the BENCH_*.json
-//     trajectory tracking consumes;
-//   * the google-benchmark suite of building-block timings, run otherwise
-//     (all --benchmark_* flags pass through).
-#include <benchmark/benchmark.h>
-
+// Four sections, each one util::Table printed through bench::Env::emit:
+//   * the delivery-throughput sweep (default, or --delivery): sequential vs
+//     `--threads N` execution lanes, across dense, sparse and skewed
+//     (power-law) graph families;
+//   * --congest: the CONGEST budget sweep, LOCAL vs budgeted rounds;
+//   * --capacity: the n=1M–10M tree flood under a peak-RSS ceiling;
+//   * --profile: a traced flood's per-round phase and lane timeline.
+// Each section exits nonzero when the contract it reports on breaks.
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -20,15 +17,10 @@
 #include <string>
 #include <vector>
 
-#include "baseline/baswana_sen.hpp"
 #include "bench_common.hpp"
 #include "core/config.hpp"
 #include "core/distributed_sampler.hpp"
-#include "core/sampler.hpp"
-#include "graph/algorithms.hpp"
-#include "graph/spanner_check.hpp"
 #include "graph/generators.hpp"
-#include "localsim/tlocal_broadcast.hpp"
 #include "obs/trace.hpp"
 #include "sim/network.hpp"
 #include "util/assert.hpp"
@@ -38,78 +30,6 @@
 namespace {
 
 using namespace fl;
-
-graph::Graph make_er(graph::NodeId n, std::size_t deg) {
-  util::Xoshiro256 rng(42 + n);
-  return graph::erdos_renyi_gnm(n, deg * n / 2, rng);
-}
-
-void BM_GraphBuild(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(make_er(n, 16));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<long>(n) * 8);
-}
-BENCHMARK(BM_GraphBuild)->Arg(1024)->Arg(4096)->Arg(16384);
-
-void BM_Bfs(benchmark::State& state) {
-  const auto g = make_er(static_cast<graph::NodeId>(state.range(0)), 16);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::bfs_distances(g, 0));
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_edges());
-}
-BENCHMARK(BM_Bfs)->Arg(1024)->Arg(4096)->Arg(16384);
-
-void BM_SamplerCentralized(benchmark::State& state) {
-  const auto g = make_er(static_cast<graph::NodeId>(state.range(0)), 16);
-  const auto cfg = core::SamplerConfig::bench_profile(2, 3, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::build_spanner(g, cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_nodes());
-}
-BENCHMARK(BM_SamplerCentralized)->Arg(1024)->Arg(4096);
-
-void BM_SamplerDistributed(benchmark::State& state) {
-  const auto g = make_er(static_cast<graph::NodeId>(state.range(0)), 16);
-  const auto cfg = core::SamplerConfig::bench_profile(2, 2, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_distributed_sampler(g, cfg));
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_nodes());
-}
-BENCHMARK(BM_SamplerDistributed)->Arg(512)->Arg(1024);
-
-void BM_BaswanaSenCentralized(benchmark::State& state) {
-  const auto g = make_er(static_cast<graph::NodeId>(state.range(0)), 16);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(baseline::build_baswana_sen(g, 3, 11));
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_edges());
-}
-BENCHMARK(BM_BaswanaSenCentralized)->Arg(1024)->Arg(4096);
-
-void BM_TLocalBroadcast(benchmark::State& state) {
-  const auto g = make_er(1024, 16);
-  const auto edges = localsim::all_edges(g);
-  const auto t = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(localsim::run_tlocal_broadcast(g, edges, t, 13));
-  }
-}
-BENCHMARK(BM_TLocalBroadcast)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_SpannerCheckExact(benchmark::State& state) {
-  const auto g = make_er(static_cast<graph::NodeId>(state.range(0)), 16);
-  const auto cfg = core::SamplerConfig::bench_profile(2, 3, 17);
-  const auto res = core::build_spanner(g, cfg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::check_spanner_exact(g, res.edges));
-  }
-}
-BENCHMARK(BM_SpannerCheckExact)->Arg(512)->Arg(1024);
 
 // ------------------------------------------------- delivery throughput
 
@@ -182,42 +102,22 @@ DeliveryResult run_delivery(const graph::Graph& g, unsigned rounds,
   return res;
 }
 
-struct SweepRow {
-  graph::NodeId n = 0;
-  std::string family;
-  std::uint64_t edges = 0;
-  unsigned threads = 1;   ///< thread count of the parallel (flat_mt) column
-  DeliveryResult flat;    ///< sequential (1 lane)
-  DeliveryResult flat_mt; ///< `threads` execution lanes
-
-  bool stats_match() const {
-    return flat.stats.rounds == flat_mt.stats.rounds &&
-           flat.stats.messages == flat_mt.stats.messages &&
-           flat.stats.terminated == flat_mt.stats.terminated &&
-           flat.checksum == flat_mt.checksum;
-  }
-  double parallel_speedup() const {
-    return flat.msgs_per_sec() > 0.0
-               ? flat_mt.msgs_per_sec() / flat.msgs_per_sec()
-               : 0.0;
-  }
-};
-
-/// Best-of-`reps` timing for both configurations, interleaving the runs so
-/// machine drift hits every side equally.
+/// Best-of-7 timing of the sequential engine (`flat`) and of `threads`
+/// execution lanes (`flat_mt`), interleaving the runs so machine drift hits
+/// both sides equally.
 void best_of_pair(const graph::Graph& g, unsigned rounds, std::uint64_t seed,
-                  SweepRow& row) {
+                  unsigned threads, DeliveryResult& flat,
+                  DeliveryResult& flat_mt) {
   const int reps = 7;
   for (int r = 0; r < reps; ++r) {
-    DeliveryResult flat = run_delivery(g, rounds, seed);
-    DeliveryResult flat_mt = run_delivery(g, rounds, seed, row.threads);
-    if (r == 0 || flat.seconds < row.flat.seconds) row.flat = flat;
-    if (r == 0 || flat_mt.seconds < row.flat_mt.seconds) row.flat_mt = flat_mt;
+    const DeliveryResult one = run_delivery(g, rounds, seed);
+    const DeliveryResult many = run_delivery(g, rounds, seed, threads);
+    if (r == 0 || one.seconds < flat.seconds) flat = one;
+    if (r == 0 || many.seconds < flat_mt.seconds) flat_mt = many;
   }
 }
 
-std::vector<SweepRow> run_delivery_sweep(const bench::Env& env,
-                                         unsigned threads) {
+int run_delivery_bench(const bench::Env& env, unsigned threads) {
   // Two send-rounds per run matches the repo's workloads: tlocal_broadcast
   // (E8 sweeps t ∈ {1, 2, 4}) builds a fresh Network per short protocol
   // run, so first-round storage growth is not amortized over a long run —
@@ -231,7 +131,10 @@ std::vector<SweepRow> run_delivery_sweep(const bench::Env& env,
   std::vector<graph::NodeId> sizes{1000, 10000, 100000};
   if (env.quick) sizes = {1000, 10000};
 
-  std::vector<SweepRow> rows;
+  util::Table table({"n", "family", "edges", "rounds", "messages", "threads",
+                     "flat Mmsg/sec", "flat@T Mmsg/sec", "mt_over_flat",
+                     "stats match?"});
+  bool all_match = true;
   for (const graph::NodeId n : sizes) {
     for (const char* family : {"dense", "sparse", "skewed"}) {
       const bool dense = std::string(family) == "dense";
@@ -241,76 +144,72 @@ std::vector<SweepRow> run_delivery_sweep(const bench::Env& env,
           dense    ? graph::erdos_renyi_gnm(n, 8ull * n, rng)
           : skewed ? graph::barabasi_albert(n, 8, rng)
                    : graph::random_tree(n, rng);
-      SweepRow row;
-      row.n = n;
-      row.family = family;
-      row.edges = g.num_edges();
-      row.threads = threads;
-      best_of_pair(g, rounds, env.seed, row);
-      rows.push_back(std::move(row));
+      DeliveryResult flat;
+      DeliveryResult flat_mt;
+      best_of_pair(g, rounds, env.seed, threads, flat, flat_mt);
+      // Identical counts are part of the contract, not just a report column.
+      const bool match = flat.stats.rounds == flat_mt.stats.rounds &&
+                         flat.stats.messages == flat_mt.stats.messages &&
+                         flat.stats.terminated == flat_mt.stats.terminated &&
+                         flat.checksum == flat_mt.checksum;
+      all_match = all_match && match;
+      table.add(n, family, g.num_edges(), flat.stats.rounds,
+                flat.stats.messages, threads,
+                util::fixed(flat.msgs_per_sec() / 1e6, 2),
+                util::fixed(flat_mt.msgs_per_sec() / 1e6, 2),
+                util::fixed(flat.msgs_per_sec() > 0.0
+                                ? flat_mt.msgs_per_sec() / flat.msgs_per_sec()
+                                : 0.0,
+                            3),
+                match);
     }
   }
-  return rows;
-}
-
-void emit_delivery_json(const std::vector<SweepRow>& rows,
-                        const bench::Env& env) {
-  std::printf("{\n  \"bench\": \"delivery_throughput\",\n");
-  std::printf("  \"seed\": %llu,\n  \"quick\": %s,\n",
-              static_cast<unsigned long long>(env.seed),
-              env.quick ? "true" : "false");
-  std::printf("  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& r = rows[i];
-    std::printf(
-        "    {\"n\": %u, \"family\": \"%s\", \"edges\": %llu, "
-        "\"rounds\": %zu, \"messages\": %llu, \"threads\": %u, "
-        "\"flat_msgs_per_sec\": %.0f, \"flat_mt_msgs_per_sec\": %.0f, "
-        "\"mt_over_flat\": %.3f, "
-        "\"stats_match\": %s}%s\n",
-        r.n, r.family.c_str(), static_cast<unsigned long long>(r.edges),
-        r.flat.stats.rounds,
-        static_cast<unsigned long long>(r.flat.stats.messages), r.threads,
-        r.flat.msgs_per_sec(), r.flat_mt.msgs_per_sec(), r.parallel_speedup(),
-        r.stats_match() ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+  env.emit(table, "Delivery throughput: flat arena at 1 and " +
+                      std::to_string(threads) + " execution lanes");
+  return all_match ? 0 : 1;
 }
 
 // ------------------------------------------------- CONGEST budget sweep
-
-struct CongestRow {
-  graph::NodeId n = 0;
-  std::string family;
-  std::uint64_t edges = 0;
-  std::uint32_t words = 0;   ///< words per message
-  std::uint64_t budget = 0;  ///< words per edge per round
-  sim::RunStats local;
-  sim::RunStats congest;
-  std::uint64_t deferrals = 0;
-  std::uint64_t carry_peak = 0;  ///< deepest total carry backlog seen
-  /// Metrics::barrier_rounds_saved — rounds an event-driven phase barrier
-  /// saved vs the slack-stretched timetable. 0 for the flood rows (the
-  /// flood has no timetable); live on the "sampler" row.
-  std::uint64_t barrier_saved = 0;
-  double congest_seconds = 0.0;
-};
 
 /// LOCAL vs budgeted rounds for the flood driver: every edge carries
 /// `words`-word messages against a `budget`-word budget, so the Defer
 /// engine must stretch the schedule by about words/budget while delivering
 /// exactly the same messages. This is the model-quantity record for the
 /// budget engine (the stretch is deterministic); the wall-clock column
-/// meters the admission pass's overhead on top of delivery.
-std::vector<CongestRow> run_congest_sweep(const bench::Env& env) {
+/// meters the admission pass's overhead on top of delivery. A final
+/// "sampler" row runs the protocol that actually *uses* event-driven phase
+/// barriers, so barrier_rounds_saved (rounds saved against the
+/// slack-stretched timetable; 0 for the flood, which has no timetable) is
+/// live there.
+int run_congest_bench(const bench::Env& env) {
+  util::Table table({"n", "family", "edges", "words/msg", "budget",
+                     "LOCAL rounds", "budgeted rounds", "stretch",
+                     "messages", "deferrals", "carry peak",
+                     "barrier_rounds_saved", "congest Mmsg/sec"});
+  const auto add = [&table](graph::NodeId n, const char* family,
+                            std::uint64_t edges, std::uint32_t words,
+                            std::uint64_t budget, const sim::RunStats& local,
+                            const sim::RunStats& congest,
+                            const sim::Metrics& m, double seconds) {
+    table.add(n, family, edges, words, budget, local.rounds, congest.rounds,
+              util::fixed(static_cast<double>(congest.rounds) /
+                              static_cast<double>(local.rounds),
+                          2),
+              congest.messages, m.deferrals_total, m.carry_peak,
+              m.barrier_rounds_saved,
+              util::fixed(seconds > 0.0 ? static_cast<double>(
+                                              congest.messages) /
+                                              seconds / 1e6
+                                        : 0.0,
+                          2));
+  };
+
   const unsigned rounds = 2;
   const std::uint32_t words = 8;
   const std::uint64_t budget = 4;
   std::vector<graph::NodeId> sizes{1000, 10000};
   if (env.quick) sizes = {1000};
-
-  std::vector<CongestRow> rows;
+  int rc = 0;
   for (const graph::NodeId n : sizes) {
     for (const char* family : {"dense", "sparse"}) {
       const bool dense = std::string(family) == "dense";
@@ -318,142 +217,59 @@ std::vector<CongestRow> run_congest_sweep(const bench::Env& env) {
       const graph::Graph g = dense
                                  ? graph::erdos_renyi_gnm(n, 8ull * n, rng)
                                  : graph::random_tree(n, rng);
-      CongestRow row;
-      row.n = n;
-      row.family = family;
-      row.edges = g.num_edges();
-      row.words = words;
-      row.budget = budget;
+      sim::RunStats local;
       {
         sim::Network net(g, sim::Knowledge::EdgeIds, env.seed);
         net.install_all<FloodRounds>(rounds, words);
-        row.local = net.run(static_cast<std::size_t>(rounds) + 4);
+        local = net.run(static_cast<std::size_t>(rounds) + 4);
       }
-      {
-        sim::Network net(g, sim::Knowledge::EdgeIds, env.seed);
-        net.set_congest({budget, sim::CongestPolicy::Defer});
-        net.install_all<FloodRounds>(rounds, words);
-        util::Timer timer;
-        row.congest = net.run(64 * (static_cast<std::size_t>(rounds) + 4));
-        row.congest_seconds = timer.seconds();
-        row.deferrals = net.metrics().deferrals_total;
-        row.carry_peak = net.metrics().carry_peak;
-      }
-      FL_REQUIRE(row.local.terminated && row.congest.terminated,
+      sim::Network net(g, sim::Knowledge::EdgeIds, env.seed);
+      net.set_congest({budget, sim::CongestPolicy::Defer});
+      net.install_all<FloodRounds>(rounds, words);
+      util::Timer timer;
+      const sim::RunStats congest =
+          net.run(64 * (static_cast<std::size_t>(rounds) + 4));
+      const double seconds = timer.seconds();
+      FL_REQUIRE(local.terminated && congest.terminated,
                  "congest sweep run did not terminate");
-      FL_REQUIRE(row.congest.messages == row.local.messages,
+      FL_REQUIRE(congest.messages == local.messages,
                  "Defer must deliver every message eventually");
-      rows.push_back(std::move(row));
+      // A fixed send schedule under a binding budget must stretch.
+      if (congest.rounds <= local.rounds) {
+        std::fprintf(stderr,
+                     "congest sweep: budget failed to stretch rounds at n=%u "
+                     "%s (local %zu, budgeted %zu)\n",
+                     n, family, local.rounds, congest.rounds);
+        rc = 1;
+      }
+      add(n, family, g.num_edges(), words, budget, local, congest,
+          net.metrics(), seconds);
     }
   }
-  // One Sampler row: the protocol that actually *uses* event-driven phase
-  // barriers, so barrier_rounds_saved is live here (the flood rows have no
-  // timetable to save against). LOCAL baseline pinned env-immune.
-  {
-    util::Xoshiro256 rng(env.seed + 7);
-    const graph::Graph g = graph::erdos_renyi_gnm(256, 1024, rng);
-    auto cfg = core::SamplerConfig::bench_profile(2, 2, env.seed);
-    cfg.congest = sim::CongestConfig{};
-    const auto local = core::run_distributed_sampler(g, cfg);
-    cfg.congest = sim::CongestConfig{8, sim::CongestPolicy::Defer};
-    cfg.barriers = core::BarrierMode::EventDriven;
-    util::Timer timer;
-    const auto adaptive = core::run_distributed_sampler(g, cfg);
-    CongestRow row;
-    row.n = g.num_nodes();
-    row.family = "sampler";
-    row.edges = g.num_edges();
-    row.words = static_cast<std::uint32_t>(local.metrics.max_message_words);
-    row.budget = 8;
-    row.local = local.stats;
-    row.congest = adaptive.stats;
-    row.congest_seconds = timer.seconds();
-    row.deferrals = adaptive.metrics.deferrals_total;
-    row.carry_peak = adaptive.metrics.carry_peak;
-    row.barrier_saved = adaptive.metrics.barrier_rounds_saved;
-    FL_REQUIRE(row.congest.messages == row.local.messages,
-               "budgeted sampler must deliver exactly the LOCAL messages");
-    FL_REQUIRE(row.barrier_saved > 0,
-               "adaptive sampler saved no rounds against its provisioned "
-               "timetable — the event-driven barrier is not engaging");
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-void emit_congest_json(const std::vector<CongestRow>& rows,
-                       const bench::Env& env) {
-  std::printf("{\n  \"bench\": \"congest_stretch\",\n");
-  std::printf("  \"seed\": %llu,\n  \"quick\": %s,\n",
-              static_cast<unsigned long long>(env.seed),
-              env.quick ? "true" : "false");
-  std::printf("  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const CongestRow& r = rows[i];
-    std::printf(
-        "    {\"n\": %u, \"family\": \"%s\", \"edges\": %llu, "
-        "\"words_per_msg\": %u, \"budget\": %llu, "
-        "\"local_rounds\": %zu, \"congest_rounds\": %zu, "
-        "\"messages\": %llu, \"deferrals\": %llu, \"carry_peak\": %llu, "
-        "\"barrier_rounds_saved\": %llu, "
-        "\"congest_msgs_per_sec\": %.0f}%s\n",
-        r.n, r.family.c_str(), static_cast<unsigned long long>(r.edges),
-        r.words, static_cast<unsigned long long>(r.budget), r.local.rounds,
-        r.congest.rounds, static_cast<unsigned long long>(r.congest.messages),
-        static_cast<unsigned long long>(r.deferrals),
-        static_cast<unsigned long long>(r.carry_peak),
-        static_cast<unsigned long long>(r.barrier_saved),
-        r.congest_seconds > 0.0
-            ? static_cast<double>(r.congest.messages) / r.congest_seconds
-            : 0.0,
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
-}
-
-int run_congest_bench(const bench::Env& env) {
-  const auto rows = run_congest_sweep(env);
-  if (env.json) {
-    emit_congest_json(rows, env);
-  } else {
-    util::Table table({"n", "family", "edges", "words/msg", "budget",
-                       "LOCAL rounds", "budgeted rounds", "stretch",
-                       "deferrals", "carry peak", "barrier saved",
-                       "congest Mmsg/s"});
-    for (const CongestRow& r : rows) {
-      table.add(static_cast<std::size_t>(r.n), r.family,
-                static_cast<unsigned long long>(r.edges), r.words,
-                static_cast<unsigned long long>(r.budget), r.local.rounds,
-                r.congest.rounds,
-                util::fixed(static_cast<double>(r.congest.rounds) /
-                                static_cast<double>(r.local.rounds),
-                            2),
-                static_cast<unsigned long long>(r.deferrals),
-                static_cast<unsigned long long>(r.carry_peak),
-                static_cast<unsigned long long>(r.barrier_saved),
-                util::fixed(r.congest_seconds > 0.0
-                                ? static_cast<double>(r.congest.messages) /
-                                      r.congest_seconds / 1e6
-                                : 0.0,
-                            2));
-    }
-    env.emit(table, "CONGEST budget: LOCAL vs budgeted rounds (Defer)");
-  }
-  for (const CongestRow& r : rows) {
-    // The flood rows must stretch (fixed send schedule, binding budget).
-    // The sampler row is exempt: its event-driven barriers can finish in
-    // *fewer* rounds than the LOCAL timetable when the phases drain early
-    // — barrier_saved > 0 is its bind check (FL_REQUIRE'd in the sweep).
-    if (r.family != "sampler" &&
-        r.congest.rounds <= r.local.rounds) {  // the budget must bind
-      std::fprintf(stderr,
-                   "congest sweep: budget failed to stretch rounds at n=%u "
-                   "%s (local %zu, budgeted %zu)\n",
-                   r.n, r.family.c_str(), r.local.rounds, r.congest.rounds);
-      return 1;
-    }
-  }
-  return 0;
+  // The sampler row is exempt from the stretch check: its event-driven
+  // barriers can finish in *fewer* rounds than the LOCAL timetable when the
+  // phases drain early, so barrier_saved > 0 is its bind check. LOCAL
+  // baseline pinned env-immune.
+  util::Xoshiro256 rng(env.seed + 7);
+  const graph::Graph g = graph::erdos_renyi_gnm(256, 1024, rng);
+  auto cfg = core::SamplerConfig::bench_profile(2, 2, env.seed);
+  cfg.congest = sim::CongestConfig{};
+  const auto local = core::run_distributed_sampler(g, cfg);
+  cfg.congest = sim::CongestConfig{8, sim::CongestPolicy::Defer};
+  cfg.barriers = core::BarrierMode::EventDriven;
+  util::Timer timer;
+  const auto adaptive = core::run_distributed_sampler(g, cfg);
+  const double seconds = timer.seconds();
+  FL_REQUIRE(adaptive.stats.messages == local.stats.messages,
+             "budgeted sampler must deliver exactly the LOCAL messages");
+  FL_REQUIRE(adaptive.metrics.barrier_rounds_saved > 0,
+             "adaptive sampler saved no rounds against its provisioned "
+             "timetable — the event-driven barrier is not engaging");
+  add(g.num_nodes(), "sampler", g.num_edges(),
+      static_cast<std::uint32_t>(local.metrics.max_message_words), 8,
+      local.stats, adaptive.stats, adaptive.metrics, seconds);
+  env.emit(table, "CONGEST budget: LOCAL vs budgeted rounds (Defer)");
+  return rc;
 }
 
 // ------------------------------------------------- capacity (n=1M–10M)
@@ -477,19 +293,6 @@ double physical_ram_mb() {
          (static_cast<double>(page) / 1024.0);
 }
 
-struct CapacityRow {
-  graph::NodeId n = 0;
-  std::string family;
-  std::uint64_t edges = 0;
-  std::size_t rounds = 0;
-  std::uint64_t messages = 0;
-  unsigned threads = 1;
-  double msgs_per_sec = 0.0;
-  double peak_rss_mb = 0.0;
-  double rss_ceiling_mb = 0.0;
-  bool rss_within_ceiling = false;
-};
-
 /// The scale rows the SoA/streamed engine exists for: a tree flood at
 /// n=1M (and, with RAM to spare and no --quick, n=10M), 8 send-rounds
 /// each. The peak-RSS ceiling is the frontier-scaling proof: the engine's
@@ -497,8 +300,7 @@ struct CapacityRow {
 /// two arena buffers + outboxes), and the ceiling of 672 MiB per million
 /// nodes leaves headroom for allocator slack but NOT for materializing
 /// the run — eight rounds of retained deliveries (~700 MiB more) blow it.
-std::vector<CapacityRow> run_capacity_sweep(const bench::Env& env,
-                                            unsigned threads) {
+int run_capacity_bench(const bench::Env& env, unsigned threads) {
   constexpr double kCeilingMbPerMillionNodes = 672.0;
   const unsigned rounds = 8;
   std::vector<graph::NodeId> sizes{1000000};
@@ -506,15 +308,13 @@ std::vector<CapacityRow> run_capacity_sweep(const bench::Env& env,
   // the full sweep never swaps a CI box to death.
   if (!env.quick && physical_ram_mb() >= 12288.0) sizes.push_back(10000000);
 
-  std::vector<CapacityRow> rows;  // ascending n — see peak_rss_mb()
-  for (const graph::NodeId n : sizes) {
+  util::Table table({"n", "family", "edges", "rounds", "messages", "threads",
+                     "Mmsg/sec", "peak RSS MiB", "RSS ceiling MiB",
+                     "within ceiling?"});
+  int rc = 0;
+  for (const graph::NodeId n : sizes) {  // ascending n — see peak_rss_mb()
     util::Xoshiro256 rng(env.seed + n);
     const graph::Graph g = graph::random_tree(n, rng);
-    CapacityRow row;
-    row.n = n;
-    row.family = "sparse";
-    row.edges = g.num_edges();
-    row.threads = threads;
     // Best of 3: the first run pays the cold page faults for the whole
     // footprint inside the timed region; the repeats measure the engine.
     // Peak RSS is unaffected (same footprint each run, monotone reading).
@@ -526,134 +326,37 @@ std::vector<CapacityRow> run_capacity_sweep(const bench::Env& env,
                  "capacity repeats must reproduce the run exactly");
       if (again.seconds < res.seconds) res = again;
     }
-    row.rounds = res.stats.rounds;
-    row.messages = res.stats.messages;
-    row.msgs_per_sec = res.msgs_per_sec();
-    row.peak_rss_mb = peak_rss_mb();
-    row.rss_ceiling_mb =
+    const double peak = peak_rss_mb();
+    const double ceiling =
         kCeilingMbPerMillionNodes * static_cast<double>(n) / 1e6;
-    row.rss_within_ceiling = row.peak_rss_mb <= row.rss_ceiling_mb;
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-void emit_capacity_json(const std::vector<CapacityRow>& rows,
-                        const bench::Env& env) {
-  std::printf("{\n  \"bench\": \"capacity\",\n");
-  std::printf("  \"seed\": %llu,\n  \"quick\": %s,\n",
-              static_cast<unsigned long long>(env.seed),
-              env.quick ? "true" : "false");
-  std::printf("  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const CapacityRow& r = rows[i];
-    std::printf(
-        "    {\"n\": %u, \"family\": \"%s\", \"edges\": %llu, "
-        "\"rounds\": %zu, \"messages\": %llu, \"threads\": %u, "
-        "\"msgs_per_sec\": %.0f, \"peak_rss_mb\": %.1f, "
-        "\"rss_ceiling_mb\": %.1f, \"rss_within_ceiling\": %s}%s\n",
-        r.n, r.family.c_str(), static_cast<unsigned long long>(r.edges),
-        r.rounds, static_cast<unsigned long long>(r.messages), r.threads,
-        r.msgs_per_sec, r.peak_rss_mb, r.rss_ceiling_mb,
-        r.rss_within_ceiling ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
-}
-
-int run_capacity_bench(const bench::Env& env, unsigned threads) {
-  const auto rows = run_capacity_sweep(env, threads);
-  if (env.json) {
-    emit_capacity_json(rows, env);
-  } else {
-    util::Table table({"n", "family", "edges", "rounds", "messages",
-                       "threads", "Mmsg/s", "peak RSS MiB", "ceiling MiB",
-                       "within?"});
-    for (const CapacityRow& r : rows) {
-      table.add(static_cast<std::size_t>(r.n), r.family,
-                static_cast<unsigned long long>(r.edges), r.rounds,
-                static_cast<unsigned long long>(r.messages), r.threads,
-                util::fixed(r.msgs_per_sec / 1e6, 2),
-                util::fixed(r.peak_rss_mb, 1),
-                util::fixed(r.rss_ceiling_mb, 1), r.rss_within_ceiling);
-    }
-    env.emit(table, "Capacity: tree flood at n=1M-10M, peak-RSS ceiling");
-  }
-  for (const CapacityRow& r : rows) {
-    if (!r.rss_within_ceiling) {
+    const bool within = peak <= ceiling;
+    if (!within) {
       std::fprintf(stderr,
                    "capacity: peak RSS %.1f MiB exceeds the %.1f MiB "
                    "ceiling at n=%u — the engine materialized more than "
                    "the current+next frontier\n",
-                   r.peak_rss_mb, r.rss_ceiling_mb, r.n);
-      return 1;
+                   peak, ceiling, n);
+      rc = 1;
     }
+    table.add(n, "sparse", g.num_edges(), res.stats.rounds,
+              res.stats.messages, threads,
+              util::fixed(res.msgs_per_sec() / 1e6, 2), util::fixed(peak, 1),
+              util::fixed(ceiling, 1), within);
   }
-  return 0;
+  env.emit(table, "Capacity: tree flood at n=1M-10M, peak-RSS ceiling");
+  return rc;
 }
 
 // ------------------------------------------------- round profile (tracing on)
 
-/// One report row per engine round, read back from the tracer's
-/// RoundProfile timeline after a traced flood. Model columns (messages,
-/// words, deferrals, carry depth) are bit-identical across thread counts;
-/// the *_ns columns are wall-clock advisory data and never diffed.
-struct ProfileRow {
-  std::size_t round = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t words = 0;
-  std::uint64_t deferrals = 0;
-  std::uint64_t carry_depth = 0;
-  std::size_t lanes = 0;
-  std::uint64_t quiesce_ns = 0;
-  std::uint64_t step_ns = 0;
-  std::uint64_t merge_ns = 0;
-  std::uint64_t admit_ns = 0;
-  std::uint64_t busy_max_ns = 0;
-  std::uint64_t busy_avg_ns = 0;
-  double max_over_avg_busy = 0.0;
-  std::uint64_t rss_kb = 0;
-};
-
-void emit_profile_json(const std::vector<ProfileRow>& rows,
-                       const bench::Env& env, unsigned threads,
-                       const char* trace_path) {
-  std::printf("{\n  \"bench\": \"round_profile\",\n");
-  std::printf("  \"seed\": %llu,\n  \"quick\": %s,\n",
-              static_cast<unsigned long long>(env.seed),
-              env.quick ? "true" : "false");
-  std::printf("  \"threads\": %u,\n  \"trace\": \"%s\",\n", threads,
-              trace_path);
-  std::printf("  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ProfileRow& r = rows[i];
-    std::printf(
-        "    {\"round\": %zu, \"messages\": %llu, \"words\": %llu, "
-        "\"deferrals\": %llu, \"carry_depth\": %llu, \"lanes\": %zu, "
-        "\"quiesce_ns\": %llu, \"step_ns\": %llu, \"merge_ns\": %llu, "
-        "\"admit_ns\": %llu, \"busy_max_ns\": %llu, \"busy_avg_ns\": %llu, "
-        "\"max_over_avg_busy\": %.4f, \"rss_kb\": %llu}%s\n",
-        r.round, static_cast<unsigned long long>(r.messages),
-        static_cast<unsigned long long>(r.words),
-        static_cast<unsigned long long>(r.deferrals),
-        static_cast<unsigned long long>(r.carry_depth), r.lanes,
-        static_cast<unsigned long long>(r.quiesce_ns),
-        static_cast<unsigned long long>(r.step_ns),
-        static_cast<unsigned long long>(r.merge_ns),
-        static_cast<unsigned long long>(r.admit_ns),
-        static_cast<unsigned long long>(r.busy_max_ns),
-        static_cast<unsigned long long>(r.busy_avg_ns), r.max_over_avg_busy,
-        static_cast<unsigned long long>(r.rss_kb),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
-}
-
-/// Traced flood: run the delivery driver with tracing ON, report the
-/// per-round phase/lane timeline, and leave the Chrome-trace artifact (plus
-/// its .jsonl profile dump) in the working directory for Perfetto. Exits
-/// nonzero if the artifact is missing/empty or the per-lane data the
-/// acceptance contract promises (step:lane spans, busy times) is absent.
+/// Traced flood: run the delivery driver with tracing ON, report one row
+/// per engine round from the tracer's RoundProfile timeline, and leave the
+/// Chrome-trace artifact (plus its .jsonl profile dump) in the working
+/// directory for Perfetto. Model columns (messages, words, deferrals, carry
+/// depth, lanes) are bit-identical across thread counts; the *_ns, busy and
+/// RSS columns are wall-clock advisory data. Exits nonzero if the artifact
+/// is missing/empty or the per-lane data the acceptance contract promises
+/// (step:lane spans, busy times) is absent.
 int run_profile_bench(const bench::Env& env, unsigned threads) {
   const graph::NodeId n = env.quick ? 10000 : 100000;
   const unsigned rounds = 4;
@@ -661,7 +364,11 @@ int run_profile_bench(const bench::Env& env, unsigned threads) {
   util::Xoshiro256 rng(env.seed + n + 1);
   const graph::Graph g = graph::erdos_renyi_gnm(n, 8ull * n, rng);
 
-  std::vector<ProfileRow> rows;
+  util::Table table({"n", "round", "messages", "words", "deferrals",
+                     "carry depth", "lanes", "quiesce_ns", "step_ns",
+                     "merge_ns", "admit_ns", "lane busy max_ns",
+                     "lane busy avg_ns", "busy max_over_avg", "RSS KiB"});
+  int rc = 0;
   std::uint64_t step_lane_spans = 0;
   std::uint64_t dropped = 0;
   {
@@ -676,29 +383,24 @@ int run_profile_bench(const bench::Env& env, unsigned threads) {
     const sim::RunStats stats = net.run(static_cast<std::size_t>(rounds) + 4);
     FL_REQUIRE(stats.terminated, "profile flood did not terminate");
     for (const obs::RoundProfile& p : net.profile()) {
-      ProfileRow row;
-      row.round = p.round;
-      row.messages = p.messages;
-      row.words = p.words;
-      row.deferrals = p.deferrals;
-      row.carry_depth = p.carry_depth;
-      row.lanes = p.lane_busy_ns.size();
-      row.quiesce_ns = p.quiesce_ns;
-      row.step_ns = p.step_ns;
-      row.merge_ns = p.merge_ns;
-      row.admit_ns = p.admit_ns;
       std::uint64_t busy_max = 0;
       std::uint64_t busy_sum = 0;
       for (const std::uint64_t b : p.lane_busy_ns) {
         if (b > busy_max) busy_max = b;
         busy_sum += b;
       }
-      row.busy_max_ns = busy_max;
-      row.busy_avg_ns =
-          p.lane_busy_ns.empty() ? 0 : busy_sum / p.lane_busy_ns.size();
-      row.max_over_avg_busy = p.max_over_avg_busy;
-      row.rss_kb = p.rss_kb;
-      rows.push_back(row);
+      const std::size_t lanes = p.lane_busy_ns.size();
+      if (lanes != threads) {
+        std::fprintf(stderr,
+                     "profile: round %llu reports %zu lane busy slots, "
+                     "expected %u\n",
+                     static_cast<unsigned long long>(p.round), lanes, threads);
+        rc = 1;
+      }
+      table.add(n, p.round, p.messages, p.words, p.deferrals, p.carry_depth,
+                lanes, p.quiesce_ns, p.step_ns, p.merge_ns, p.admit_ns,
+                busy_max, lanes == 0 ? 0 : busy_sum / lanes,
+                util::fixed(p.max_over_avg_busy, 4), p.rss_kb);
     }
     for (std::size_t t = 0; t < net.tracer()->ring_count(); ++t)
       net.tracer()->ring(t).for_each([&](const obs::SpanEvent& ev) {
@@ -707,52 +409,25 @@ int run_profile_bench(const bench::Env& env, unsigned threads) {
     dropped = net.tracer()->dropped_spans();
   }  // ~Network finalizes trace_path and trace_path.jsonl
 
-  if (env.json) {
-    emit_profile_json(rows, env, threads, trace_path);
-  } else {
-    util::Table table({"round", "messages", "words", "carry", "lanes",
-                       "quiesce us", "step us", "merge us", "admit us",
-                       "busy max/avg", "RSS MiB"});
-    for (const ProfileRow& r : rows) {
-      table.add(r.round, static_cast<unsigned long long>(r.messages),
-                static_cast<unsigned long long>(r.words),
-                static_cast<unsigned long long>(r.carry_depth), r.lanes,
-                util::fixed(static_cast<double>(r.quiesce_ns) / 1e3, 1),
-                util::fixed(static_cast<double>(r.step_ns) / 1e3, 1),
-                util::fixed(static_cast<double>(r.merge_ns) / 1e3, 1),
-                util::fixed(static_cast<double>(r.admit_ns) / 1e3, 1),
-                util::fixed(r.max_over_avg_busy, 2),
-                util::fixed(static_cast<double>(r.rss_kb) / 1024.0, 1));
-    }
-    env.emit(table, "Round profile: traced flood at n=" + std::to_string(n) +
-                        ", " + std::to_string(threads) + " lanes (trace: " +
-                        trace_path + ")");
-    if (dropped > 0)
-      std::fprintf(stderr, "profile: %llu spans dropped to ring overflow\n",
-                   static_cast<unsigned long long>(dropped));
-  }
+  env.emit(table, std::string("Round profile: traced ER flood, per-round "
+                              "phases and lane busy times (trace: ") +
+                      trace_path + ")");
+  if (dropped > 0)
+    std::fprintf(stderr, "profile: %llu spans dropped to ring overflow\n",
+                 static_cast<unsigned long long>(dropped));
 
   // Artifact checks: the acceptance contract is a Perfetto-loadable trace
   // with per-lane step spans and per-round phase timings.
-  if (rows.empty()) {
+  if (table.rows() == 0) {
     std::fprintf(stderr, "profile: tracer produced no round profiles\n");
     return 1;
   }
-  for (const ProfileRow& r : rows) {
-    if (r.lanes != threads) {
-      std::fprintf(stderr,
-                   "profile: round %zu reports %zu lane busy slots, "
-                   "expected %u\n",
-                   r.round, r.lanes, threads);
-      return 1;
-    }
-  }
-  if (step_lane_spans < rows.size()) {
+  if (step_lane_spans < table.rows()) {
     std::fprintf(stderr,
                  "profile: only %llu step:lane spans recorded over %zu "
                  "rounds\n",
                  static_cast<unsigned long long>(step_lane_spans),
-                 rows.size());
+                 table.rows());
     return 1;
   }
   std::FILE* f = std::fopen(trace_path, "rb");
@@ -768,91 +443,40 @@ int run_profile_bench(const bench::Env& env, unsigned threads) {
     std::fprintf(stderr, "profile: trace artifact %s is empty\n", trace_path);
     return 1;
   }
-  return 0;
-}
-
-int run_delivery_bench(const bench::Env& env, unsigned threads) {
-  const auto rows = run_delivery_sweep(env, threads);
-  if (env.json) {
-    emit_delivery_json(rows, env);
-  } else {
-    util::Table table({"n", "family", "edges", "rounds", "messages",
-                       "flat Mmsg/s", "flat@T Mmsg/s", "T/1",
-                       "stats match?"});
-    for (const SweepRow& r : rows) {
-      table.add(static_cast<std::size_t>(r.n), r.family,
-                static_cast<unsigned long long>(r.edges), r.flat.stats.rounds,
-                static_cast<unsigned long long>(r.flat.stats.messages),
-                util::fixed(r.flat.msgs_per_sec() / 1e6, 2),
-                util::fixed(r.flat_mt.msgs_per_sec() / 1e6, 2),
-                util::fixed(r.parallel_speedup(), 3), r.stats_match());
-    }
-    env.emit(table, "Delivery throughput: flat arena at 1 and " +
-                        std::to_string(threads) + " execution lanes");
-  }
-  // Identical counts are part of the contract, not just a report column.
-  for (const SweepRow& r : rows)
-    if (!r.stats_match()) return 1;
-  return 0;
+  return rc;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto has_flag = [&](const char* flag) {
-    for (int i = 1; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a == flag || a.rfind(std::string(flag) + "=", 0) == 0) return true;
-    }
-    return false;
+  // --threads N sets the parallel column's lane count (default 8); the
+  // sequential flat column always runs single-threaded. --congest adds the
+  // CONGEST budget sweep (LOCAL vs budgeted rounds) after the delivery
+  // sweep. --capacity runs the n=1M–10M capacity rows *instead* of the
+  // delivery sweep (peak RSS is a process-monotone high-water mark, so the
+  // capacity rows must be the only large runs in the process); pass
+  // --delivery explicitly to get both, capacity first. --profile runs a
+  // traced flood instead of the delivery sweep (same instead-of rule: its
+  // report includes RSS readings) and drops the Chrome-trace artifact next
+  // to the report.
+  const auto env = fl::bench::Env::parse(
+      argc, argv, {"threads", "delivery", "congest", "capacity", "profile"});
+  const fl::util::Options opt(argc, argv);
+  const std::int64_t threads = opt.get_int("threads", 8);
+  FL_REQUIRE(threads >= 1 && threads <= 1024,
+             "--threads must be in [1, 1024]");
+  const auto lanes = static_cast<unsigned>(threads);
+  const bool capacity = opt.get_bool("capacity", false);
+  const bool profile = opt.get_bool("profile", false);
+  int rc = 0;
+  const auto keep_first_failure = [&rc](int section_rc) {
+    if (rc == 0) rc = section_rc;
   };
-  const bool sweep_section = [&] {
-    for (const char* flag :
-         {"--delivery", "--json", "--csv", "--quick", "--seed", "--threads",
-          "--congest", "--capacity", "--profile"})
-      if (has_flag(flag)) return true;
-    return false;
-  }();
-  if (sweep_section) {
-    // --threads N sets the parallel column's lane count (default 8); the
-    // sequential flat column always runs single-threaded. --congest adds
-    // the CONGEST budget sweep (LOCAL vs budgeted rounds) after the
-    // delivery sweep. --capacity runs the n=1M–10M capacity rows *instead*
-    // of the delivery sweep (peak RSS is a process-monotone high-water
-    // mark, so the capacity rows must be the only large runs in the
-    // process); pass --delivery explicitly to get both, capacity first.
-    // --profile runs a traced flood instead of the delivery sweep (same
-    // instead-of rule: its report includes RSS readings) and drops the
-    // Chrome-trace artifact next to the report.
-    const fl::util::Options opt(argc, argv);
-    const std::int64_t threads = opt.get_int("threads", 8);
-    FL_REQUIRE(threads >= 1 && threads <= 1024,
-               "--threads must be in [1, 1024]");
-    const auto env = fl::bench::Env::parse(argc, argv);
-    const bool capacity = has_flag("--capacity");
-    const bool profile = has_flag("--profile");
-    int rc = 0;
-    if (capacity)
-      rc = run_capacity_bench(env, static_cast<unsigned>(threads));
-    if (profile) {
-      const int profile_rc =
-          run_profile_bench(env, static_cast<unsigned>(threads));
-      if (rc == 0) rc = profile_rc;
-    }
-    if ((!capacity && !profile) || has_flag("--delivery")) {
-      const int delivery_rc =
-          run_delivery_bench(env, static_cast<unsigned>(threads));
-      if (rc == 0) rc = delivery_rc;
-    }
-    if (opt.get_bool("congest", false)) {
-      const int congest_rc = run_congest_bench(env);
-      if (rc == 0) rc = congest_rc;
-    }
-    return rc;
-  }
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
+  if (capacity) keep_first_failure(run_capacity_bench(env, lanes));
+  if (profile) keep_first_failure(run_profile_bench(env, lanes));
+  if ((!capacity && !profile) || opt.get_bool("delivery", false))
+    keep_first_failure(run_delivery_bench(env, lanes));
+  if (opt.get_bool("congest", false))
+    keep_first_failure(run_congest_bench(env));
+  return rc;
 }

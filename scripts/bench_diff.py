@@ -4,18 +4,20 @@
 The per-PR bench trajectory: scripts/check.sh regenerates BENCH_e1..e10.json
 and BENCH_micro_perf.json on every run (and BENCH_capacity.json under
 FL_BENCH_CAPACITY=1, BENCH_profile.json under FL_BENCH_PROFILE=1 — the
-traced round-profile timeline from bench_micro_perf --profile); this script
+traced round-profile timeline from bench_micro_perf --profile). Every
+snapshot is a stream of bench::Env::emit tables, {"table": title,
+"columns": [...], "rows": [{column: value, ...}, ...]}; this script
 compares each regenerated file against the version committed at HEAD
 (`git show HEAD:<file>`) and flags every numeric field that moved by more
 than --threshold (default 10%).
 
 Most E-bench fields are *model* quantities (rounds, messages, spanner sizes)
 that are bit-deterministic given the seed, so any drift there is a real
-behaviour change, not noise. Wall-clock fields (msgs_per_sec, ...) and
-resident-set readings (peak_rss_mb, rss_ceiling_mb — allocator- and
+behaviour change, not noise. Wall-clock fields (Mmsg/sec, ...) and
+resident-set readings (peak RSS MiB, RSS ceiling MiB — allocator- and
 kernel-dependent) are noisy on a busy box — they are still reported, clearly
 marked, but only model-field drift makes --strict fail; the capacity rows'
-rss_within_ceiling verdict is a bool, hence model-strict like every
+"within ceiling?" verdict is a yes/no string, hence model-strict like every
 non-numeric field. Schema changes are model drift too: a row that
 gains or loses a column between snapshots (e.g. a bench grew a --congest
 column) is reported field by field, never silently skipped.
@@ -36,17 +38,17 @@ REPO = Path(__file__).resolve().parent.parent
 # "_over_" marks ratio columns whose numerator and denominator are both
 # wall-clock rates (mt_over_flat, ...): a quotient of two noisy timings is
 # itself a timing, so it must never fail --strict.
-# "rss" covers the capacity rows' peak_rss_mb / rss_ceiling_mb: resident-set
-# readings vary with allocator and kernel, so they advise rather than gate
-# (the boolean rss_within_ceiling verdict stays model-strict).
-# "_ns" covers the round-profile timeline (quiesce_ns, step_ns, busy_*_ns):
+# "rss" covers the capacity rows' peak RSS / RSS ceiling readings:
+# resident-set readings vary with allocator and kernel, so they advise
+# rather than gate (the yes/no "within ceiling?" verdict stays model-strict).
+# "_ns" covers the round-profile timeline (quiesce_ns, step_ns, ...):
 # nanosecond phase durations from the tracing layer are wall-clock by
 # definition (CONTRACTS.md C12 — timing is advisory, never model).
 TIMING_MARKERS = ("per_sec", "sec", "ms/", "time", "wall", "_over_", "rss",
                   "_ns")
 
 # "rounds_saved" covers E6d's rounds_saved_vs_slack and the micro-perf
-# sweep's barrier_rounds_saved: both are a *difference* of two model
+# congest table's barrier_rounds_saved: both are a *difference* of two model
 # quantities (provisioned timetable minus executed adaptive rounds), fully
 # deterministic per seed, but the subtraction amplifies any drift in the
 # inputs (slack derives from max_message_words, so a one-word message
@@ -55,13 +57,16 @@ TIMING_MARKERS = ("per_sec", "sec", "ms/", "time", "wall", "_over_", "rss",
 # never a --strict failure on its own.
 ADVISORY_MARKERS = ("rounds_saved",)
 
-# Records whose schema this script understands beyond "flat scalar rows":
+# Tables whose schema this script understands beyond "flat scalar rows":
 # every listed column must be present in each row, and every *other* numeric
 # column must carry a timing marker — a profile snapshot can only gain
 # model columns deliberately (extend this map), never by accident.
 REQUIRED_MODEL_COLUMNS = {
-    "round_profile": {"round", "messages", "words", "deferrals",
-                      "carry_depth", "lanes"},
+    # bench_micro_perf --profile: one row per traced engine round.
+    "Round profile: traced ER flood, per-round phases and lane busy times "
+    "(trace: TRACE_micro_perf.json)": {
+        "n", "round", "messages", "words", "deferrals", "carry depth",
+        "lanes"},
     # E6d's fixed-vs-adaptive barrier A/B (bench_e6_messages --congest):
     # every round count is a model quantity — "adaptive rounds" especially,
     # since the event-driven barrier contract (CONTRACTS.md C13) pins it
@@ -107,23 +112,16 @@ def committed_version(path: Path) -> str | None:
 
 
 def collect_tables(objs):
-    """Map table_key -> {row_key: row} for every table in a snapshot.
+    """Map table title -> {row_key: row} for every table in a snapshot.
 
-    Two shapes exist: the Env::emit tables ({"table": t, "rows": [...]}) and
-    bench_micro_perf's dedicated record ({"bench": t, "results": [...]}).
-    The table key folds in the sweep profile ("quick") so a quick snapshot
-    is never diffed against a full one, and rows are keyed by their
-    identifying fields (n / family / the first few non-numeric cells) rather
-    than file position, as docs/EXPERIMENTS.md requires.
+    Rows are keyed by their identifying fields (n / family / threads / the
+    non-numeric cells) rather than file position, as docs/EXPERIMENTS.md
+    requires.
     """
     tables = {}
     for obj in objs:
-        title = obj.get("table") or obj.get("bench") or "?"
-        if "quick" in obj:
-            title = f"{title} (quick={obj['quick']})"
-        rows = obj.get("rows") or obj.get("results") or []
-        keyed = tables.setdefault(title, {})
-        for i, row in enumerate(rows):
+        keyed = tables.setdefault(obj.get("table") or "?", {})
+        for row in obj.get("rows") or []:
             ident = tuple(
                 (f, v) for f, v in row.items()
                 if f in ("n", "family", "threads")
@@ -225,15 +223,13 @@ def lint_schema(files) -> int:
             if not isinstance(obj, dict):
                 problems.append(f"{path.name} record {i}: not an object")
                 continue
-            title = obj.get("table") or obj.get("bench")
+            title = obj.get("table")
             if not isinstance(title, str) or not title:
-                problems.append(
-                    f"{path.name} record {i}: no 'table'/'bench' name")
+                problems.append(f"{path.name} record {i}: no 'table' name")
                 continue
-            rows = obj.get("rows", obj.get("results"))
+            rows = obj.get("rows")
             if not isinstance(rows, list):
-                problems.append(
-                    f"{path.name} [{title}]: no 'rows'/'results' list")
+                problems.append(f"{path.name} [{title}]: no 'rows' list")
                 continue
             columns = None
             for j, row in enumerate(rows):

@@ -66,7 +66,9 @@ fi
 # fresh snapshots against the committed ones and flags >10% drift. Model
 # quantities (rounds, messages, sizes) are deterministic per seed, so any
 # drift there is a genuine behaviour change; wall-clock fields are reported
-# but marked as noisy. The diff warns by default (pass --strict to fail).
+# but marked as noisy. The schema lint first checks every snapshot's shape
+# (and the profile table's model columns); the diff then warns by default
+# (pass --strict to fail).
 # E6 and E9 additionally run their --congest sections (the Sampler and the
 # payload broadcasts under an enforced per-edge word budget), so the
 # LOCAL-vs-budgeted round tables are part of the tracked trajectory.
@@ -82,6 +84,7 @@ for bench in e1_hierarchy e2_light_heavy e3_spanner_size e4_stretch \
   "$BUILD_DIR"/bench/"bench_$bench" --quick $extra --json > "BENCH_$id.json"
   echo "snapshot: BENCH_$id.json"
 done
+python3 scripts/bench_diff.py --lint-schema
 python3 scripts/bench_diff.py
 
 echo "check.sh: all green"

@@ -1,5 +1,6 @@
 #include "util/options.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/assert.hpp"
@@ -93,6 +94,17 @@ std::vector<std::string> Options::names() const {
   out.reserve(values_.size());
   for (const auto& [k, v] : values_) out.push_back(k);
   return out;
+}
+
+void Options::reject_unknown(const std::vector<std::string>& accepted) const {
+  for (const auto& [name, value] : values_) {
+    if (std::find(accepted.begin(), accepted.end(), name) != accepted.end())
+      continue;
+    std::string list;
+    for (const std::string& a : accepted)
+      list += (list.empty() ? "--" : ", --") + a;
+    FL_REQUIRE(false, "unknown option --" + name + " (accepted: " + list + ")");
+  }
 }
 
 }  // namespace fl::util

@@ -1,8 +1,9 @@
 // Tiny command-line option parser for examples and bench binaries.
 //
-// Supports `--name value`, `--name=value` and boolean `--flag`. Unknown
-// options raise an error listing what is accepted — examples are meant to be
-// explored interactively, so misuse should teach rather than crash.
+// Supports `--name value`, `--name=value` and boolean `--flag`. Callers that
+// declare their accepted names via reject_unknown() turn a misspelled option
+// into an error listing what is accepted, so misuse teaches rather than
+// silently falling back to defaults.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +33,10 @@ class Options {
 
   /// Names seen on the command line (for help/error output).
   std::vector<std::string> names() const;
+
+  /// Throws fl::util::ContractViolation naming the first option not in
+  /// `accepted` (names without the leading "--") and listing those accepted.
+  void reject_unknown(const std::vector<std::string>& accepted) const;
 
   const std::string& program() const { return program_; }
 

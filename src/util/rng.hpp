@@ -132,17 +132,9 @@ class StreamFactory {
  public:
   explicit StreamFactory(std::uint64_t master_seed) : master_(master_seed) {}
 
-  std::uint64_t master_seed() const { return master_; }
-
   /// Stream for a (node) key.
   Xoshiro256 node_stream(std::uint64_t node) const {
     return Xoshiro256(SplitMix64::combine(master_, node));
-  }
-
-  /// Stream for a (node, level) key.
-  Xoshiro256 node_level_stream(std::uint64_t node, std::uint64_t level) const {
-    return Xoshiro256(
-        SplitMix64::combine(SplitMix64::combine(master_, node), level));
   }
 
   /// Stream for a (node, level, trial) key.
@@ -151,11 +143,6 @@ class StreamFactory {
     return Xoshiro256(SplitMix64::combine(
         SplitMix64::combine(SplitMix64::combine(master_, node), level),
         trial));
-  }
-
-  /// A generic labelled stream (label chosen by the caller, e.g. "generator").
-  Xoshiro256 labelled_stream(std::uint64_t label) const {
-    return Xoshiro256(SplitMix64::combine(~master_, label));
   }
 
  private:

@@ -210,6 +210,17 @@ TEST(Options, RejectsMalformedInput) {
   const char* bad2[] = {"prog", "--n", "abc"};
   Options opt(3, bad2);
   EXPECT_THROW(opt.get_int("n", 0), ContractViolation);
+  const char* typo[] = {"prog", "--quick", "--capcity"};
+  const Options named(3, typo);
+  EXPECT_NO_THROW(named.reject_unknown({"quick", "capcity"}));
+  try {
+    named.reject_unknown({"quick", "capacity"});
+    FAIL() << "--capcity was accepted";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--capcity"), std::string::npos) << what;
+    EXPECT_NE(what.find("--quick, --capacity"), std::string::npos) << what;
+  }
 }
 
 }  // namespace
