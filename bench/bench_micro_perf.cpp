@@ -86,8 +86,8 @@ struct DeliveryResult {
 
 DeliveryResult run_delivery(const graph::Graph& g, unsigned rounds,
                             std::uint64_t seed, unsigned threads = 1) {
-  sim::Network net(g, sim::Knowledge::EdgeIds, seed);
-  net.set_parallelism({threads});
+  sim::Network net(g, seed);
+  net.set_parallelism(threads);
   net.install_all<FloodRounds>(rounds);
   // Timed region = net.run() only: the full phase pipeline (step shards,
   // merge lanes, quiesce checks) including any storage growth inside the
@@ -125,8 +125,8 @@ int run_delivery_bench(const bench::Env& env, unsigned threads) {
   //
   // Three families: dense (ER, avg degree 16), sparse (random tree), and
   // skewed (Barabási–Albert, avg degree ≈ 16 with power-law hubs) — the
-  // skewed rows exercise the degree-weighted shard balancing that uniform
-  // families cannot distinguish from ShardBalance::Uniform.
+  // skewed rows put the degree-weighted shard cuts under power-law hubs,
+  // where equal node counts per shard would leave lanes unbalanced.
   const unsigned rounds = 2;
   std::vector<graph::NodeId> sizes{1000, 10000, 100000};
   if (env.quick) sizes = {1000, 10000};
@@ -219,11 +219,11 @@ int run_congest_bench(const bench::Env& env) {
                                  : graph::random_tree(n, rng);
       sim::RunStats local;
       {
-        sim::Network net(g, sim::Knowledge::EdgeIds, env.seed);
+        sim::Network net(g, env.seed);
         net.install_all<FloodRounds>(rounds, words);
         local = net.run(static_cast<std::size_t>(rounds) + 4);
       }
-      sim::Network net(g, sim::Knowledge::EdgeIds, env.seed);
+      sim::Network net(g, env.seed);
       net.set_congest({budget, sim::CongestPolicy::Defer});
       net.install_all<FloodRounds>(rounds, words);
       util::Timer timer;
@@ -372,8 +372,8 @@ int run_profile_bench(const bench::Env& env, unsigned threads) {
   std::uint64_t step_lane_spans = 0;
   std::uint64_t dropped = 0;
   {
-    sim::Network net(g, sim::Knowledge::EdgeIds, env.seed);
-    net.set_parallelism({threads});
+    sim::Network net(g, env.seed);
+    net.set_parallelism(threads);
     obs::TraceConfig tcfg;
     tcfg.enabled = true;
     tcfg.path = trace_path;

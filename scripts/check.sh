@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Single entry point for CI and the tier-1 verify:
-#   configure -> build -> ctest -> one quick bench smoke.
+#   configure -> build -> ctest -> perfbench self-test -> quick bench smoke.
 # Usage: scripts/check.sh [build-dir]   (default: build)
 # Extra configure flags (e.g. -DFL_WERROR=ON) can be passed via the
 # FL_CMAKE_ARGS environment variable; FL_SIM_THREADS=N runs everything on
@@ -19,6 +19,12 @@ python3 scripts/fl_lint.py
 cmake -B "$BUILD_DIR" -S . ${FL_CMAKE_ARGS:-}
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j
+
+# Pipeline-harness smoke: perfbench/run.py builds perfbench/ against the
+# current library into the git-ignored .bench_build/ and runs the
+# harness's own self-test, so an API change that breaks the pipeline
+# benchmark fails here rather than at benchmark time.
+python3 perfbench/run.py --self-test
 
 # Bench smoke: the delivery-throughput sweep at quick sizes plus the
 # CONGEST budget sweep (LOCAL vs budgeted rounds under a binding per-edge

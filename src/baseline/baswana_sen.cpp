@@ -173,10 +173,6 @@ class BaswanaSenNode final : public sim::NodeProgram {
 
   bool done() const override { return done_; }
 
-  sim::Knowledge required_knowledge() const override {
-    return sim::Knowledge::EdgeIds;
-  }
-
  private:
   void announce(sim::Context& ctx, unsigned iteration) {
     if (discarded_) return;
@@ -246,7 +242,7 @@ DistributedBaswanaSenRun run_distributed_baswana_sen(const Graph& g,
   const double p =
       std::pow(static_cast<double>(std::max<NodeId>(g.num_nodes(), 2)),
                -1.0 / static_cast<double>(k));
-  sim::Network net(g, sim::Knowledge::EdgeIds, seed);
+  sim::Network net(g, seed);
   net.install([&](NodeId v) {
     return std::make_unique<BaswanaSenNode>(v, k, seed, p);
   });

@@ -38,9 +38,9 @@ struct DistributedBaswanaSenRun {
   sim::Metrics metrics;
 };
 
-/// Distributed Baswana–Sen on the LOCAL simulator (KT1-style announcements
-/// realized over unique edge IDs; cluster coins are keyed by center id so
-/// members agree without extra rounds).
+/// Distributed Baswana–Sen on the LOCAL simulator (neighbours announce
+/// their IDs over the unique edge IDs; cluster coins are keyed by center id
+/// so members agree without extra rounds).
 DistributedBaswanaSenRun run_distributed_baswana_sen(const graph::Graph& g,
                                                      unsigned k,
                                                      std::uint64_t seed);

@@ -115,10 +115,6 @@ class CollectNode final : public sim::NodeProgram {
 
   bool done() const override { return done_; }
 
-  sim::Knowledge required_knowledge() const override {
-    return sim::Knowledge::EdgeIds;
-  }
-
  private:
   void maybe_finish_handshake(sim::Context& ctx) {
     if (handshake_done_ || !has_parent_ || waiting_replies_ != 0) return;
@@ -186,7 +182,7 @@ TopologyCollectRun run_topology_collect(const Graph& g, unsigned k,
                                         std::uint64_t seed) {
   FL_REQUIRE(g.num_nodes() >= 1, "empty graph");
   FL_REQUIRE(graph::is_connected(g), "topology collect needs a connected graph");
-  sim::Network net(g, sim::Knowledge::EdgeIds, seed);
+  sim::Network net(g, seed);
   net.install([&](NodeId v) {
     return std::make_unique<CollectNode>(v, g, k, seed);
   });

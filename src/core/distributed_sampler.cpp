@@ -261,10 +261,6 @@ class SamplerNode final : public sim::NodeProgram {
     return phase_idx_ >= schedule_->phases.size();
   }
 
-  sim::Knowledge required_knowledge() const override {
-    return sim::Knowledge::EdgeIds;
-  }
-
  private:
   // ------------------------------------------------------- edge slots
   std::size_t slot_of(EdgeId e) const {
@@ -432,8 +428,7 @@ class SamplerNode final : public sim::NodeProgram {
   /// spending a silent round on each.
   static bool reactive_only(PhaseSpec::Kind kind) {
     using K = PhaseSpec::Kind;
-    return kind == K::QueryRespond || kind == K::CenterRespond ||
-           kind == K::TrialGatherEcho;
+    return kind == K::QueryRespond || kind == K::CenterRespond;
   }
 
   void start_phase(sim::Context& ctx, const PhaseSpec& spec) {
@@ -454,7 +449,6 @@ class SamplerNode final : public sim::NodeProgram {
       case K::JoinFlood: phase_join(ctx, spec); break;
       case K::AttachNotify: phase_attach(ctx, spec); break;
       case K::DeathAnnounce: phase_death(ctx, spec); break;
-      case K::TrialGatherEcho: /* unused (root tracks the pool) */ break;
     }
   }
 
@@ -949,7 +943,7 @@ DistributedSpannerRun run_distributed_sampler(const graph::Graph& g,
   const auto schedule = std::make_shared<const Schedule>(Schedule::build(cfg));
   const double n0 = g.num_nodes();
 
-  sim::Network net(g, sim::Knowledge::EdgeIds, cfg.seed);
+  sim::Network net(g, cfg.seed);
   if (cfg.congest.has_value()) net.set_congest(*cfg.congest);
   // Resolve BarrierMode::Auto against the network's *effective* CONGEST
   // config — cfg.congest when set, else the FL_SIM_CONGEST env probe — so

@@ -50,7 +50,6 @@ struct PhaseSpec {
     FloodSetup,        ///< root floods; establishes per-level tree parents
     GatherEcho,        ///< members report candidate edges; root dedupes intra
     FloodBoundary,     ///< root floods the final E_j(v) list + cluster id
-    TrialGatherEcho,   ///< members report |X ∩ member| counts
     TrialRateFlood,    ///< root floods (T, total) or a skip flag
     QuerySend,         ///< members send QUERY over sampled edges (1 round)
     QueryRespond,      ///< queried endpoints answer (1 round)
@@ -115,8 +114,8 @@ struct DistributedSpannerRun {
   std::vector<LevelTrace> levels;
 };
 
-/// Build and run the distributed Sampler on `g`. The network is created
-/// internally with Knowledge::EdgeIds (the paper's model).
+/// Build and run the distributed Sampler on `g` on an internally created
+/// network (the paper's model: unique edge IDs known at both endpoints).
 DistributedSpannerRun run_distributed_sampler(
     const graph::Graph& g, const SamplerConfig& cfg);
 

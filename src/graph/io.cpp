@@ -1,5 +1,7 @@
 #include "graph/io.hpp"
 
+#include <array>
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -15,31 +17,65 @@ void write_edge_list(std::ostream& os, const Graph& g) {
   for (const auto& e : g.edges()) os << "e " << e.u << ' ' << e.v << '\n';
 }
 
-Graph read_edge_list(std::istream& is) {
+namespace {
+
+// The edge-list grammar, shared by both readers. Every line is empty,
+// blank, a '#' comment, or a tag followed by exactly its ids, separated
+// by whitespace: "n <num_nodes>" (once) or "e <u> <v>". An id is a plain
+// unsigned decimal that fits NodeId. A sign, a non-digit suffix, an
+// out-of-range value, a missing or trailing token, an unknown tag or a
+// second 'n' line throws ContractViolation naming the 1-based line.
+// Calls on_n(num_nodes) at the 'n' line and on_e(u, v) per edge, in file
+// order.
+template <typename OnN, typename OnE>
+void parse_edge_list(std::istream& is, OnN&& on_n, OnE&& on_e) {
   std::string line;
-  NodeId n = 0;
+  std::size_t lineno = 0;
   bool have_n = false;
-  std::vector<Endpoints> edges;
   while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
+    ++lineno;
+    if (!line.empty() && line[0] == '#') continue;
     std::istringstream ls(line);
-    char tag = 0;
-    ls >> tag;
-    if (tag == 'n') {
-      FL_REQUIRE(!have_n, "duplicate 'n' line in edge list");
-      ls >> n;
-      FL_REQUIRE(static_cast<bool>(ls), "malformed 'n' line");
+    std::string tag;
+    if (!(ls >> tag)) continue;  // blank line
+    // The ids, plus one slot so a trailing token fails the arity check.
+    std::array<std::string, 3> ids;
+    std::size_t count = 0;
+    while (count < ids.size() && ls >> ids[count]) ++count;
+    const auto where = [&] {
+      return "edge list line " + std::to_string(lineno) + ": ";
+    };
+    const auto id = [&](const std::string& t) {
+      NodeId v = 0;
+      const auto [end, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
+      FL_REQUIRE(ec == std::errc() && end == t.data() + t.size(),
+                 where() + "'" + t + "' is not an unsigned 32-bit node id");
+      return v;
+    };
+    if (tag == "n") {
+      FL_REQUIRE(count == 1, where() + "expected 'n <num_nodes>'");
+      FL_REQUIRE(!have_n, where() + "duplicate 'n' line in edge list");
       have_n = true;
-    } else if (tag == 'e') {
-      Endpoints e;
-      ls >> e.u >> e.v;
-      FL_REQUIRE(static_cast<bool>(ls), "malformed 'e' line");
-      edges.push_back(e);
+      on_n(id(ids[0]));
+    } else if (tag == "e") {
+      FL_REQUIRE(count == 2, where() + "expected 'e <u> <v>'");
+      const NodeId u = id(ids[0]);
+      on_e(u, id(ids[1]));
     } else {
-      FL_REQUIRE(false, std::string("unknown edge-list tag '") + tag + "'");
+      FL_REQUIRE(false, where() + "unknown edge-list tag '" + tag + "'");
     }
   }
   FL_REQUIRE(have_n, "edge list missing 'n' line");
+}
+
+}  // namespace
+
+Graph read_edge_list(std::istream& is) {
+  NodeId n = 0;
+  std::vector<Endpoints> edges;
+  parse_edge_list(
+      is, [&](NodeId count) { n = count; },
+      [&](NodeId u, NodeId v) { edges.push_back({u, v}); });
   Graph::Builder b(n);
   for (const auto& e : edges) b.add_edge(e.u, e.v);
   return std::move(b).build();
@@ -48,7 +84,6 @@ Graph read_edge_list(std::istream& is) {
 Graph read_edge_list_streamed(std::istream& is,
                               const EdgeListStreamOptions& opt) {
   FL_REQUIRE(opt.chunk_edges >= 1, "stream chunk must hold at least one edge");
-  std::string line;
   bool have_n = false;
   // The builder is constructed lazily at the 'n' line; unique_ptr-free via
   // a dummy 0-node builder that is replaced (StreamBuilder is movable).
@@ -59,33 +94,20 @@ Graph read_edge_list_streamed(std::istream& is,
     for (const auto& e : chunk) builder.add_edge(e.u, e.v);
     chunk.clear();  // capacity retained; the reader re-fills in place
   };
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    char tag = 0;
-    ls >> tag;
-    if (tag == 'n') {
-      FL_REQUIRE(!have_n, "duplicate 'n' line in edge list");
-      NodeId n = 0;
-      ls >> n;
-      FL_REQUIRE(static_cast<bool>(ls), "malformed 'n' line");
-      have_n = true;
-      builder = Graph::StreamBuilder(n);
-      if (opt.reserve_edges > 0) builder.reserve_edges(opt.reserve_edges);
-    } else if (tag == 'e') {
-      FL_REQUIRE(have_n,
-                 "streamed edge list needs the 'n' line before the first "
-                 "'e' line");
-      Endpoints e;
-      ls >> e.u >> e.v;
-      FL_REQUIRE(static_cast<bool>(ls), "malformed 'e' line");
-      chunk.push_back(e);
-      if (chunk.size() >= opt.chunk_edges) flush();
-    } else {
-      FL_REQUIRE(false, std::string("unknown edge-list tag '") + tag + "'");
-    }
-  }
-  FL_REQUIRE(have_n, "edge list missing 'n' line");
+  parse_edge_list(
+      is,
+      [&](NodeId n) {
+        have_n = true;
+        builder = Graph::StreamBuilder(n);
+        if (opt.reserve_edges > 0) builder.reserve_edges(opt.reserve_edges);
+      },
+      [&](NodeId u, NodeId v) {
+        FL_REQUIRE(have_n,
+                   "streamed edge list needs the 'n' line before the first "
+                   "'e' line");
+        chunk.push_back({u, v});
+        if (chunk.size() >= opt.chunk_edges) flush();
+      });
   flush();
   return std::move(builder).build();
 }

@@ -13,7 +13,9 @@ namespace fl::graph {
 /// Format:
 ///   n <num_nodes>
 ///   e <u> <v>      (one line per edge; edge ids assigned in file order)
-/// Lines starting with '#' are comments.
+/// Lines starting with '#' are comments. Ids are unsigned decimals that fit
+/// NodeId; a sign, a non-digit suffix or a trailing token throws
+/// ContractViolation naming the line number.
 void write_edge_list(std::ostream& os, const Graph& g);
 Graph read_edge_list(std::istream& is);
 

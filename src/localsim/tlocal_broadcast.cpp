@@ -132,10 +132,6 @@ class FloodNode final : public sim::NodeProgram {
 
   bool done() const override { return finished_; }
 
-  sim::Knowledge required_knowledge() const override {
-    return sim::Knowledge::EdgeIds;
-  }
-
  private:
   void send_over_subset(sim::Context& ctx,
                         const std::shared_ptr<const std::vector<NodeId>>& batch,
@@ -179,7 +175,7 @@ BroadcastRun run_tlocal_broadcast(const Graph& g,
     FL_REQUIRE(e < g.num_edges(), "broadcast edge id out of range");
     (*edge_in)[e] = true;
   }
-  sim::Network net(g, sim::Knowledge::EdgeIds, seed);
+  sim::Network net(g, seed);
   // No override: keep the constructor's default (the FL_SIM_CONGEST probe).
   if (congest.has_value()) net.set_congest(*congest);
   net.install([&](NodeId v) {

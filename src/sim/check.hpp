@@ -137,8 +137,8 @@ class OwnershipChecker {
 };
 
 /// RAII thread-local binding of (checker, lane, phase). The engine opens
-/// one around every per-lane job (step, merge, admit) — sequential paths
-/// included, so the checks fire identically at every thread count. A null
+/// one around every per-lane job (step, merge, admit), so the checks fire
+/// identically at every thread count, one lane included. A null
 /// checker makes the scope a no-op, which is how every site stays one
 /// branch when checking is off.
 class LaneScope {

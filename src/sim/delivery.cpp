@@ -89,12 +89,12 @@ void Network::merge_lanes(std::uint64_t total) {
   //      lane s the slot range after lanes < s (counts were kept by
   //      enqueue). The same walk writes each lane's private scatter
   //      cursors, zeroes its counts for the next round, and leaves
-  //      arena_offsets_ as the final CSR table directly. With a pool the
-  //      walk runs chunk-parallel over the node shards: each chunk totals
-  //      its counts, a sequential O(S) exclusive prefix over the chunk
-  //      totals seeds each chunk's base offset, and a second chunked pass
-  //      lays out offsets + cursors from those bases — the resulting
-  //      arithmetic is identical to the sequential walk.
+  //      arena_offsets_ as the final CSR table directly. The walk runs
+  //      chunk-parallel over the node shards: each chunk totals its
+  //      counts, a sequential O(S) exclusive prefix over the chunk totals
+  //      seeds each chunk's base offset, and a second chunked pass lays
+  //      out offsets + cursors from those bases — the same arithmetic as
+  //      one ascending walk, which is what a single chunk performs.
   //   2. Relocation: every lane scatters its own outbox in send order.
   //      Cursor ranges are disjoint per (lane, destination), so lanes
   //      relocate concurrently with no shared writes.
@@ -111,55 +111,39 @@ void Network::merge_lanes(std::uint64_t total) {
              "(>= 2^32 - 1 messages in one round); split the round or "
              "promote arena_offsets_ to uint64_t");
   const NodeId n = graph_->num_nodes();
-  if (!pool_) {
-    LaneScope scope(check_.get(), 0, EnginePhase::Merge);
-    std::uint32_t sum = 0;
-    for (NodeId v = 0; v < n; ++v) {
+  // Chunk c owns destination range shards_[c]; it only touches
+  // dest_counts/cursors entries inside that range (across all lanes),
+  // so the two chunked passes share no writable state between chunks.
+  pool_->run([&](unsigned c) {
+    LaneScope scope(check_.get(), c, EnginePhase::Merge);
+    const ShardRange range = shards_[c];
+    std::uint64_t w = 0;
+    for (NodeId v = range.begin; v < range.end; ++v)
+      for (const auto& lane : lanes_) w += lane.dest_counts[v];
+    chunk_weight_[c] = w;
+  });
+  std::uint64_t base = 0;
+  for (auto& w : chunk_weight_) {
+    const std::uint64_t c = w;
+    w = base;
+    base += c;
+  }
+  pool_->run([&](unsigned c) {
+    LaneScope scope(check_.get(), c, EnginePhase::Merge);
+    const ShardRange range = shards_[c];
+    auto sum = static_cast<std::uint32_t>(chunk_weight_[c]);
+    for (NodeId v = range.begin; v < range.end; ++v) {
       if (check_) check_->touch_merge_dest(v, "per-destination offsets");
       arena_offsets_[v] = sum;
       for (auto& lane : lanes_) {
-        const std::uint32_t c = lane.dest_counts[v];
-        lane.dest_counts[v] = 0;  // ready for next round's enqueues
+        const std::uint32_t cnt = lane.dest_counts[v];
+        lane.dest_counts[v] = 0;
         lane.cursors[v] = sum;
-        sum += c;
+        sum += cnt;
       }
     }
-    arena_offsets_[n] = sum;
-  } else {
-    // Chunk c owns destination range shards_[c]; it only touches
-    // dest_counts/cursors entries inside that range (across all lanes),
-    // so the two chunked passes share no writable state between chunks.
-    pool_->run([&](unsigned c) {
-      LaneScope scope(check_.get(), c, EnginePhase::Merge);
-      const ShardRange range = shards_[c];
-      std::uint64_t w = 0;
-      for (NodeId v = range.begin; v < range.end; ++v)
-        for (const auto& lane : lanes_) w += lane.dest_counts[v];
-      chunk_weight_[c] = w;
-    });
-    std::uint64_t base = 0;
-    for (auto& w : chunk_weight_) {
-      const std::uint64_t c = w;
-      w = base;
-      base += c;
-    }
-    pool_->run([&](unsigned c) {
-      LaneScope scope(check_.get(), c, EnginePhase::Merge);
-      const ShardRange range = shards_[c];
-      auto sum = static_cast<std::uint32_t>(chunk_weight_[c]);
-      for (NodeId v = range.begin; v < range.end; ++v) {
-        if (check_) check_->touch_merge_dest(v, "per-destination offsets");
-        arena_offsets_[v] = sum;
-        for (auto& lane : lanes_) {
-          const std::uint32_t cnt = lane.dest_counts[v];
-          lane.dest_counts[v] = 0;
-          lane.cursors[v] = sum;
-          sum += cnt;
-        }
-      }
-    });
-    arena_offsets_[n] = static_cast<std::uint32_t>(total);
-  }
+  });
+  arena_offsets_[n] = static_cast<std::uint32_t>(total);
   arena_.resize(static_cast<std::size_t>(total));
   auto scatter = [&](unsigned s) {
     LaneScope scope(check_.get(), s, EnginePhase::Merge);
@@ -180,11 +164,7 @@ void Network::merge_lanes(std::uint64_t total) {
     }
     lane.outbox.clear();
   };
-  if (pool_) {
-    pool_->run(scatter);
-  } else {
-    scatter(0);
-  }
+  pool_->run(scatter);
   for (auto& lane : lanes_) {
     metrics_.words_total += lane.words;
     lane.words = 0;
@@ -280,11 +260,7 @@ std::uint64_t Network::congest_admit() {
     }
     chunk_weight_[c] = chunk.admitted.size();
   };
-  if (pool_) {
-    pool_->run(decide);
-  } else {
-    for (unsigned c = 0; c < congest_chunks_.size(); ++c) decide(c);
-  }
+  pool_->run(decide);
   std::uint64_t admitted_total = 0;
   carry_total_ = 0;
   for (unsigned c = 0; c < congest_chunks_.size(); ++c) {
@@ -345,11 +321,7 @@ std::uint64_t Network::congest_admit() {
       base += congest_counts_[v];
     }
   };
-  if (pool_) {
-    pool_->run(relocate);
-  } else {
-    for (unsigned c = 0; c < congest_chunks_.size(); ++c) relocate(c);
-  }
+  pool_->run(relocate);
   arena_offsets_[graph_->num_nodes()] =
       static_cast<std::uint32_t>(admitted_total);
   arena_.swap(arena_next_);

@@ -2,34 +2,20 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 
 #include "util/assert.hpp"
 
 namespace fl::sim {
 
-ParallelConfig default_parallel_config() {
-  ParallelConfig cfg;
+unsigned default_parallel_config() {
   const char* env = std::getenv("FL_SIM_THREADS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    FL_REQUIRE(end != nullptr && *end == '\0' && v >= 1,
-               "FL_SIM_THREADS must be a positive integer");
-    FL_REQUIRE(v <= 1024, "FL_SIM_THREADS capped at 1024");
-    cfg.threads = static_cast<unsigned>(v);
-  }
-  const char* bal = std::getenv("FL_SIM_BALANCE");
-  if (bal != nullptr && *bal != '\0') {
-    if (std::strcmp(bal, "uniform") == 0) {
-      cfg.balance = ShardBalance::Uniform;
-    } else {
-      FL_REQUIRE(std::strcmp(bal, "degree") == 0,
-                 "FL_SIM_BALANCE must be 'degree' or 'uniform'");
-      cfg.balance = ShardBalance::Degree;
-    }
-  }
-  return cfg;
+  if (env == nullptr || *env == '\0') return 1;
+  char* end = nullptr;
+  const long v = std::strtol(env, &end, 10);
+  FL_REQUIRE(end != nullptr && *end == '\0' && v >= 1,
+             "FL_SIM_THREADS must be a positive integer");
+  FL_REQUIRE(v <= 1024, "FL_SIM_THREADS capped at 1024");
+  return static_cast<unsigned>(v);
 }
 
 std::vector<ShardRange> partition_nodes(graph::NodeId n, unsigned shards) {

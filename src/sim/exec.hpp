@@ -39,31 +39,10 @@
 
 namespace fl::sim {
 
-/// How nodes are apportioned to shards. Delivery order is bit-identical
-/// either way (shards are always contiguous ascending id ranges and the
-/// merge is stable across them) — this only moves the shard boundaries.
-enum class ShardBalance : std::uint8_t {
-  /// Equal node counts per shard.
-  Uniform,
-  /// Equal incident-degree weight per shard (weight deg(v) + 1, so
-  /// isolated nodes still count as one step). A round's per-node work is
-  /// dominated by sends and inbox length — both proportional to degree —
-  /// so skewed graphs (power-law, star, lollipop) get balanced lanes
-  /// where Uniform would hand one shard all the hubs.
-  Degree,
-};
-
-/// Execution-parallelism knob threaded through Network. threads == 1 is
-/// plain sequential stepping (no pool, no extra barriers).
-struct ParallelConfig {
-  unsigned threads = 1;
-  ShardBalance balance = ShardBalance::Degree;
-};
-
-/// ParallelConfig{FL_SIM_THREADS} when the environment variable is set to a
-/// positive integer; ParallelConfig{1} otherwise. FL_SIM_BALANCE=uniform
-/// selects ShardBalance::Uniform (default: degree).
-ParallelConfig default_parallel_config();
+/// The execution lane count: FL_SIM_THREADS when the environment variable
+/// is set to an integer in [1, 1024], else 1. Any other value throws
+/// ContractViolation.
+unsigned default_parallel_config();
 
 /// A contiguous node-id range [begin, end) owned by one execution lane.
 struct ShardRange {
@@ -77,15 +56,20 @@ struct ShardRange {
 /// Split [0, n) into at most `shards` contiguous, balanced, non-empty
 /// ranges covering every node in ascending order. Returns min(shards, n)
 /// ranges (never more than one shard per node; at least one range when
-/// n >= 1); sizes differ by at most one, larger shards first.
+/// n >= 1); sizes differ by at most one, larger shards first. The engine
+/// cuts by weight (below); this equal-count form is the reference the
+/// weighted cut must reproduce under uniform weights.
 std::vector<ShardRange> partition_nodes(graph::NodeId n, unsigned shards);
 
-/// Weighted variant (ShardBalance::Degree): cut [0, n) so every shard
+/// Weighted cut, the engine's shard plan: split [0, n) so every shard
 /// carries roughly total_weight / k, k = min(shards, n). `weights` holds
 /// one non-negative weight per node; cuts sit where the weight prefix sum
 /// crosses the s/k marks, clamped so every shard keeps at least one node
 /// (a single huge-weight node gets a singleton shard; trailing shards are
-/// never starved below one node each).
+/// never starved below one node each). Network weighs node v as
+/// deg(v) + 1. Delivery order does not depend on where the cuts fall:
+/// shards are contiguous ascending ranges and the merge is stable across
+/// them.
 std::vector<ShardRange> partition_nodes(graph::NodeId n, unsigned shards,
                                         std::span<const std::uint64_t> weights);
 
@@ -112,7 +96,9 @@ struct SendLane {
 ///
 /// Pool of `lanes - 1` worker threads plus the calling thread (which always
 /// runs lane 0): run(job) invokes job(lane) for every lane in [0, lanes)
-/// concurrently and returns when all have finished. A job that throws has
+/// concurrently and returns when all have finished. A one-lane pool starts
+/// no thread and runs job(0) inline, so the engine builds a pool for every
+/// run and has one execution path at every lane count. A job that throws has
 /// its exception captured and rethrown from run() on the calling thread
 /// (lowest lane index wins when several throw), so contract violations
 /// inside node programs surface exactly as they do sequentially.

@@ -14,26 +14,8 @@ using graph::NodeId;
 
 // ---------------------------------------------------------------- Context
 
-std::size_t Context::degree() const {
-  return net_->graph().degree(self_);
-}
-
 std::span<const EdgeId> Context::incident_edges() const {
-  FL_REQUIRE(net_->knowledge() != Knowledge::KT0,
-             "incident edge IDs are not available under KT0");
   return net_->incident_edges_[self_];
-}
-
-EdgeId Context::edge_at_port(std::size_t port) const {
-  const auto& edges = net_->incident_edges_[self_];
-  FL_REQUIRE(port < edges.size(), "port out of range");
-  return edges[port];
-}
-
-NodeId Context::neighbor(EdgeId edge) const {
-  FL_REQUIRE(net_->knowledge() == Knowledge::KT1,
-             "neighbour IDs are only available under KT1");
-  return net_->graph().other_endpoint(edge, self_);
 }
 
 void Context::send(EdgeId edge, Payload payload,
@@ -62,10 +44,10 @@ util::Xoshiro256& Context::rng() {
 
 // ---------------------------------------------------------------- Network
 
-Network::Network(const graph::Graph& graph, Knowledge knowledge,
-                 std::uint64_t seed)
-    : graph_(&graph), knowledge_(knowledge), streams_(seed),
-      par_(default_parallel_config()), congest_(default_congest_config()) {
+Network::Network(const graph::Graph& graph, std::uint64_t seed)
+    : graph_(&graph), streams_(seed),
+      threads_(default_parallel_config()),
+      congest_(default_congest_config()) {
   if (default_check_enabled()) check_ = std::make_unique<OwnershipChecker>();
   {
     obs::TraceConfig tcfg = obs::default_trace_config();
@@ -123,13 +105,13 @@ void Network::set_log_n_bound(double bound) {
   log_n_bound_ = bound;
 }
 
-void Network::set_parallelism(ParallelConfig par) {
+void Network::set_parallelism(unsigned threads) {
   FL_REQUIRE(!started_, "cannot change parallelism after the run started");
-  FL_REQUIRE(par.threads >= 1, "parallelism needs at least one thread");
+  FL_REQUIRE(threads >= 1, "parallelism needs at least one thread");
   // Every lane is a real OS thread; cap well above any sane machine so a
   // wrapped or garbage thread count fails loudly instead of fork-bombing.
-  FL_REQUIRE(par.threads <= 1024, "parallelism capped at 1024 threads");
-  par_ = par;
+  FL_REQUIRE(threads <= 1024, "parallelism capped at 1024 threads");
+  threads_ = threads;
 }
 
 void Network::set_check(bool enabled) {
@@ -172,9 +154,6 @@ void Network::install(
   for (NodeId v = 0; v < n; ++v) {
     auto p = factory(v);
     FL_REQUIRE(p != nullptr, "program factory returned null");
-    FL_REQUIRE(static_cast<int>(p->required_knowledge()) <=
-                   static_cast<int>(knowledge_),
-               "program requires more knowledge than the network provides");
     programs_.push_back(std::move(p));
   }
 }
@@ -283,21 +262,17 @@ void Network::enqueue(SendLane& lane, NodeId from, EdgeId edge,
 }
 
 void Network::begin_if_needed() {
-  // Shared run()/step() preamble: finalize the execution plan from par_,
-  // run every node's on_start, deliver round 0's sends.
+  // Shared run()/step() preamble: finalize the execution plan from
+  // threads_, run every node's on_start, deliver round 0's sends.
   if (started_) return;
   started_ = true;
   const NodeId n = graph_->num_nodes();
-  if (par_.threads > 1 && par_.balance == ShardBalance::Degree) {
-    // Degree-weighted cuts: a node's per-round cost is dominated by its
-    // sends and inbox, both proportional to its degree; + 1 so isolated
-    // nodes still count as one program step.
-    std::vector<std::uint64_t> weights(n);
-    for (NodeId v = 0; v < n; ++v) weights[v] = graph_->degree(v) + 1;
-    shards_ = partition_nodes(n, par_.threads, weights);
-  } else {
-    shards_ = partition_nodes(n, par_.threads);
-  }
+  // Degree-weighted cuts: a node's per-round cost is dominated by its
+  // sends and inbox, both proportional to its degree; + 1 so isolated
+  // nodes still count as one program step.
+  std::vector<std::uint64_t> weights(n);
+  for (NodeId v = 0; v < n; ++v) weights[v] = graph_->degree(v) + 1;
+  shards_ = partition_nodes(n, threads_, weights);
   lanes_.resize(shards_.size());
   // One flood over every edge (in both directions) is the canonical LOCAL
   // round; reserving that footprint up front spares the first big round
@@ -315,8 +290,7 @@ void Network::begin_if_needed() {
     }
   }
   plan_delivery();
-  if (lanes_.size() > 1) pool_ = std::make_unique<ExecPool>(
-      static_cast<unsigned>(lanes_.size()));
+  pool_ = std::make_unique<ExecPool>(static_cast<unsigned>(lanes_.size()));
   if (check_) check_->bind_shards(shards_, n);
   if (trace_) trace_->bind_lanes(lanes_.size());
   phase_step(/*starting=*/true);
@@ -341,8 +315,8 @@ void Network::phase_step(bool starting) {
                                   round_);
   auto step_shard = [&](unsigned s) {
     // With checking on, this scope is what every instrumented touch is
-    // verified against: lane s, step phase. Opened on the sequential path
-    // too, so the checks fire identically at every thread count.
+    // verified against: lane s, step phase — identically at every thread
+    // count.
     LaneScope scope(check_.get(), s, EnginePhase::Step);
     const obs::SpanScope span(trace_.get(), obs::SpanKind::StepLane, s, round_);
     const ShardRange range = shards_[s];
@@ -361,11 +335,7 @@ void Network::phase_step(bool starting) {
     }
     if (check_probe_) check_probe_(*this, s);
   };
-  if (pool_) {
-    pool_->run(step_shard);
-  } else {
-    step_shard(0);
-  }
+  pool_->run(step_shard);
 }
 
 void Network::phase_merge() {

@@ -4,8 +4,8 @@
 // computation proceeds in lockstep rounds; a message sent in round r is
 // delivered at the start of round r+1; message size is unbounded; local
 // computation is free. The simulator meters rounds and message counts —
-// the two complexities the paper's theorems bound — and enforces the
-// declared knowledge level (KT0 / unique-edge-IDs / KT1).
+// the two complexities the paper's theorems bound — in the paper's one
+// knowledge model: unique edge IDs, known at both endpoints (node.hpp).
 //
 // Each round is an explicit three-phase pipeline (see Network::run):
 //
@@ -14,7 +14,7 @@
 //   * quiesce: O(S) over the S execution lanes — delivered-message count
 //     from the last merge plus the lanes' done-counters; no per-node work;
 //   * step: every lane steps its shard's nodes against a private SendLane
-//     (exec.hpp), concurrently when parallelism > 1;
+//     (exec.hpp), concurrently when there is more than one lane;
 //   * merge: the lanes' outboxes become next round's inboxes — one
 //     contiguous arena, counting-sorted by destination with CSR-style
 //     per-node offsets (counts maintained incrementally by the send path),
@@ -52,9 +52,8 @@ namespace fl::sim {
 
 class Network {
  public:
-  /// `graph` must outlive the network. `knowledge` is what nodes may query;
-  /// installing a program that requires more is a contract violation.
-  Network(const graph::Graph& graph, Knowledge knowledge, std::uint64_t seed);
+  /// `graph` must outlive the network.
+  Network(const graph::Graph& graph, std::uint64_t seed);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -97,7 +96,6 @@ class Network {
   RunStats run_until_drained(std::size_t stall_cap);
 
   const graph::Graph& graph() const { return *graph_; }
-  Knowledge knowledge() const { return knowledge_; }
   const Metrics& metrics() const { return metrics_; }
   std::size_t round() const { return round_; }
   double log_n_bound() const { return log_n_bound_; }
@@ -106,20 +104,20 @@ class Network {
   /// slack the model allows).
   void set_log_n_bound(double bound);
 
-  /// Execution parallelism (defaults to FL_SIM_THREADS / FL_SIM_BALANCE,
-  /// else sequential + degree-balanced); only legal before the first
-  /// round. Results are bit-identical for every thread count and either
-  /// balance mode — the deterministic shard-merge contract (exec.hpp) —
-  /// so this is purely a wall-clock knob.
-  void set_parallelism(ParallelConfig par);
-  ParallelConfig parallelism() const { return par_; }
+  /// Execution lane count (defaults to FL_SIM_THREADS, else 1); only
+  /// legal before the first round. Shards are cut by degree weight
+  /// (exec.hpp). Results are bit-identical for every thread count — the
+  /// deterministic shard-merge contract — so this is purely a wall-clock
+  /// knob.
+  void set_parallelism(unsigned threads);
+  unsigned parallelism() const { return threads_; }
 
   /// CONGEST bandwidth budget (defaults to FL_SIM_CONGEST, else unlimited
   /// = plain LOCAL); only legal before the first round. With a finite
   /// budget, Defer stretches the round schedule (carry queues at the merge
   /// barrier) and Strict throws CongestViolation on the first over-budget
-  /// edge-round. Results stay bit-identical across thread counts and
-  /// balance modes for any fixed config.
+  /// edge-round. Results stay bit-identical across thread counts for any
+  /// fixed config.
   void set_congest(CongestConfig congest);
   CongestConfig congest() const { return congest_; }
 
@@ -132,9 +130,9 @@ class Network {
   /// queue — i.e. every message sent so far has been fully delivered *and*
   /// handled (any reaction it provoked would itself be in flight). Both
   /// facts are merge-barrier outputs, so the predicate is bit-identical at
-  /// every FL_SIM_THREADS / FL_SIM_BALANCE and any FL_SIM_CONGEST value,
-  /// and is stable for the whole step phase (it only mutates at the next
-  /// merge). Programs read it through Context::network_silent().
+  /// every FL_SIM_THREADS and any FL_SIM_CONGEST value, and is stable for
+  /// the whole step phase (it only mutates at the next merge). Programs
+  /// read it through Context::network_silent().
   bool round_silent() const {
     return delivered_last_round_ == 0 && carry_total_ == 0;
   }
@@ -239,7 +237,6 @@ class Network {
   std::uint64_t max_carried_words() const;
 
   const graph::Graph* graph_;
-  Knowledge knowledge_;
   util::StreamFactory streams_;
   double log_n_bound_;
 
@@ -272,12 +269,12 @@ class Network {
   };
   std::vector<EdgeSlotCache> slot_cache_;
 
-  // Parallel execution (exec.hpp): nodes are split into contiguous shards,
-  // one SendLane per shard; lane 0 doubles as the sequential outbox. The
-  // pool exists only when the effective shard count exceeds 1. Shards and
-  // lanes are finalized by begin_if_needed() from par_ (degree-weighted
-  // cuts under ShardBalance::Degree).
-  ParallelConfig par_;
+  // Parallel execution (exec.hpp): nodes are split into contiguous,
+  // degree-weighted shards, one SendLane per shard; lane 0 also takes
+  // pre-run sends. Shards, lanes and the pool (one per run, inline when
+  // there is a single lane) are finalized by begin_if_needed() from
+  // threads_.
+  unsigned threads_;
   std::vector<ShardRange> shards_;
   std::vector<SendLane> lanes_;
   std::unique_ptr<ExecPool> pool_;

@@ -5,11 +5,10 @@
 // program reacts and sends messages through the Context. The model
 // assumptions of the paper (Section 1.1) are encoded in Context:
 //   * nodes know an O(1)-approximate upper bound on log n  -> log_n_bound();
-//   * unique edge IDs known to both endpoints              -> incident_edges();
-//   * (optionally, KT1) neighbour IDs                      -> neighbor() —
-//     only legal when the network was built with Knowledge::KT1.
-// Nodes have NO other a-priori topology knowledge; programs must not touch
-// the Graph directly (the simulator owns it).
+//   * unique edge IDs known to both endpoints              -> incident_edges().
+// Nodes have NO other a-priori topology knowledge — Context has no call that
+// reveals a neighbour's ID — and programs must not touch the Graph directly
+// (the simulator owns it).
 #pragma once
 
 #include <cstdint>
@@ -20,13 +19,6 @@
 #include "util/rng.hpp"
 
 namespace fl::sim {
-
-/// How much a node initially knows about its incident edges.
-enum class Knowledge {
-  KT0,      ///< degree + local port numbers only
-  EdgeIds,  ///< the paper's model: unique edge IDs, known at both endpoints
-  KT1,      ///< edge IDs + the ID of the other endpoint of every edge
-};
 
 class Network;
 struct SendLane;
@@ -46,17 +38,9 @@ class Context {
       : net_(&net), self_(self), lane_(&lane) {}
 
   graph::NodeId self() const { return self_; }
-  std::size_t degree() const;
 
-  /// Unique IDs of this node's incident edges (requires EdgeIds or KT1).
+  /// Unique IDs of this node's incident edges, known at both endpoints.
   std::span<const graph::EdgeId> incident_edges() const;
-
-  /// Edge id of the port-th incident edge (any knowledge level; ports are
-  /// the node's private local numbering 0..deg-1).
-  graph::EdgeId edge_at_port(std::size_t port) const;
-
-  /// ID of the other endpoint of `edge` (requires KT1).
-  graph::NodeId neighbor(graph::EdgeId edge) const;
 
   /// Send `payload` over `edge` this round; delivered next round — unless
   /// the network enforces a CONGEST budget (sim/congest.hpp), in which
@@ -122,9 +106,6 @@ class NodeProgram {
   /// state must not be mutated from outside the simulation while a run
   /// may still continue.
   virtual bool done() const = 0;
-
-  /// Minimum knowledge this protocol needs; the network enforces it.
-  virtual Knowledge required_knowledge() const { return Knowledge::EdgeIds; }
 };
 
 }  // namespace fl::sim

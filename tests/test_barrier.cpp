@@ -190,7 +190,7 @@ TEST(Barrier, SurvivesStopResumeMidPhaseWithLiveCarry) {
   const unsigned phases = 3;
   const sim::CongestConfig budget{2, sim::CongestPolicy::Defer};
 
-  sim::Network full(g, sim::Knowledge::EdgeIds, 5);
+  sim::Network full(g, 5);
   full.set_congest(budget);
   full.install_all<PhasedPulse>(phases);
   const sim::RunStats want = full.run_until_drained(phases + 4);
@@ -198,7 +198,7 @@ TEST(Barrier, SurvivesStopResumeMidPhaseWithLiveCarry) {
   ASSERT_GT(full.metrics().deferrals_total, 0u)
       << "the scenario under test must actually defer";
 
-  sim::Network half(g, sim::Knowledge::EdgeIds, 5);
+  sim::Network half(g, 5);
   half.set_congest(budget);
   half.install_all<PhasedPulse>(phases);
   sim::RunStats stats = half.run(3);

@@ -68,8 +68,8 @@ Graph test_graph(NodeId n) {
 
 std::uint64_t run_digest(unsigned threads, bool check, bool budget) {
   const Graph g = test_graph(64);
-  Network net(g, Knowledge::EdgeIds, /*seed=*/7);
-  net.set_parallelism({threads, ShardBalance::Uniform});
+  Network net(g, /*seed=*/7);
+  net.set_parallelism(threads);
   net.set_check(check);
   if (budget) net.set_congest({4, CongestPolicy::Defer});
   net.install_all<Chatter>(4u);
@@ -102,7 +102,7 @@ TEST(CheckClean, BitIdenticalWithCheckingOn) {
 
 TEST(CheckClean, SetCheckOnlyBeforeStart) {
   const Graph g = test_graph(8);
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   net.set_check(true);
   net.set_check(false);  // toggling is fine before the run
   net.set_check(true);
@@ -115,8 +115,8 @@ TEST(CheckClean, PreRunSendAndPostRunExtractionUnchecked) {
   // The two deliberate windows outside any lane scope: sends through a
   // pre-run two-argument Context, and post-run mutating extraction.
   const Graph g = test_graph(8);
-  Network net(g, Knowledge::EdgeIds, 1);
-  net.set_parallelism({8, ShardBalance::Uniform});
+  Network net(g, 1);
+  net.set_parallelism(8);
   net.set_check(true);
   net.install_all<Chatter>(1u);
   Context pre(net, /*self=*/5);
@@ -133,11 +133,11 @@ TEST(CheckClean, PreRunSendAndPostRunExtractionUnchecked) {
 // and reaches into the last shard's state through the real accessor paths.
 TEST(CheckViolations, CrossShardRngTouchCaughtFromRunningLane) {
   const Graph g = test_graph(64);
-  Network net(g, Knowledge::EdgeIds, 7);
-  net.set_parallelism({8, ShardBalance::Uniform});
+  Network net(g, 7);
+  net.set_parallelism(8);
   net.set_check(true);
   net.install_all<Chatter>(4u);
-  // Uniform split of 64 nodes over 8 lanes: node 63 is owned by lane 7.
+  // 64 nodes cut into 8 non-empty shards: node 63 is owned by lane 7.
   net.set_check_probe([](Network& n, unsigned lane) {
     if (lane != 0) return;
     Context foreign(n, /*self=*/63);
@@ -160,8 +160,8 @@ TEST(CheckViolations, CrossShardSendCaughtFromRunningLane) {
   // Same shape through the send path: lane 0 sending *as* node 63 mutates
   // node 63's send cursor / slot cache — caught before the message exists.
   const Graph g = test_graph(64);
-  Network net(g, Knowledge::EdgeIds, 7);
-  net.set_parallelism({8, ShardBalance::Uniform});
+  Network net(g, 7);
+  net.set_parallelism(8);
   net.set_check(true);
   net.install_all<Chatter>(4u);
   net.set_check_probe([&](Network& n, unsigned lane) {
@@ -188,8 +188,8 @@ TEST(CheckViolations, CrossShardWriteCaughtAtOneAndEightLanes) {
   // second shard exists to touch from organically).
   for (const unsigned threads : {1u, 8u}) {
     const Graph g = test_graph(64);
-    Network net(g, Knowledge::EdgeIds, 7);
-    net.set_parallelism({threads, ShardBalance::Uniform});
+    Network net(g, 7);
+    net.set_parallelism(threads);
     net.set_check(true);
     net.install_all<Chatter>(2u);
     net.step(1);
@@ -212,8 +212,8 @@ TEST(CheckViolations, OutOfPhaseCarryMutationCaughtAtOneAndEightLanes) {
   // even by the chunk's own lane — must throw naming the phase.
   for (const unsigned threads : {1u, 8u}) {
     const Graph g = test_graph(64);
-    Network net(g, Knowledge::EdgeIds, 7);
-    net.set_parallelism({threads, ShardBalance::Uniform});
+    Network net(g, 7);
+    net.set_parallelism(threads);
     net.set_check(true);
     net.set_congest({1000000000, CongestPolicy::Defer});  // chunks exist
     net.install_all<Chatter>(4u);
@@ -241,8 +241,8 @@ TEST(CheckViolations, DiagnosticNamesEveryCoordinate) {
   // The what() string is the human surface: node, lanes, phase and round
   // must all be present (tooling greps for them).
   const Graph g = test_graph(64);
-  Network net(g, Knowledge::EdgeIds, 7);
-  net.set_parallelism({8, ShardBalance::Uniform});
+  Network net(g, 7);
+  net.set_parallelism(8);
   net.set_check(true);
   net.install_all<Chatter>(2u);
   net.step(3);

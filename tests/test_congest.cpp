@@ -71,7 +71,7 @@ TEST(CongestConfig, EnvProbeParsesBudgetAndPolicy) {
 TEST(CongestConfig, NetworkPicksUpTheEnvironmentDefault) {
   const Graph g = graph::path(2);
   setenv("FL_SIM_CONGEST", "16:strict", 1);
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   unsetenv("FL_SIM_CONGEST");
   EXPECT_TRUE(net.congest().enforced());
   EXPECT_EQ(net.congest().words_per_edge_per_round, 16u);
@@ -80,7 +80,7 @@ TEST(CongestConfig, NetworkPicksUpTheEnvironmentDefault) {
 
 TEST(CongestConfig, SetCongestValidation) {
   const Graph g = graph::ring(4);
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   EXPECT_THROW(net.set_congest(defer(0)), util::ContractViolation);
   net.set_congest(defer(4));
   EXPECT_EQ(net.congest().words_per_edge_per_round, 4u);
@@ -103,7 +103,7 @@ TEST(CongestWords, ZeroWordHintClampsToOneWord) {
   // A protocol that computes a zero size hint must not free-ride on the
   // words metric (or, under a budget, on the per-edge bandwidth).
   const Graph g = graph::path(2);
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   net.install([](NodeId v) {
     class P final : public NodeProgram {
      public:
@@ -130,8 +130,8 @@ TEST(CongestWords, PreRunSendsLandInWordsTotal) {
   // under any thread count.
   const Graph g = graph::path(2);
   for (const unsigned threads : {1u, 8u}) {
-    Network net(g, Knowledge::EdgeIds, 1);
-    net.set_parallelism({threads});
+    Network net(g, 1);
+    net.set_parallelism(threads);
     net.install([](NodeId) {
       class P final : public NodeProgram {
        public:
@@ -185,7 +185,7 @@ TEST(CongestDefer, CarryDrainsInFifoOrderOneMessagePerRound) {
   // message fits per round, so delivery is 1, 2, 3, 4 in rounds 1..4 —
   // the carry queue preserves send order while the schedule stretches.
   const Graph g = graph::path(2);
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   net.set_congest(defer(2));
   net.install_all<WordBurst>(4u, std::uint32_t{2});
   const RunStats stats = net.run(50);
@@ -206,7 +206,7 @@ TEST(CongestDefer, OversizedMessageCrossesInCeilWordsOverBudgetRounds) {
   // edge is blocked (3, 6, 9, 12), so the message lands in round
   // ceil(10/3) = 4 instead of livelocking.
   const Graph g = graph::path(2);
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   net.set_congest(defer(3));
   net.install_all<WordBurst>(1u, std::uint32_t{10});
   const RunStats stats = net.run(50);
@@ -223,7 +223,7 @@ TEST(CongestDefer, StrictlyMoreRoundsOnOverBudgetWorkload) {
   // per-round delivery profile visibly stretched.
   const Graph g = graph::star(6);
   auto run_once = [&](CongestConfig congest) {
-    Network net(g, Knowledge::EdgeIds, 3);
+    Network net(g, 3);
     net.set_congest(congest);
     net.install_all<WordBurst>(5u, std::uint32_t{4});
     const RunStats stats = net.run(200);
@@ -246,7 +246,7 @@ TEST(CongestDefer, RunCanStopAndResumeWithCarryPending) {
   // report non-termination (the carry is in-flight traffic), and a later
   // run() call must drain it.
   const Graph g = graph::path(2);
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   net.set_congest(defer(1));
   net.install_all<WordBurst>(6u, std::uint32_t{1});
   const RunStats mid = net.run(3);
@@ -263,7 +263,7 @@ TEST(CongestDefer, RunCanStopAndResumeWithCarryPending) {
 
 TEST(CongestStrict, ThrowsWithEdgeRoundAndPayloadDiagnostics) {
   const Graph g = graph::path(2);
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   net.set_congest(strict_budget(4));
   net.install_all<WordBurst>(2u, std::uint32_t{3});  // 6 words > 4
   try {
@@ -288,7 +288,7 @@ TEST(CongestStrict, SingleOversizedMessageIsAViolation) {
   // Strict is a compliance check, not a scheduler: a message that could
   // never fit any round's budget fails even alone on its edge.
   const Graph g = graph::path(2);
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   net.set_congest(strict_budget(4));
   net.install_all<WordBurst>(1u, std::uint32_t{5});
   EXPECT_THROW(net.run(5), CongestViolation);
@@ -297,7 +297,7 @@ TEST(CongestStrict, SingleOversizedMessageIsAViolation) {
 TEST(CongestStrict, CompliantTrafficRunsToCompletionUnchanged) {
   const Graph g = graph::star(5);
   auto run_once = [&](CongestConfig congest) {
-    Network net(g, Knowledge::EdgeIds, 3);
+    Network net(g, 3);
     net.set_congest(congest);
     net.install_all<WordBurst>(2u, std::uint32_t{2});
     const RunStats stats = net.run(50);
@@ -313,8 +313,8 @@ TEST(CongestStrict, ViolationSurfacesFromWorkerLanes) {
   // runs on a worker thread there, and the pool must rethrow.
   util::Xoshiro256 rng(8);
   const Graph g = graph::random_tree(40, rng);
-  Network net(g, Knowledge::EdgeIds, 1);
-  net.set_parallelism({8});
+  Network net(g, 1);
+  net.set_parallelism(8);
   net.set_congest(strict_budget(1));
   net.install_all<WordBurst>(3u, std::uint32_t{1});  // 3 words > 1 per edge
   EXPECT_THROW(net.run(5), CongestViolation);
@@ -363,10 +363,10 @@ struct ChatterResult {
                                      std::uint64_t>>> logs;
 };
 
-ChatterResult run_word_chatter(const Graph& g, ParallelConfig par,
+ChatterResult run_word_chatter(const Graph& g, unsigned threads,
                                CongestConfig congest) {
-  Network net(g, Knowledge::EdgeIds, 7);
-  net.set_parallelism(par);
+  Network net(g, 7);
+  net.set_parallelism(threads);
   net.set_congest(congest);
   net.install_all<WordChatter>(6u);
   ChatterResult res;
@@ -392,24 +392,19 @@ void expect_identical(const ChatterResult& a, const ChatterResult& b) {
 
 TEST(CongestDeterminism, DeferBitIdenticalAcrossThreadCountsOnEveryFamily) {
   // The acceptance matrix: dense, sparse and skewed families under a
-  // binding Defer budget, at 1, 2 and 8 lanes and both balance modes —
-  // RunStats, Metrics (deferrals included) and every per-node delivery
-  // log must be bit-identical, exactly like the unbudgeted engine.
+  // binding Defer budget, at 1, 2 and 8 lanes — RunStats, Metrics
+  // (deferrals included) and every per-node delivery log must be
+  // bit-identical, exactly like the unbudgeted engine.
   util::Xoshiro256 dense_rng(123), sparse_rng(124), skew_rng(125);
   const Graph dense = graph::erdos_renyi_gnm(97, 400, dense_rng);
   const Graph sparse = graph::random_tree(101, sparse_rng);
   const Graph skewed = graph::barabasi_albert(90, 6, skew_rng);
   for (const Graph* g : {&dense, &sparse, &skewed}) {
-    const auto seq = run_word_chatter(*g, {1}, defer(3));
+    const auto seq = run_word_chatter(*g, 1, defer(3));
     EXPECT_GT(seq.stats.messages, 0u);
     EXPECT_GT(seq.metrics.deferrals_total, 0u);  // the budget must bind
-    for (const unsigned threads : {2u, 8u}) {
-      for (const ShardBalance balance :
-           {ShardBalance::Uniform, ShardBalance::Degree}) {
-        expect_identical(seq, run_word_chatter(*g, {threads, balance},
-                                               defer(3)));
-      }
-    }
+    for (const unsigned threads : {2u, 8u})
+      expect_identical(seq, run_word_chatter(*g, threads, defer(3)));
   }
 }
 
@@ -420,8 +415,8 @@ TEST(CongestDeterminism, NeverBindingBudgetMatchesLocalBitForBit) {
   // unlimited run. The pinned golden traces stay valid by transitivity.
   util::Xoshiro256 rng(123);
   const Graph g = graph::erdos_renyi_gnm(97, 400, rng);
-  const auto local = run_word_chatter(g, {1}, CongestConfig{});
-  const auto huge = run_word_chatter(g, {1}, defer(std::uint64_t{1} << 40));
+  const auto local = run_word_chatter(g, 1, CongestConfig{});
+  const auto huge = run_word_chatter(g, 1, defer(std::uint64_t{1} << 40));
   expect_identical(local, huge);
   EXPECT_EQ(huge.metrics.deferrals_total, 0u);
 }

@@ -1,14 +1,16 @@
 // Tests for the parallel round-execution engine (sim/exec.hpp): shard
-// partitioning (uniform and degree-weighted), the worker pool, and — the
-// load-bearing contract — bit determinism of RunStats, Metrics and
-// protocol outputs across thread counts, balance modes and graph families
-// (dense, sparse, skewed), anchored by a pinned golden trace.
+// partitioning (degree-weighted, against the uniform reference), the
+// FL_SIM_THREADS probe, the worker pool, and — the load-bearing contract —
+// bit determinism of RunStats, Metrics and protocol outputs across thread
+// counts and graph families (dense, sparse, skewed), anchored by a pinned
+// golden trace.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -208,6 +210,36 @@ TEST(ExecPool, SingleLaneRunsInline) {
                std::runtime_error);
 }
 
+// ------------------------------------------------- FL_SIM_THREADS probe
+
+TEST(ParallelEnv, ThreadsProbeParsesStrictly) {
+  // Outside input: anything but an integer in [1, 1024] must throw, never
+  // wrap or truncate into some other lane count.
+  const char* prior = std::getenv("FL_SIM_THREADS");
+  struct EnvGuard {
+    std::string saved;
+    bool had;
+    ~EnvGuard() {
+      if (had) {
+        setenv("FL_SIM_THREADS", saved.c_str(), 1);
+      } else {
+        unsetenv("FL_SIM_THREADS");
+      }
+    }
+  } guard{prior != nullptr ? prior : "", prior != nullptr};
+
+  unsetenv("FL_SIM_THREADS");
+  EXPECT_EQ(default_parallel_config(), 1u);
+
+  setenv("FL_SIM_THREADS", "4", 1);
+  EXPECT_EQ(default_parallel_config(), 4u);
+
+  for (const char* bad : {"0", "-2", "4x", "2000"}) {
+    setenv("FL_SIM_THREADS", bad, 1);
+    EXPECT_THROW(default_parallel_config(), util::ContractViolation) << bad;
+  }
+}
+
 // ------------------------------------------------- network determinism
 
 /// Chatty deterministic workload: every node records its full delivery log
@@ -253,9 +285,9 @@ struct ChatterResult {
                                      std::uint64_t>>> logs;
 };
 
-ChatterResult run_chatter(const Graph& g, ParallelConfig par) {
-  Network net(g, Knowledge::EdgeIds, 7);
-  net.set_parallelism(par);
+ChatterResult run_chatter(const Graph& g, unsigned threads) {
+  Network net(g, 7);
+  net.set_parallelism(threads);
   net.install_all<ChatterProbe>(8u);
   ChatterResult res;
   res.stats = net.run(60);
@@ -279,23 +311,18 @@ void expect_identical(const ChatterResult& a, const ChatterResult& b) {
 
 TEST(ParallelNetwork, BitIdenticalAcrossThreadCountsOnEveryFamily) {
   // The determinism suite: dense (ER), sparse (tree) and skewed
-  // (power-law) families, each run at 1, 2 and 8 lanes and under both
-  // shard-balance modes — RunStats, Metrics and every per-node delivery
-  // log must be bit-identical throughout.
+  // (power-law) families, each run at 1, 2 and 8 lanes — RunStats,
+  // Metrics and every per-node delivery log must be bit-identical
+  // throughout.
   util::Xoshiro256 dense_rng(123), sparse_rng(124), skew_rng(125);
   const Graph dense = graph::erdos_renyi_gnm(97, 400, dense_rng);  // odd n
   const Graph sparse = graph::random_tree(101, sparse_rng);
   const Graph skewed = graph::barabasi_albert(90, 6, skew_rng);
   for (const Graph* g : {&dense, &sparse, &skewed}) {
-    const auto seq = run_chatter(*g, {1});
+    const auto seq = run_chatter(*g, 1);
     EXPECT_GT(seq.stats.messages, 0u);
-    for (const unsigned threads : {2u, 8u}) {
-      for (const ShardBalance balance :
-           {ShardBalance::Uniform, ShardBalance::Degree}) {
-        const auto par = run_chatter(*g, {threads, balance});
-        expect_identical(seq, par);
-      }
-    }
+    for (const unsigned threads : {2u, 8u})
+      expect_identical(seq, run_chatter(*g, threads));
   }
 }
 
@@ -307,7 +334,7 @@ TEST(ParallelNetwork, ChatterMatchesPinnedGoldenTrace) {
   // deleted legacy engine certified.
   util::Xoshiro256 rng(123);
   const Graph g = graph::erdos_renyi_gnm(97, 400, rng);
-  const auto seq = run_chatter(g, {1});
+  const auto seq = run_chatter(g, 1);
   testing::TraceHash h;
   h.u64(seq.stats.rounds).u64(seq.stats.messages);
   h.u64(seq.metrics.words_total);
@@ -324,7 +351,7 @@ TEST(ParallelNetwork, ChatterMatchesPinnedGoldenTrace) {
 
 TEST(ParallelNetwork, MoreThreadsThanNodes) {
   const Graph g = graph::ring(5);
-  const auto seq = run_chatter(g, {1});
+  const auto seq = run_chatter(g, 1);
   const auto par = run_chatter(g, {8});
   expect_identical(seq, par);
 }
@@ -341,8 +368,8 @@ class Silent final : public NodeProgram {
 TEST(ParallelNetwork, EmptyRoundsTerminateUnderEveryThreadCount) {
   const Graph g = graph::ring(12);
   for (const unsigned threads : {1u, 2u, 8u}) {
-    Network net(g, Knowledge::EdgeIds, 1);
-    net.set_parallelism({threads});
+    Network net(g, 1);
+    net.set_parallelism(threads);
     net.install_all<Silent>();
     const RunStats stats = net.run(10);
     EXPECT_TRUE(stats.terminated);
@@ -377,8 +404,8 @@ TEST(ParallelNetwork, PreRunSendsSurviveLaneRepartition) {
   // round together with the on_start sends, under any thread count.
   const Graph g = graph::path(2);
   for (const unsigned threads : {1u, 8u}) {
-    Network net(g, Knowledge::EdgeIds, 1);
-    net.set_parallelism({threads});
+    Network net(g, 1);
+    net.set_parallelism(threads);
     net.install_all<Burst>();  // node 0 sends 1..4 in on_start
     Context pre(net, 1);
     pre.send(pre.incident_edges()[0], unsigned{99});
@@ -393,11 +420,11 @@ TEST(ParallelNetwork, PreRunSendsSurviveLaneRepartition) {
 
 TEST(ParallelNetwork, ParallelismLockedOnceStarted) {
   const Graph g = graph::ring(4);
-  Network net(g, Knowledge::EdgeIds, 1);
-  net.set_parallelism({4});
+  Network net(g, 1);
+  net.set_parallelism(4);
   net.install_all<Silent>();
   net.run(5);
-  EXPECT_THROW(net.set_parallelism({2}), util::ContractViolation);
+  EXPECT_THROW(net.set_parallelism(2), util::ContractViolation);
 }
 
 TEST(ParallelNetwork, ContractViolationsSurfaceFromWorkerLanes) {
@@ -407,8 +434,8 @@ TEST(ParallelNetwork, ContractViolationsSurfaceFromWorkerLanes) {
   for (NodeId v = 0; v + 1 < 8; ++v) b.add_edge(v, v + 1);
   const EdgeId far = 0;  // edge 0-1; node 7 is not an endpoint
   const Graph g = std::move(b).build();
-  Network net(g, Knowledge::EdgeIds, 1);
-  net.set_parallelism({8});
+  Network net(g, 1);
+  net.set_parallelism(8);
   net.install([far](NodeId v) {
     class P final : public NodeProgram {
      public:
@@ -493,8 +520,8 @@ TEST(ParallelNetwork, StepInterleavingMatchesSequential) {
   const Graph g = graph::erdos_renyi_gnm(50, 150, rng);
 
   auto run_stepped = [&](unsigned threads) {
-    Network net(g, Knowledge::EdgeIds, 3);
-    net.set_parallelism({threads});
+    Network net(g, 3);
+    net.set_parallelism(threads);
     net.install_all<ChatterProbe>(6u);
     net.step(4);
     net.step(4);

@@ -157,7 +157,7 @@ Graph test_graph(NodeId n = 400) {
 
 TEST(PlaneReuse, SteadyStateRoundsAllocateNothing) {
   const Graph g = test_graph();
-  Network net(g, Knowledge::EdgeIds, 7);
+  Network net(g, 7);
   net.install_all<Flood>(12u);
   // Two rounds of warm-up reach the steady frontier (every round after the
   // first delivers exactly 2m messages); from there the sticky-capacity
@@ -171,7 +171,7 @@ TEST(PlaneReuse, SteadyStateRoundsAllocateNothing) {
 
 TEST(PlaneReuse, SteadyStateBudgetedRoundsAllocateNothing) {
   const Graph g = test_graph();
-  Network net(g, Knowledge::EdgeIds, 7);
+  Network net(g, 7);
   // Injection rate == service rate (1 word per edge per round, both ways),
   // plus a round-0 burst the budget can never catch up on: every round
   // defers one message per directed edge into the carry queue and admits
@@ -203,7 +203,7 @@ TEST(PlaneReuse, StopResumeWithCarryQueuesMatchesUninterruptedRun) {
   };
 
   // Reference: one uninterrupted budgeted run.
-  Network full(g, Knowledge::EdgeIds, 3);
+  Network full(g, 3);
   full.set_congest({budget, CongestPolicy::Defer});
   full.install_all<Flood>(rounds, 3u);  // 3 words vs 1-word budget: backlog
   const RunStats want = full.run_until_drained(64);
@@ -211,7 +211,7 @@ TEST(PlaneReuse, StopResumeWithCarryQueuesMatchesUninterruptedRun) {
 
   // Same run stopped mid-backlog (carry queues non-empty) and resumed: the
   // carry planes must survive the pause intact and keep their storage.
-  Network half(g, Knowledge::EdgeIds, 3);
+  Network half(g, 3);
   half.set_congest({budget, CongestPolicy::Defer});
   half.install_all<Flood>(rounds, 3u);
   RunStats stats = half.run(4);
@@ -237,8 +237,8 @@ TEST(PlaneReuse, RunIsBitIdenticalAcrossThreadsAndBudgets) {
     std::uint64_t base_sum = 0;
     std::vector<std::uint64_t> base_per_round;
     for (const unsigned threads : {1u, 2u, 8u}) {
-      Network net(g, Knowledge::EdgeIds, 11);
-      net.set_parallelism({threads});
+      Network net(g, 11);
+      net.set_parallelism(threads);
       if (budget > 0) net.set_congest({budget, CongestPolicy::Defer});
       net.install_all<Flood>(6u);
       const RunStats stats = net.run_until_drained(64);

@@ -267,7 +267,7 @@ TEST(PayloadGoldenTrace, AllStorageClassesMatchPinnedTrace) {
   util::Xoshiro256 rng(7);
   const Graph g = graph::erdos_renyi_gnm(32, 96, rng);
 
-  Network net(g, Knowledge::EdgeIds, 3);
+  Network net(g, 3);
   net.install_all<MixedPayloadProbe>(4u);
   const RunStats stats = net.run(40);
   EXPECT_TRUE(stats.terminated);
@@ -295,7 +295,7 @@ TEST(Payload, ArenaRecyclingReleasesOwnersExactlyOnce) {
   auto token = std::make_shared<int>(0);
   {
     const Graph g = graph::path(2);
-    Network net(g, Knowledge::EdgeIds, 1);
+    Network net(g, 1);
     net.install([&](NodeId v) {
       class P final : public NodeProgram {
        public:

@@ -75,8 +75,6 @@ TEST(Schedule, WindowsMatchClusterDiameterBound) {
       case Kind::DeathAnnounce:
         EXPECT_EQ(p.length, 1u);
         break;
-      case Kind::TrialGatherEcho:
-        break;  // unused by the current protocol
     }
   }
 }

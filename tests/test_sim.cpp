@@ -1,5 +1,5 @@
 // Tests for the synchronous LOCAL simulator: lockstep delivery, metering,
-// knowledge-level enforcement, termination semantics, and the quiesce
+// incidence enforcement, termination semantics, and the quiesce
 // phase's done-counter contract (done() is re-read only at step time; the
 // per-round check is an O(S) counter sum, never a per-node scan).
 #include <gtest/gtest.h>
@@ -56,7 +56,7 @@ class RingToken final : public NodeProgram {
 
 TEST(Network, TokenTravelsOneHopPerRound) {
   const Graph g = graph::ring(8);
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   net.install_all<RingToken>(5u);
   const auto stats = net.run(100);
   EXPECT_TRUE(stats.terminated);
@@ -84,7 +84,7 @@ class FloodOnce final : public NodeProgram {
 
 TEST(Network, OneRoundNeighborExchange) {
   const Graph g = graph::complete(6);
-  Network net(g, Knowledge::EdgeIds, 2);
+  Network net(g, 2);
   net.install_all<FloodOnce>();
   const auto stats = net.run(10);
   EXPECT_TRUE(stats.terminated);
@@ -98,7 +98,7 @@ TEST(Network, OneRoundNeighborExchange) {
 
 TEST(Network, MetricsPerRoundAndPerNode) {
   const Graph g = graph::star(5);  // center 0, leaves 1..4
-  Network net(g, Knowledge::EdgeIds, 3);
+  Network net(g, 3);
   net.install_all<FloodOnce>();
   net.run(10);
   const Metrics& m = net.metrics();
@@ -110,59 +110,12 @@ TEST(Network, MetricsPerRoundAndPerNode) {
   EXPECT_EQ(m.max_messages_in_a_round(), 8u);
 }
 
-/// A program that insists on KT1 neighbour knowledge.
-class NeedsKt1 final : public NodeProgram {
- public:
-  explicit NeedsKt1(NodeId) {}
-  void on_start(Context& ctx) override {
-    // Legal only under KT1:
-    first_neighbor = ctx.neighbor(ctx.incident_edges()[0]);
-  }
-  void on_round(Context&, InboxView) override {}
-  bool done() const override { return true; }
-  NodeId first_neighbor = graph::kInvalidNode;
-};
-
-TEST(Network, KnowledgeEnforcement) {
-  const Graph g = graph::ring(4);
-  // Installing a KT1-needing program on an EdgeIds network is rejected at
-  // the first illegal query.
-  {
-    Network net(g, Knowledge::EdgeIds, 1);
-    net.install_all<NeedsKt1>();
-    EXPECT_THROW(net.run(5), util::ContractViolation);
-  }
-  {
-    Network net(g, Knowledge::KT1, 1);
-    net.install_all<NeedsKt1>();
-    EXPECT_NO_THROW(net.run(5));
-    EXPECT_NE(net.program_as<NeedsKt1>(0).first_neighbor,
-              graph::kInvalidNode);
-  }
-}
-
-TEST(Network, Kt0ForbidsEdgeIdEnumeration) {
-  const Graph g = graph::ring(4);
-  Network net(g, Knowledge::KT0, 1);
-  net.install([](NodeId) {
-    class P final : public NodeProgram {
-     public:
-      void on_start(Context& ctx) override { (void)ctx.incident_edges(); }
-      void on_round(Context&, InboxView) override {}
-      bool done() const override { return true; }
-      Knowledge required_knowledge() const override { return Knowledge::KT0; }
-    };
-    return std::make_unique<P>();
-  });
-  EXPECT_THROW(net.run(5), util::ContractViolation);
-}
-
 TEST(Network, RejectsSendOverForeignEdge) {
   Graph::Builder b(4);
   b.add_edge(0, 1);
   const EdgeId far = b.add_edge(2, 3);
   const Graph g = std::move(b).build();
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   net.install([far](NodeId v) {
     class P final : public NodeProgram {
      public:
@@ -185,7 +138,7 @@ TEST(Network, RejectsSendOverForeignEdge) {
 TEST(Network, MaxRoundsStopsNonTerminatingRun) {
   const Graph g = graph::ring(4);
   // Ping-pong forever.
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   net.install([](NodeId) {
     class P final : public NodeProgram {
      public:
@@ -206,7 +159,7 @@ TEST(Network, MaxRoundsStopsNonTerminatingRun) {
 
 TEST(Network, LogNBoundIsUpperBound) {
   const Graph g = graph::ring(16);
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   EXPECT_DOUBLE_EQ(net.log_n_bound(), 4.0);
   net.set_log_n_bound(7.5);  // the model allows slack upward
   EXPECT_DOUBLE_EQ(net.log_n_bound(), 7.5);
@@ -259,7 +212,7 @@ TEST(NetworkGoldenTrace, DeliveryMatchesPinnedTrace) {
   util::Xoshiro256 rng(99);
   const Graph g = graph::erdos_renyi_gnm(40, 120, rng);
 
-  Network net(g, Knowledge::EdgeIds, 5);
+  Network net(g, 5);
   net.install_all<PartitionProbe>(6u);
   const RunStats stats = net.run(50);
   EXPECT_TRUE(stats.terminated);
@@ -290,7 +243,7 @@ TEST(Network, FlatArenaHandlesZeroMessageNodesAndTermination) {
   // the hub's message, and every span is empty from round 1 until global
   // quiescence.
   const Graph g = graph::star(6);
-  Network net(g, Knowledge::EdgeIds, 4);
+  Network net(g, 4);
   net.install_all<FloodOnce>();
   const RunStats stats = net.run(10);
   EXPECT_TRUE(stats.terminated);
@@ -326,7 +279,7 @@ TEST(Network, FlatArenaPreservesOrderOnRepeatedSendsOverOneEdge) {
   // Several sends over the same edge in one round: the counting sort must
   // deliver all of them, in send order.
   const Graph g = graph::path(2);
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   net.install_all<Burst>();
   const RunStats stats = net.run(5);
   EXPECT_TRUE(stats.terminated);
@@ -338,7 +291,7 @@ TEST(Network, FlatArenaPreservesOrderOnRepeatedSendsOverOneEdge) {
 
 TEST(Network, WordAccounting) {
   const Graph g = graph::path(2);
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   net.install([](NodeId v) {
     class P final : public NodeProgram {
      public:
@@ -394,7 +347,7 @@ TEST(NetworkQuiesce, AllDoneNeverRescansPrograms) {
   // done() calls per round, and n more for every run() call after
   // termination.
   const Graph g = graph::ring(9);
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   net.install_all<DoneProbe>(4u);
   const RunStats stats = net.run(50);
   EXPECT_TRUE(stats.terminated);
@@ -450,7 +403,7 @@ TEST(NetworkQuiesce, DoneFlappingDelaysTermination) {
   // or the network would either terminate early (missed decrement) or
   // never terminate (missed re-increment).
   const Graph g = graph::path(2);
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   net.install_all<Flapper>(3u);
   const RunStats stats = net.run(50);
   EXPECT_TRUE(stats.terminated);
@@ -466,7 +419,7 @@ TEST(NetworkQuiesce, PreRunDoneOnEdgelessGraphTerminatesImmediately) {
   // the run, and the (empty) merge must leave every inbox span empty.
   Graph::Builder b(3);
   const Graph g = std::move(b).build();
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   net.install_all<DoneProbe>(0u);
   const RunStats stats = net.run(10);
   EXPECT_TRUE(stats.terminated);
@@ -479,7 +432,7 @@ TEST(NetworkQuiesce, PreRunDoneOnEdgelessGraphTerminatesImmediately) {
 TEST(NetworkQuiesce, SingleNodeNetwork) {
   Graph::Builder b(1);
   const Graph g = std::move(b).build();
-  Network net(g, Knowledge::EdgeIds, 1);
+  Network net(g, 1);
   net.install_all<DoneProbe>(3u);
   const RunStats stats = net.run(10);
   EXPECT_TRUE(stats.terminated);

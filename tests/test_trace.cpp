@@ -31,7 +31,6 @@ using graph::Graph;
 using graph::NodeId;
 using sim::Context;
 using sim::InboxView;
-using sim::Knowledge;
 using sim::Metrics;
 using sim::Network;
 using sim::NodeProgram;
@@ -102,8 +101,8 @@ constexpr std::uint64_t kGoldenDeliveryHash = 0x6e95c71d1844b722ull;
 TEST(TraceNeutrality, GoldenTraceUnchangedWithSpansLive) {
   const Graph g = golden_graph();
   for (const unsigned threads : {1u, 8u}) {
-    Network net(g, Knowledge::EdgeIds, 5);
-    net.set_parallelism({threads});
+    Network net(g, 5);
+    net.set_parallelism(threads);
     net.set_trace(collect_only(TraceLevel::Spans));
     net.install_all<PartitionProbe>(6u);
     const RunStats stats = net.run(50);
@@ -125,14 +124,14 @@ TEST(TraceNeutrality, PlaneAllocationsUnchanged) {
   const Graph g = golden_graph();
   std::uint64_t allocations_off = 0;
   {
-    Network net(g, Knowledge::EdgeIds, 5);
-    net.set_parallelism({2});
+    Network net(g, 5);
+    net.set_parallelism(2);
     net.install_all<PartitionProbe>(6u);
     (void)net.run(50);
     allocations_off = net.debug_plane_allocations();
   }
-  Network net(g, Knowledge::EdgeIds, 5);
-  net.set_parallelism({2});
+  Network net(g, 5);
+  net.set_parallelism(2);
   net.set_trace(collect_only());
   net.install_all<PartitionProbe>(6u);
   (void)net.run(50);
@@ -150,8 +149,8 @@ TEST(TraceNeutrality, ProfileModelFieldsThreadInvariant) {
                  std::uint64_t>;
   auto run_model = [&](unsigned threads, TraceLevel level,
                        bool congest) -> std::vector<ModelRow> {
-    Network net(g, Knowledge::EdgeIds, 5);
-    net.set_parallelism({threads});
+    Network net(g, 5);
+    net.set_parallelism(threads);
     if (congest)
       net.set_congest({.words_per_edge_per_round = 2,
                        .policy = sim::CongestPolicy::Defer});
@@ -175,8 +174,8 @@ TEST(TraceNeutrality, ProfileModelFieldsThreadInvariant) {
 
 TEST(TraceProfile, LaneBusyAndPhaseDataPresent) {
   const Graph g = golden_graph();
-  Network net(g, Knowledge::EdgeIds, 5);
-  net.set_parallelism({4});
+  Network net(g, 5);
+  net.set_parallelism(4);
   net.set_trace(collect_only());
   net.install_all<PartitionProbe>(6u);
   const RunStats stats = net.run(50);
@@ -198,8 +197,8 @@ TEST(TraceProfile, LaneBusyAndPhaseDataPresent) {
 
 TEST(TraceProfile, ProfileLevelSkipsRingPushes) {
   const Graph g = golden_graph();
-  Network net(g, Knowledge::EdgeIds, 5);
-  net.set_parallelism({2});
+  Network net(g, 5);
+  net.set_parallelism(2);
   net.set_trace(collect_only(TraceLevel::Profile));
   net.install_all<PartitionProbe>(6u);
   (void)net.run(50);
@@ -338,8 +337,8 @@ TEST(TraceExport, ChromeTraceAndProfileJsonlWellFormed) {
   const Graph g = golden_graph();
   const std::string path = ::testing::TempDir() + "fl_trace_export.json";
   {
-    Network net(g, Knowledge::EdgeIds, 5);
-    net.set_parallelism({2});
+    Network net(g, 5);
+    net.set_parallelism(2);
     TraceConfig cfg;
     cfg.enabled = true;
     cfg.path = path;
@@ -377,7 +376,7 @@ TEST(TraceExport, ChromeTraceAndProfileJsonlWellFormed) {
 
 TEST(TraceExport, CollectOnlyWritesNothingAndFinalizeIsIdempotent) {
   const Graph g = golden_graph();
-  Network net(g, Knowledge::EdgeIds, 5);
+  Network net(g, 5);
   net.set_trace(collect_only());
   net.install_all<PartitionProbe>(6u);
   (void)net.run(50);
