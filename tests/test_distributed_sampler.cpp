@@ -15,6 +15,7 @@
 #include "graph/generators.hpp"
 #include "graph/spanner_check.hpp"
 #include "sim/congest.hpp"
+#include "trace_hash.hpp"
 #include "util/rng.hpp"
 
 namespace fl {
@@ -219,6 +220,72 @@ TEST(DistributedSampler, WorksOnTinyGraphs) {
   const Graph tri = graph::ring(3);
   const auto run3 = core::run_distributed_sampler(tri, cfg);
   EXPECT_GE(run3.edges.size(), 2u);
+}
+
+// ------------------------------------------------ output goldens (pinned)
+
+/// One pinned Sampler run: graph family, size and parameter, generator
+/// seed, (k, h), sampler seed, and the delivery budget. `congest` is always
+/// explicit, so an ambient FL_SIM_CONGEST cannot switch a LOCAL point to
+/// event-driven barriers and move its round count.
+struct SamplerGoldenPoint {
+  graph::Family family;
+  graph::NodeId n;
+  double param;  ///< family parameter for make_family (0 = default)
+  std::uint64_t graph_seed;
+  unsigned k;
+  unsigned h;
+  std::uint64_t seed;
+  sim::CongestConfig congest;
+  std::uint64_t hash;
+};
+
+/// FNV over the spanner edge ids, the four MessageBreakdown counts, the
+/// round count and the metered words — the protocol's observable output.
+std::uint64_t sampler_output_hash(const core::DistributedSpannerRun& run) {
+  testing::TraceHash h;
+  h.u64(run.edges.size());
+  for (const auto e : run.edges) h.u64(e);
+  h.u64(run.breakdown.queries)
+      .u64(run.breakdown.tree_sessions)
+      .u64(run.breakdown.center)
+      .u64(run.breakdown.control);
+  h.u64(run.stats.rounds).u64(run.metrics.words_total);
+  return h.value();
+}
+
+/// Output golden for the distributed Sampler: any change to protocol
+/// logic, sampling or delivery that moves a spanner, a message count, a
+/// round count or a word count at one of these points fails here.
+TEST(DistributedSamplerGolden, OutputsMatchPinnedHashes) {
+  using graph::Family;
+  const sim::CongestConfig local{};
+  const sim::CongestConfig budget8{8, sim::CongestPolicy::Defer};
+  const SamplerGoldenPoint points[] = {
+      {Family::ErdosRenyi, 256, 48, 3, 2, 2, 17, local, 0x48c9ecfd76517738ull},
+      {Family::Complete, 128, 0, 1, 2, 3, 29, local, 0x4f85d606a8495168ull},
+      {Family::Grid, 144, 0, 1, 1, 2, 41, local, 0x372c0dfa10b14ed5ull},
+      {Family::Hypercube, 128, 0, 1, 2, 2, 43, local, 0x6fabc3cf4d817491ull},
+      {Family::BarabasiAlbert, 256, 16, 5, 2, 1, 47, local,
+       0x328a309776b66055ull},
+      {Family::Dumbbell, 100, 0, 1, 1, 3, 53, local, 0xf095666f93097640ull},
+      {Family::ErdosRenyi, 256, 48, 3, 2, 2, 17, budget8,
+       0x89267c9c9069ed2dull},
+  };
+  for (const auto& p : points) {
+    util::Xoshiro256 rng(p.graph_seed);
+    const Graph g = graph::make_family(p.family, p.n, p.param, rng);
+    auto cfg = SamplerConfig::paper_faithful(p.k, p.h, p.seed);
+    cfg.congest = p.congest;
+    const auto run = core::run_distributed_sampler(g, cfg);
+    EXPECT_TRUE(run.stats.terminated);
+    const std::uint64_t got = sampler_output_hash(run);
+    EXPECT_EQ(got, p.hash)
+        << graph::family_name(p.family) << " n=" << p.n << " k=" << p.k
+        << " h=" << p.h << " seed=" << p.seed << " budget="
+        << (p.congest.enforced() ? p.congest.words_per_edge_per_round : 0)
+        << ": sampler golden moved to 0x" << std::hex << got;
+  }
 }
 
 }  // namespace
