@@ -26,12 +26,6 @@ linter, so this pass checks them directly over ``src/``:
                           words accounting treats the hint as the message's
                           CONGEST width, and 0-word messages are banned by
                           the admission pass (it would divide by the budget).
-  FL007 payload-assert    a struct passed to Context::send by braced init
-                          must carry a static_assert pinning
-                          Payload::stores_inline<T> (and, for hot-path
-                          types, trivially_relocatable<T>) in the same
-                          file, so a grown field cannot silently fall back
-                          to the heap path and change words accounting.
   FL008 message-aos       a std::vector of MessageHeader / Payload declared
                           outside sim/message.hpp: bulk message storage must
                           be a MessagePlanes (the structure-of-arrays plane
@@ -58,8 +52,11 @@ linter, so this pass checks them directly over ``src/``:
                           silently re-couples callers to the retired fixed
                           schedule.
 
-FL011 (raw-transport, which fenced the socket API inside the deleted TCP
-delivery backend) is retired; its ID is not reused.
+Retired IDs, never reused: FL007 (payload-assert, which required a
+static_assert(Payload::stores_inline<T>) beside every braced send — the
+Payload constructor now accepts only inline types, so the compiler checks
+every send) and FL011 (raw-transport, which fenced the socket API inside
+the deleted TCP delivery backend).
 
 Violations that are understood and accepted live in the tracked allowlist
 (``scripts/fl_lint_allowlist.txt``); everything else fails the build.
@@ -78,8 +75,8 @@ import sys
 import tempfile
 
 CHECK_IDS = (
-    "FL001", "FL002", "FL003", "FL004", "FL005", "FL006", "FL007", "FL008",
-    "FL009", "FL010",
+    "FL001", "FL002", "FL003", "FL004", "FL005", "FL006", "FL008", "FL009",
+    "FL010",
 )
 
 
@@ -185,7 +182,7 @@ def check_unordered_iteration(path: str, code: str) -> list:
     return findings
 
 
-# --------------------------------------------------------------- FL006/FL007
+# --------------------------------------------------------------------- FL006
 
 SEND_CALL = re.compile(r"\bsend\s*\(")
 
@@ -216,32 +213,14 @@ def split_call(code: str, open_paren: int):
 
 def check_send_sites(path: str, code: str) -> list:
     findings = []
-    asserted = set(re.findall(
-        r"stores_inline\s*<\s*(\w+)\s*>|trivially_relocatable\s*<\s*(\w+)\s*>",
-        code))
-    asserted = {a or b for a, b in asserted}
-    seen_types = set()
     for m in SEND_CALL.finditer(code):
         args, _ = split_call(code, m.end() - 1)
-        if args is None or len(args) < 2:
+        if args is None or len(args) < 3 or args[-1].strip() != "0":
             continue
-        line = line_of(code, m.start())
-        if len(args) >= 3 and args[-1].strip() == "0":
-            findings.append(Finding(
-                path, line, "FL006",
-                "literal 0 passed as size_hint_words (a message is never "
-                "0 CONGEST words; the admission pass rejects it)"))
-        tm = re.match(r"\s*([A-Z]\w*)\s*\{", args[1])
-        if tm:
-            t = tm.group(1)
-            if t not in asserted and (path, t) not in seen_types:
-                seen_types.add((path, t))
-                findings.append(Finding(
-                    path, line, "FL007",
-                    f"payload struct '{t}' is sent without a "
-                    f"static_assert(sim::Payload::stores_inline<{t}>) in "
-                    "this file (growth must not silently change words "
-                    "accounting)"))
+        findings.append(Finding(
+            path, line_of(code, m.start()), "FL006",
+            "literal 0 passed as size_hint_words (a message is never "
+            "0 CONGEST words; the admission pass rejects it)"))
     return findings
 
 
@@ -426,11 +405,7 @@ FIXTURES = {
               "#include <functional>\nstd::size_t h(Node* p) {"
               " return std::hash<Node*>{}(p); }\n"),
     "FL006": ("src/fixture_fl006.cpp",
-              "void f(Ctx& ctx) { ctx.send(e, MsgPing{}, 0); }\n"
-              "static_assert(sim::Payload::stores_inline<MsgPing>);\n"),
-    "FL007": ("src/fixture_fl007.cpp",
-              "struct MsgPing { int x; };\n"
-              "void f(Ctx& ctx) { ctx.send(e, MsgPing{1}, 1); }\n"),
+              "void f(Ctx& ctx) { ctx.send(e, MsgPing{}, 0); }\n"),
     "FL008": ("src/fixture_fl008.cpp",
               "#include <vector>\n"
               "std::vector<sim::MessageHeader> headers_;\n"
@@ -459,8 +434,7 @@ CLEAN_FIXTURES = [
     ("src/fixture_clean.cpp",
      "// a compliant protocol file\n"
      "struct MsgPing { int x; };\n"
-     "static_assert(sim::Payload::stores_inline<MsgPing> &&\n"
-     "              sim::Payload::trivially_relocatable<MsgPing>);\n"
+     "static_assert(sim::Payload::trivially_relocatable<MsgPing>);\n"
      "void f(Ctx& ctx) {\n"
      "  for (const EdgeId e : ctx.incident_edges())\n"
      "    ctx.send(e, MsgPing{1}, 1);  // std::rand() in a comment is fine\n"

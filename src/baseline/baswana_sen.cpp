@@ -130,8 +130,7 @@ FL_WIRE_FIELDS(MsgAnnounce, cluster, sampled);
 
 // Θ(m) announces per iteration — the whole point of this baseline — so the
 // payload must relocate with the arena's memcpy fast path.
-static_assert(sim::Payload::stores_inline<MsgAnnounce> &&
-              sim::Payload::trivially_relocatable<MsgAnnounce>);
+static_assert(sim::Payload::trivially_relocatable<MsgAnnounce>);
 
 /// One announce-and-decide super-iteration occupies 2 rounds: (A) everyone
 /// announces over all incident edges, (B) everyone decides locally from the

@@ -32,14 +32,6 @@ struct MsgResult {                 // the leader's spanner, broadcast down
 FL_WIRE_FIELDS(MsgUpcast, edges);
 FL_WIRE_FIELDS(MsgResult, edges);
 
-// Every message of this protocol must ride in the payload's inline buffer
-// (the cast sessions ship shared list heads, not the lists themselves).
-static_assert(sim::Payload::stores_inline<MsgWave>);
-static_assert(sim::Payload::stores_inline<MsgChild>);
-static_assert(sim::Payload::stores_inline<MsgDecline>);
-static_assert(sim::Payload::stores_inline<MsgUpcast>);
-static_assert(sim::Payload::stores_inline<MsgResult>);
-
 /// States: wait wave -> handshake -> wait child upcasts -> upcast -> wait
 /// result -> forward result -> done. The leader (node 0) computes the
 /// spanner when its upcast completes.

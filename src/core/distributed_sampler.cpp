@@ -119,32 +119,17 @@ FL_WIRE_FIELDS(MsgJoin, decision, new_cluster, attach_edge);
 FL_WIRE_FIELDS(MsgDeath, boundary);
 
 // The sampler's whole message budget rides on these structs: queries and
-// replies are the Õ(n^{1+δ+ε}) term, the rest are tree sessions. All of
-// them must fit the payload's inline buffer (list-carrying messages ship a
-// shared_ptr head, never the list), and the pure-control messages must hit
-// the memcpy relocation fast path.
-static_assert(sim::Payload::stores_inline<MsgSetup>);
-static_assert(sim::Payload::stores_inline<MsgGatherUp>);
-static_assert(sim::Payload::stores_inline<MsgBoundary>);
-static_assert(sim::Payload::stores_inline<MsgTrialRate> &&
-              sim::Payload::trivially_relocatable<MsgTrialRate>);
-static_assert(sim::Payload::stores_inline<MsgQuery> &&
-              sim::Payload::trivially_relocatable<MsgQuery>);
-static_assert(sim::Payload::stores_inline<MsgQueryReply>);
-static_assert(sim::Payload::stores_inline<MsgCollectUp>);
-static_assert(sim::Payload::stores_inline<MsgApply>);
-static_assert(sim::Payload::stores_inline<MsgCenterFlood> &&
-              sim::Payload::trivially_relocatable<MsgCenterFlood>);
-static_assert(sim::Payload::stores_inline<MsgCenterQuery> &&
-              sim::Payload::trivially_relocatable<MsgCenterQuery>);
-static_assert(sim::Payload::stores_inline<MsgCenterReply> &&
-              sim::Payload::trivially_relocatable<MsgCenterReply>);
-static_assert(sim::Payload::stores_inline<MsgCenterUp>);
-static_assert(sim::Payload::stores_inline<MsgJoin> &&
-              sim::Payload::trivially_relocatable<MsgJoin>);
-static_assert(sim::Payload::stores_inline<MsgAttach> &&
-              sim::Payload::trivially_relocatable<MsgAttach>);
-static_assert(sim::Payload::stores_inline<MsgDeath>);
+// replies are the Õ(n^{1+δ+ε}) term, the rest are tree sessions. Payload's
+// constructor already keeps every one of them in the inline buffer
+// (list-carrying messages ship a shared_ptr head, never the list); the
+// pure-control messages must also hit the memcpy relocation fast path.
+static_assert(sim::Payload::trivially_relocatable<MsgTrialRate>);
+static_assert(sim::Payload::trivially_relocatable<MsgQuery>);
+static_assert(sim::Payload::trivially_relocatable<MsgCenterFlood>);
+static_assert(sim::Payload::trivially_relocatable<MsgCenterQuery>);
+static_assert(sim::Payload::trivially_relocatable<MsgCenterReply>);
+static_assert(sim::Payload::trivially_relocatable<MsgJoin>);
+static_assert(sim::Payload::trivially_relocatable<MsgAttach>);
 
 // ------------------------------------------------------ helper routines
 

@@ -34,27 +34,6 @@ Graph Graph::Builder::build() && {
   Graph g;
   g.n_ = n_;
   g.edges_ = std::move(edges_);
-  finalize_csr(g);
-  return g;
-}
-
-EdgeId Graph::StreamBuilder::add_edge(NodeId u, NodeId v) {
-  FL_REQUIRE(u < n_ && v < n_, "edge endpoint out of range");
-  FL_REQUIRE(u != v, "self-loops are not allowed in a simple graph");
-  if (u > v) std::swap(u, v);
-  edges_.push_back(Endpoints{u, v});
-  return static_cast<EdgeId>(edges_.size() - 1);
-}
-
-Graph Graph::StreamBuilder::build() && {
-  Graph g;
-  g.n_ = n_;
-  g.edges_ = std::move(edges_);
-  finalize_csr(g);
-  return g;
-}
-
-void Graph::finalize_csr(Graph& g) {
   // Counting sort into CSR form.
   g.offsets_.assign(static_cast<std::size_t>(g.n_) + 1, 0);
   for (const auto& e : g.edges_) {
@@ -79,6 +58,7 @@ void Graph::finalize_csr(Graph& g) {
       return a.to < b.to;
     });
   }
+  return g;
 }
 
 Endpoints Graph::endpoints(EdgeId e) const {

@@ -42,36 +42,6 @@ class Graph {
     std::unordered_set<std::uint64_t> seen_;
   };
 
-  /// Large-scale construction: like Builder but without the duplicate-edge
-  /// hash set, whose ~16 bytes/edge would dominate the footprint of an
-  /// n=10M sparse load. The caller vouches that edges are distinct (range
-  /// and self-loop checks still apply — those are O(1)); feeding a
-  /// duplicate produces a multigraph-shaped incidence, so this builder is
-  /// for trusted bulk sources (generators, the streamed edge-list loader),
-  /// not hand-typed input. Endpoints append straight into the final edge
-  /// array — peak memory is the finished graph plus the CSR scratch,
-  /// never an intermediate copy.
-  class StreamBuilder {
-   public:
-    explicit StreamBuilder(NodeId num_nodes) : n_(num_nodes) {}
-
-    /// Pre-size the edge array when the source announces its edge count,
-    /// sparing the append path its doubling re-moves.
-    void reserve_edges(std::size_t m) { edges_.reserve(m); }
-
-    /// Add an undirected edge {u, v} assumed distinct. Returns its id.
-    EdgeId add_edge(NodeId u, NodeId v);
-
-    NodeId num_nodes() const { return n_; }
-    EdgeId num_edges() const { return static_cast<EdgeId>(edges_.size()); }
-
-    Graph build() &&;
-
-   private:
-    NodeId n_;
-    std::vector<Endpoints> edges_;
-  };
-
   Graph() = default;
 
   NodeId num_nodes() const { return n_; }
@@ -104,13 +74,6 @@ class Graph {
   std::string summary() const;
 
  private:
-  friend class Builder;
-  friend class StreamBuilder;
-
-  /// Shared tail of both builders: counting-sort g.edges_ into the CSR
-  /// incidence array and neighbour-sort each node's slice.
-  static void finalize_csr(Graph& g);
-
   NodeId n_ = 0;
   std::vector<Endpoints> edges_;
   std::vector<std::size_t> offsets_;    // n_ + 1 entries

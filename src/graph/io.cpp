@@ -17,21 +17,19 @@ void write_edge_list(std::ostream& os, const Graph& g) {
   for (const auto& e : g.edges()) os << "e " << e.u << ' ' << e.v << '\n';
 }
 
-namespace {
-
-// The edge-list grammar, shared by both readers. Every line is empty,
-// blank, a '#' comment, or a tag followed by exactly its ids, separated
-// by whitespace: "n <num_nodes>" (once) or "e <u> <v>". An id is a plain
-// unsigned decimal that fits NodeId. A sign, a non-digit suffix, an
-// out-of-range value, a missing or trailing token, an unknown tag or a
-// second 'n' line throws ContractViolation naming the 1-based line.
-// Calls on_n(num_nodes) at the 'n' line and on_e(u, v) per edge, in file
-// order.
-template <typename OnN, typename OnE>
-void parse_edge_list(std::istream& is, OnN&& on_n, OnE&& on_e) {
+// The edge-list grammar. Every line is empty, blank, a '#' comment, or a
+// tag followed by exactly its ids, separated by whitespace:
+// "n <num_nodes>" (once) or "e <u> <v>". An id is a plain unsigned decimal
+// that fits NodeId. A sign, a non-digit suffix, an out-of-range value, a
+// missing or trailing token, an unknown tag or a second 'n' line throws
+// ContractViolation naming the 1-based line. Edges are buffered until the
+// end of input, since the 'n' line may follow them.
+Graph read_edge_list(std::istream& is) {
   std::string line;
   std::size_t lineno = 0;
   bool have_n = false;
+  NodeId n = 0;
+  std::vector<Endpoints> edges;
   while (std::getline(is, line)) {
     ++lineno;
     if (!line.empty() && line[0] == '#') continue;
@@ -56,60 +54,19 @@ void parse_edge_list(std::istream& is, OnN&& on_n, OnE&& on_e) {
       FL_REQUIRE(count == 1, where() + "expected 'n <num_nodes>'");
       FL_REQUIRE(!have_n, where() + "duplicate 'n' line in edge list");
       have_n = true;
-      on_n(id(ids[0]));
+      n = id(ids[0]);
     } else if (tag == "e") {
       FL_REQUIRE(count == 2, where() + "expected 'e <u> <v>'");
       const NodeId u = id(ids[0]);
-      on_e(u, id(ids[1]));
+      edges.push_back({u, id(ids[1])});
     } else {
       FL_REQUIRE(false, where() + "unknown edge-list tag '" + tag + "'");
     }
   }
   FL_REQUIRE(have_n, "edge list missing 'n' line");
-}
-
-}  // namespace
-
-Graph read_edge_list(std::istream& is) {
-  NodeId n = 0;
-  std::vector<Endpoints> edges;
-  parse_edge_list(
-      is, [&](NodeId count) { n = count; },
-      [&](NodeId u, NodeId v) { edges.push_back({u, v}); });
   Graph::Builder b(n);
   for (const auto& e : edges) b.add_edge(e.u, e.v);
   return std::move(b).build();
-}
-
-Graph read_edge_list_streamed(std::istream& is,
-                              const EdgeListStreamOptions& opt) {
-  FL_REQUIRE(opt.chunk_edges >= 1, "stream chunk must hold at least one edge");
-  bool have_n = false;
-  // The builder is constructed lazily at the 'n' line; unique_ptr-free via
-  // a dummy 0-node builder that is replaced (StreamBuilder is movable).
-  Graph::StreamBuilder builder(0);
-  std::vector<Endpoints> chunk;
-  chunk.reserve(opt.chunk_edges);
-  auto flush = [&] {
-    for (const auto& e : chunk) builder.add_edge(e.u, e.v);
-    chunk.clear();  // capacity retained; the reader re-fills in place
-  };
-  parse_edge_list(
-      is,
-      [&](NodeId n) {
-        have_n = true;
-        builder = Graph::StreamBuilder(n);
-        if (opt.reserve_edges > 0) builder.reserve_edges(opt.reserve_edges);
-      },
-      [&](NodeId u, NodeId v) {
-        FL_REQUIRE(have_n,
-                   "streamed edge list needs the 'n' line before the first "
-                   "'e' line");
-        chunk.push_back({u, v});
-        if (chunk.size() >= opt.chunk_edges) flush();
-      });
-  flush();
-  return std::move(builder).build();
 }
 
 void write_dot(std::ostream& os, const Graph& g,

@@ -11,7 +11,7 @@
 // Native execution evaluates it per node (the reference semantics and also
 // the local computation every simulation variant ends with); the metered
 // executions differ only in *how the ball's information reaches v*:
-//   * run_native_messaging(): t rounds of bundled flooding over G —
+//   * run_native() (transformer.hpp): t rounds of bundled flooding over G —
 //     Θ(t·m) messages, the behaviour the paper improves on;
 //   * transformer.hpp: Sampler spanner + αt-radius flooding over H —
 //     Õ(t·n^{1+ε}) messages (Theorem 3).

@@ -28,10 +28,6 @@ struct MsgOrigins {
 // The bundle's content: the origin list and its remaining hop budget.
 FL_WIRE_FIELDS(MsgOrigins, origins, hops_left);
 
-// One MsgOrigins per subset edge per round is the transformer's hot path;
-// the shared list head must stay in the payload's inline buffer.
-static_assert(sim::Payload::stores_inline<MsgOrigins>);
-
 /// Per-node flooding program over a fixed incident edge subset. Each round
 /// a node bundles everything it learned last round into one message per
 /// subset edge — the LOCAL-model accounting of Lemma 12. Forwarding is

@@ -69,17 +69,8 @@ std::vector<std::uint64_t> evaluate_from_collections(
 ExecutionReport run_native(const Graph& g, const LocalAlgorithm& alg,
                            std::uint64_t seed,
                            std::optional<sim::CongestConfig> congest) {
-  const unsigned t = alg.radius(g);
-  const auto broadcast = run_tlocal_broadcast(g, all_edges(g), t, seed, congest);
-  ExecutionReport rep;
-  rep.outputs = evaluate_from_collections(g, alg, t, broadcast.reached);
-  rep.rounds = broadcast.stats.rounds;
-  rep.messages = broadcast.stats.messages;
-  rep.deferrals = broadcast.metrics.deferrals_total;
-  rep.broadcast_messages = broadcast.stats.messages;
-  rep.broadcast_rounds = broadcast.stats.rounds;
-  rep.spanner_edges = g.num_edges();
-  return rep;
+  // G is its own 1-spanner: radius ceil(1.0 * t) = t.
+  return run_over_spanner(g, alg, all_edges(g), 1.0, seed, congest);
 }
 
 ExecutionReport run_over_spanner(const Graph& g, const LocalAlgorithm& alg,

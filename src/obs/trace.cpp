@@ -73,6 +73,11 @@ std::uint64_t sample_rss_kb() {
 #endif
 }
 
+// Span events retained per track (engine + one per lane). Overflow drops
+// the oldest events and counts them (SpanRing::dropped) — a bounded trace
+// of an unbounded run, never an unbounded allocation.
+constexpr std::size_t kRingCapacity = std::size_t{1} << 14;
+
 // Microseconds with nanosecond precision — the trace-event format's `ts`
 // unit. snprintf rather than ostream so locale can never reshape the
 // artifact.
@@ -99,14 +104,13 @@ void append_double(std::string& out, double v) {
 }  // namespace
 
 Tracer::Tracer(TraceConfig cfg) : cfg_(std::move(cfg)) {
-  FL_REQUIRE(cfg_.ring_capacity >= 1, "trace ring capacity must be >= 1");
   // The engine track exists from construction so protocol scopes opened
   // before the execution plan is finalized still have somewhere to land.
-  rings_.emplace_back(cfg_.ring_capacity);
+  rings_.emplace_back(kRingCapacity);
 }
 
 void Tracer::bind_lanes(std::size_t lanes) {
-  while (rings_.size() < 1 + lanes) rings_.emplace_back(cfg_.ring_capacity);
+  while (rings_.size() < 1 + lanes) rings_.emplace_back(kRingCapacity);
   if (lane_busy_scratch_.size() < lanes) lane_busy_scratch_.resize(lanes, 0);
 }
 

@@ -66,10 +66,6 @@ struct TraceConfig {
   /// mode tests use.
   std::string path;
   TraceLevel level = TraceLevel::Spans;
-  /// Span events retained per track (engine + one per lane). Overflow
-  /// drops the oldest events and counts them (SpanRing::dropped) — a
-  /// bounded trace of an unbounded run, never an unbounded allocation.
-  std::size_t ring_capacity = std::size_t{1} << 14;
 };
 
 /// TraceConfig{} (disabled) unless FL_SIM_TRACE is set. Accepted forms:

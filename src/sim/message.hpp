@@ -29,9 +29,11 @@
 // never see the split: `for (const auto& m : inbox)` with `m.edge()` /
 // `payload_as<T>(m)` reads exactly like the old array-of-structs API.
 //
-// Each protocol static_asserts its hot-path payload structs stay inline
-// (Payload::stores_inline), so payload growth is a compile error rather
-// than a silent throughput regression.
+// Payload's constructor accepts only types that fit its inline buffer, so
+// payload growth is a compile error at the send site rather than a silent
+// throughput regression. Hot-path protocols also static_assert
+// Payload::trivially_relocatable on their structs to stay on the memcpy
+// relocation path.
 #pragma once
 
 #include <cstddef>

@@ -47,9 +47,9 @@ class Context {
   /// case delivery may slip to a later round once the edge's words-per-
   /// round limit fills (order per edge stays FIFO). `size_hint_words` is
   /// the message's logical size against that budget and the words metric;
-  /// it is clamped to at least 1 (a message is never free). Any movable
-  /// value converts to Payload; small trivially-copyable structs travel
-  /// allocation-free (see payload.hpp).
+  /// it is clamped to at least 1 (a message is never free). Any value that
+  /// fits Payload's 24-byte inline buffer converts to Payload; a larger,
+  /// over-aligned or throwing-move struct does not compile (payload.hpp).
   void send(graph::EdgeId edge, Payload payload,
             std::uint32_t size_hint_words = 1);
 

@@ -6,17 +6,15 @@
 // plus a heap allocation for anything bigger than one pointer — per move.
 // Payload is designed around the relocation cost instead:
 //
-//   * 24 bytes of inline storage (kInlineSize). Every hot-path payload
-//     struct in the repo fits; protocols static_assert that theirs do, so
-//     payload growth is a compile error, not a silent throughput
-//     regression.
-//   * Trivially-copyable inline payloads relocate with one tag-bit branch
-//     plus a fixed-size memcpy — no vtable, no manager call, no per-type
-//     dispatch. Heap-held payloads relocate the same way (the pointer is
-//     memcpy-safe), so only non-trivially-copyable *inline* types (the
-//     shared_ptr-carrying tree-session structs) pay an indirect call.
-//   * Oversized / over-aligned / throwing-move types fall back to a single
-//     heap allocation, exactly what the old erasure did for them.
+//   * 24 bytes of inline storage (kInlineSize), and nothing else: the
+//     converting constructor only accepts types that fit (stores_inline),
+//     so sending an oversized, over-aligned or throwing-move struct is a
+//     compile error at the send site. The LOCAL model bounds no message
+//     size; protocols ship list-valued content as a shared_ptr head.
+//   * Trivially-copyable payloads relocate with one tag-bit branch plus a
+//     fixed-size memcpy — no vtable, no manager call, no per-type
+//     dispatch. Only non-trivially-copyable types (the shared_ptr-carrying
+//     tree-session structs) pay an indirect call.
 //   * payload_as<T> reports the *expected vs. held* type names on
 //     mismatch (BadPayloadCast) instead of a bare bad-cast.
 //
@@ -48,10 +46,10 @@ namespace detail {
 /// on a move.
 struct PayloadOps {
   /// Move-construct `dst` from `src`, destroying `src`. Null for types
-  /// relocated by memcpy (trivially-copyable inline, heap-held).
+  /// relocated by memcpy (trivially copyable).
   void (*relocate)(void* dst, void* src) noexcept;
-  /// Destroy the value rooted at the storage slot (for heap-held types the
-  /// slot holds the owning pointer). Null when destruction is a no-op.
+  /// Destroy the value in the storage slot. Null when destruction is a
+  /// no-op.
   void (*destroy)(void* slot) noexcept;
   /// For diagnostics only.
   const std::type_info* type;
@@ -96,37 +94,27 @@ class Payload {
   static constexpr std::size_t kInlineSize = 24;
   static constexpr std::size_t kInlineAlign = 8;
 
-  /// True when T is stored in the inline buffer (no allocation on send).
+  /// True when T fits the inline buffer — the only values a Payload
+  /// holds. The converting constructor is constrained on it.
   template <typename T>
   static constexpr bool stores_inline =
       sizeof(T) <= kInlineSize && alignof(T) <= kInlineAlign &&
       std::is_nothrow_move_constructible_v<T>;
 
   /// True when relocating a Payload holding T is a raw memcpy (the arena
-  /// scatter's fast path): trivially-copyable inline values and heap-held
-  /// values (only the owning pointer moves).
+  /// scatter's fast path).
   template <typename T>
   static constexpr bool trivially_relocatable =
-      !stores_inline<T> || std::is_trivially_copyable_v<T>;
+      std::is_trivially_copyable_v<T>;
 
   Payload() noexcept = default;
 
   template <typename V, typename T = std::decay_t<V>,
-            typename = std::enable_if_t<!std::is_same_v<T, Payload>>>
+            typename = std::enable_if_t<!std::is_same_v<T, Payload> &&
+                                        stores_inline<T>>>
   Payload(V&& value) {  // NOLINT(google-explicit-constructor): any-style
-    if constexpr (stores_inline<T>) {
-      ::new (static_cast<void*>(storage_)) T(std::forward<V>(value));
-      bits_ = tag_of<T>();
-    } else {
-      // Heap fallback (oversized / over-aligned / throwing-move types).
-      // `new T` honours extended alignment since C++17; the owning pointer
-      // is stored into the buffer by memcpy because no T* object ever
-      // begins its lifetime there — a reinterpret_cast deref would read
-      // through a pointer type the buffer never held.
-      T* owner = new T(std::forward<V>(value));
-      std::memcpy(storage_, &owner, sizeof(owner));
-      bits_ = tag_of<T>();
-    }
+    ::new (static_cast<void*>(storage_)) T(std::forward<V>(value));
+    bits_ = tag_of<T>();
   }
 
   Payload(Payload&& other) noexcept { steal(other); }
@@ -158,13 +146,7 @@ class Payload {
   template <typename T>
   const T* get_if() const noexcept {
     if (bits_ != tag_of<T>()) return nullptr;
-    if constexpr (stores_inline<T>) {
-      return std::launder(reinterpret_cast<const T*>(storage_));
-    } else {
-      const T* owner;
-      std::memcpy(&owner, storage_, sizeof(owner));
-      return owner;
-    }
+    return std::launder(reinterpret_cast<const T*>(storage_));
   }
 
   template <typename T>
@@ -182,12 +164,11 @@ class Payload {
   // objects are at least 8-aligned). They let the relocation and
   // destruction fast paths branch without dereferencing the ops table.
   static constexpr std::uintptr_t kTrivialBit = 1;  // relocate == memcpy
-  static constexpr std::uintptr_t kHeapBit = 2;     // slot holds owning T*
-  static constexpr std::uintptr_t kDestroyBit = 4;  // destructor non-trivial
-  static constexpr std::uintptr_t kTagMask = kTrivialBit | kHeapBit | kDestroyBit;
-  // The three tag bits ride in the low bits of a PayloadOps address, so
-  // every PayloadOps must sit on an 8-byte boundary. Three pointers make
-  // that true on every sane ABI; this is the proof, not the hope.
+  static constexpr std::uintptr_t kDestroyBit = 2;  // destructor non-trivial
+  static constexpr std::uintptr_t kTagMask = kTrivialBit | kDestroyBit;
+  // The tag bits ride in the low bits of a PayloadOps address, so every
+  // PayloadOps must be aligned past them. Three pointers make that true
+  // on every sane ABI; this is the proof, not the hope.
   static_assert(alignof(detail::PayloadOps) > kTagMask,
                 "PayloadOps alignment must leave the tag bits zero");
 
@@ -198,25 +179,15 @@ class Payload {
       ::new (dst) T(std::move(*s));
       s->~T();
     }
-    static void destroy_inline(void* slot) noexcept {
+    static void destroy(void* slot) noexcept {
       std::launder(reinterpret_cast<T*>(slot))->~T();
-    }
-    static void destroy_heap(void* slot) noexcept {
-      T* owner;
-      std::memcpy(&owner, slot, sizeof(owner));
-      delete owner;
     }
   };
 
   template <typename T>
   static inline const detail::PayloadOps ops_instance = {
-      stores_inline<T> && !std::is_trivially_copyable_v<T>
-          ? &OpsFor<T>::relocate
-          : nullptr,
-      !stores_inline<T>
-          ? &OpsFor<T>::destroy_heap
-          : (std::is_trivially_destructible_v<T> ? nullptr
-                                                 : &OpsFor<T>::destroy_inline),
+      trivially_relocatable<T> ? nullptr : &OpsFor<T>::relocate,
+      std::is_trivially_destructible_v<T> ? nullptr : &OpsFor<T>::destroy,
       &typeid(T)};
 
   /// The ops pointer for T with its category bits, as a single word. Also
@@ -227,8 +198,7 @@ class Payload {
     std::uintptr_t bits =
         reinterpret_cast<std::uintptr_t>(&ops_instance<T>);
     if constexpr (trivially_relocatable<T>) bits |= kTrivialBit;
-    if constexpr (!stores_inline<T>) bits |= kHeapBit | kDestroyBit;
-    else if constexpr (!std::is_trivially_destructible_v<T>) bits |= kDestroyBit;
+    if constexpr (!std::is_trivially_destructible_v<T>) bits |= kDestroyBit;
     return bits;
   }
 
@@ -240,8 +210,8 @@ class Payload {
   void steal(Payload& other) noexcept {
     bits_ = other.bits_;
     if (bits_ & kTrivialBit) {
-      // Fast path: trivially-copyable inline value or heap pointer — one
-      // fixed-size memcpy, no per-type dispatch.
+      // Fast path: trivially-copyable value — one fixed-size memcpy, no
+      // per-type dispatch.
       std::memcpy(storage_, other.storage_, kInlineSize);
     } else if (bits_ != 0) {
       ops()->relocate(storage_, other.storage_);

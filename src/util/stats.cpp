@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "util/assert.hpp"
 
@@ -86,16 +85,6 @@ double geometric_mean(const std::vector<double>& sample) {
     acc += std::log(v);
   }
   return std::exp(acc / static_cast<double>(sample.size()));
-}
-
-std::string format_count(double v) {
-  char buf[64];
-  if (v >= 1e6) {
-    std::snprintf(buf, sizeof(buf), "%.0f (%.2e)", v, v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  }
-  return buf;
 }
 
 }  // namespace fl::util

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace fl::util {
@@ -60,8 +59,5 @@ LineFit fit_loglog(const std::vector<double>& x, const std::vector<double>& y);
 
 /// Geometric mean of positive samples.
 double geometric_mean(const std::vector<double>& sample);
-
-/// Pretty "1234567 (1.23e6)" formatting used in bench tables.
-std::string format_count(double v);
 
 }  // namespace fl::util

@@ -125,8 +125,8 @@ TEST(GraphIo, ReadRejectsGarbage) {
   EXPECT_THROW(read_edge_list(no_n), util::ContractViolation);
   std::stringstream bad_tag("n 2\nx 0 1\n");
   EXPECT_THROW(read_edge_list(bad_tag), util::ContractViolation);
-  // Trailing tokens, non-numeric suffixes, signs and missing ids: both
-  // readers share one line parser, and each rejection names the line.
+  // Trailing tokens, non-numeric suffixes, signs and missing ids: each
+  // rejection names the line.
   const std::pair<const char*, const char*> cases[] = {
       {"n 2\ne 0 1 2\n", "line 2"},    {"n 2\ne 0 1 junk\n", "line 2"},
       {"n 3x\n", "line 1"},            {"n -1\n", "line 1"},
@@ -134,15 +134,13 @@ TEST(GraphIo, ReadRejectsGarbage) {
       {"# c\nn 2\ne 0\n", "line 3"}, {"n 2\nn 2\n", "line 2"},
   };
   for (const auto& [text, line] : cases) {
-    for (const bool streamed : {false, true}) {
-      std::stringstream is(text);
-      try {
-        (void)(streamed ? read_edge_list_streamed(is) : read_edge_list(is));
-        ADD_FAILURE() << "accepted \"" << text << "\" streamed=" << streamed;
-      } catch (const util::ContractViolation& e) {
-        EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
-            << e.what();
-      }
+    std::stringstream is(text);
+    try {
+      (void)read_edge_list(is);
+      ADD_FAILURE() << "accepted \"" << text << "\"";
+    } catch (const util::ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
     }
   }
 }

@@ -1,19 +1,13 @@
 // Tests for the structure-of-arrays message storage (sim/message.hpp) and
 // the engine guarantees built on it: sticky plane capacity, zero-allocation
-// steady-state rounds (LOCAL and budgeted), arena reuse across stop/resume
-// with carry queues, and the out-of-core edge-list loader's equivalence to
-// the in-memory builder.
+// steady-state rounds (LOCAL and budgeted), and arena reuse across
+// stop/resume with carry queues.
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "graph/io.hpp"
 #include "sim/network.hpp"
-#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace fl::sim {
@@ -258,80 +252,6 @@ TEST(PlaneReuse, RunIsBitIdenticalAcrossThreadsAndBudgets) {
             << "threads=" << threads;
       }
     }
-  }
-}
-
-// ------------------------------------------------- out-of-core loader
-
-TEST(StreamedLoader, RoundTripsIdenticallyToInMemoryReader) {
-  util::Xoshiro256 rng(5);
-  const Graph g = graph::erdos_renyi_gnm(300, 1200, rng);
-  std::ostringstream os;
-  graph::write_edge_list(os, g);
-  const std::string text = os.str();
-
-  std::istringstream in_mem(text);
-  const Graph a = graph::read_edge_list(in_mem);
-  // A tiny chunk forces many builder flushes — the path a 10M-edge file
-  // takes, shrunk to test size.
-  std::istringstream in_stream(text);
-  graph::EdgeListStreamOptions opt;
-  opt.chunk_edges = 7;
-  opt.reserve_edges = g.num_edges();
-  const Graph b = graph::read_edge_list_streamed(in_stream, opt);
-
-  ASSERT_EQ(a.num_nodes(), b.num_nodes());
-  ASSERT_EQ(a.num_edges(), b.num_edges());
-  for (EdgeId e = 0; e < a.num_edges(); ++e) {
-    EXPECT_EQ(a.endpoints(e).u, b.endpoints(e).u);
-    EXPECT_EQ(a.endpoints(e).v, b.endpoints(e).v);
-  }
-  for (NodeId v = 0; v < a.num_nodes(); ++v) {
-    const auto ia = a.incident(v);
-    const auto ib = b.incident(v);
-    ASSERT_EQ(ia.size(), ib.size()) << "node " << v;
-    for (std::size_t i = 0; i < ia.size(); ++i) {
-      EXPECT_EQ(ia[i].to, ib[i].to);
-      EXPECT_EQ(ia[i].edge, ib[i].edge);
-    }
-  }
-}
-
-TEST(StreamedLoader, StreamBuilderMatchesBuilderCsr) {
-  util::Xoshiro256 rng(6);
-  const Graph via_builder = graph::random_tree(128, rng);
-  Graph::StreamBuilder sb(via_builder.num_nodes());
-  sb.reserve_edges(via_builder.num_edges());
-  for (const auto& e : via_builder.edges()) sb.add_edge(e.u, e.v);
-  const Graph via_stream = std::move(sb).build();
-  ASSERT_EQ(via_stream.num_edges(), via_builder.num_edges());
-  for (NodeId v = 0; v < via_builder.num_nodes(); ++v) {
-    const auto ia = via_builder.incident(v);
-    const auto ib = via_stream.incident(v);
-    ASSERT_EQ(ia.size(), ib.size());
-    for (std::size_t i = 0; i < ia.size(); ++i) {
-      EXPECT_EQ(ia[i].to, ib[i].to);
-      EXPECT_EQ(ia[i].edge, ib[i].edge);
-    }
-  }
-}
-
-TEST(StreamedLoader, RequiresNodeCountBeforeEdges) {
-  std::istringstream is("e 0 1\nn 4\n");
-  EXPECT_THROW((void)graph::read_edge_list_streamed(is),
-               util::ContractViolation);
-}
-
-TEST(StreamedLoader, RejectsRangeAndSelfLoopLikeTheBuilder) {
-  {
-    std::istringstream is("n 4\ne 0 4\n");
-    EXPECT_THROW((void)graph::read_edge_list_streamed(is),
-                 util::ContractViolation);
-  }
-  {
-    std::istringstream is("n 4\ne 2 2\n");
-    EXPECT_THROW((void)graph::read_edge_list_streamed(is),
-                 util::ContractViolation);
   }
 }
 
