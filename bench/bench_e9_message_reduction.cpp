@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   // delivery schedule); what the budget changes is the round bill, and
   // the spanner path pays it on 2|S| edge-channels instead of 2m.
   if (congest_section) {
-    const sim::CongestConfig budget{8, sim::CongestPolicy::Defer};
+    const sim::CongestConfig budget{8};
     util::Table table({"payload", "t", "native rounds (LOCAL)",
                        "native rounds (budget)", "reduced rounds (LOCAL)",
                        "reduced rounds (budget)", "native deferrals",

@@ -42,15 +42,15 @@ linter, so this pass checks them directly over ``src/``:
                           would make wall-clock an input again, undoing
                           everything FL002 protects.
   FL010 schedule-length   code under src/ outside core/distributed_sampler.*
-                          consumes Schedule::total_rounds. Under
-                          event-driven phase barriers (CONTRACTS.md C13) the
-                          slack-stretched timetable length is a provisioning
-                          *model* — the run advances on the network-silence
-                          fact and may finish in far fewer (or, mid-phase,
-                          more) rounds — so sizing a loop, cap, or buffer
-                          from total_rounds outside the sampler driver
-                          silently re-couples callers to the retired fixed
-                          schedule.
+                          consumes Schedule::total_rounds. The paper's
+                          timetable length is the run length only in plain
+                          LOCAL; under an enforced budget the sampler runs
+                          event-driven phase barriers (CONTRACTS.md C13)
+                          and advances on the network-silence fact, so it
+                          may finish in far fewer (or, mid-phase, more)
+                          rounds. Sizing a loop, cap, or buffer from
+                          total_rounds outside the sampler driver silently
+                          couples callers to the LOCAL-only timetable.
 
 Retired IDs, never reused: FL007 (payload-assert, which required a
 static_assert(Payload::stores_inline<T>) beside every braced send — the
@@ -277,8 +277,8 @@ def check_obs_feedback(path: str, code: str) -> list:
 # --------------------------------------------------------------------- FL010
 
 # The sampler driver and its Schedule definition are the one legal consumer:
-# the driver derives the *fixed-mode* stall cap and the provisioned-rounds
-# baseline for barrier_rounds_saved from the timetable length.
+# the driver derives the LOCAL (fixed-timetable) stall cap from the
+# timetable length.
 FL010_EXEMPT = re.compile(r"(?:^|/)src/core/distributed_sampler\.[a-z]+$")
 FL010_TOKEN = re.compile(r"\btotal_rounds\b")
 
@@ -450,7 +450,7 @@ CLEAN_FIXTURES = [
      "  const obs::SpanScope span(trace, obs::SpanKind::StepLane, s, round);\n"
      "}\n"),
     # FL010's carve-out: the sampler driver is the one legal consumer of
-    # the timetable length (fixed-mode stall cap, provisioned baseline).
+    # the timetable length (the LOCAL fixed-timetable stall cap).
     ("src/core/distributed_sampler.cpp",
      "std::size_t fixed_cap(const Schedule& s) {\n"
      "  return s.total_rounds + 4;\n"

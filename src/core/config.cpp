@@ -91,7 +91,6 @@ void SamplerConfig::validate(std::size_t n) const {
   FL_REQUIRE(static_cast<double>(k) <=
                  std::max(1.0, std::log2(std::max(2.0, logn)) + 1.0),
              "Sampler needs k <= log log n (+1 slack)");
-  FL_REQUIRE(schedule_slack >= 1, "Sampler needs schedule_slack >= 1");
   FL_REQUIRE(!congest.has_value() ||
                  congest->words_per_edge_per_round >= 1,
              "Sampler congest budget must be >= 1 word");
@@ -101,21 +100,16 @@ std::string SamplerConfig::describe() const {
   char buf[320];
   char congest_buf[64] = "";
   if (congest.has_value() && congest->enforced()) {
-    std::snprintf(congest_buf, sizeof(congest_buf), " congest=%llu:%s",
+    std::snprintf(congest_buf, sizeof(congest_buf), " congest=%llu",
                   static_cast<unsigned long long>(
-                      congest->words_per_edge_per_round),
-                  congest->policy == sim::CongestPolicy::Strict ? "strict"
-                                                                : "defer");
+                      congest->words_per_edge_per_round));
   }
-  const char* barrier_names[] = {"auto", "fixed", "event"};
   std::snprintf(buf, sizeof(buf),
                 "Sampler(k=%u h=%u c=%.2f delta=%.4f eps=%.4f stretch<=%.0f "
-                "log_exp=[%.1f,%.1f]%s%s%s barriers=%s slack=%u)",
+                "log_exp=[%.1f,%.1f]%s%s%s)",
                 k, h, c, delta(), epsilon(), stretch_bound(), log_exp_budget,
                 log_exp_trial, force_light_completion ? " +force_light" : "",
-                peel_parallel_edges ? "" : " -peeling", congest_buf,
-                barrier_names[static_cast<unsigned>(barriers)],
-                schedule_slack);
+                peel_parallel_edges ? "" : " -peeling", congest_buf);
   return buf;
 }
 

@@ -151,10 +151,10 @@ struct RootLevelRecord {
 
 class SamplerNode final : public sim::NodeProgram {
  public:
-  /// `adaptive` selects the resolved barrier mode (the driver folds
-  /// BarrierMode::Auto against the network's effective CONGEST config):
-  /// false = the fixed PhaseSpec::start/length timetable, true =
-  /// event-driven barriers (advance on Context::network_silent()).
+  /// `adaptive` selects the phase barrier (the driver derives it from the
+  /// network's effective CONGEST config): false = the fixed
+  /// PhaseSpec::start/length timetable, true = event-driven barriers
+  /// (advance on Context::network_silent()).
   SamplerNode(NodeId self, std::shared_ptr<const Schedule> schedule,
               const SamplerConfig& cfg, double n0, bool adaptive)
       : self_(self),
@@ -880,16 +880,8 @@ class SamplerNode final : public sim::NodeProgram {
 Schedule Schedule::build(const SamplerConfig& cfg) {
   Schedule sched;
   std::size_t round = 0;
-  // schedule_slack stretches every window uniformly (slack = 1 is the
-  // paper's exact timetable). Under a finite CONGEST budget a message is
-  // delayed by up to ceil(words / budget) rounds per hop, so a slack of
-  // that magnitude keeps flood/echo sessions inside their phase windows;
-  // zero-length windows (level 0 runs locally) stay zero.
-  const std::size_t slack = cfg.schedule_slack;
   auto push = [&](PhaseSpec::Kind kind, unsigned level, int trial,
                   std::size_t len) {
-    sched.base_rounds += len;
-    len *= slack;
     sched.phases.push_back(PhaseSpec{kind, level, trial, round, len});
     round += len;
   };
@@ -930,14 +922,11 @@ DistributedSpannerRun run_distributed_sampler(const graph::Graph& g,
 
   sim::Network net(g, cfg.seed);
   if (cfg.congest.has_value()) net.set_congest(*cfg.congest);
-  // Resolve BarrierMode::Auto against the network's *effective* CONGEST
-  // config — cfg.congest when set, else the FL_SIM_CONGEST env probe — so
-  // the sampler is correct at any budget the environment imposes while
-  // plain LOCAL runs keep the paper's timetable (and their golden round
-  // counts) byte-stable.
-  const bool adaptive =
-      cfg.barriers == BarrierMode::EventDriven ||
-      (cfg.barriers == BarrierMode::Auto && net.congest().enforced());
+  // The network's *effective* CONGEST config — cfg.congest when set, else
+  // the FL_SIM_CONGEST env probe — picks the barrier, so the sampler is
+  // correct at any budget the environment imposes while plain LOCAL runs
+  // keep the paper's timetable (and their golden round counts) byte-stable.
+  const bool adaptive = net.congest().enforced();
   net.install([&](NodeId v) {
     return std::make_unique<SamplerNode>(v, schedule, cfg, n0, adaptive);
   });
@@ -949,8 +938,8 @@ DistributedSpannerRun run_distributed_sampler(const graph::Graph& g,
   //   * adaptive — every silent round consumes at least one phase, so the
   //     run stalls at most once per phase;
   //   * fixed timetable — logical rounds advance one per round and every
-  //     silent round is a timetable round, so the slack-stretched length
-  //     bounds them.
+  //     silent round is a timetable round, so the timetable length bounds
+  //     them.
   // The +4 covers run start/finish framing (the on_start round, the final
   // quiesce probe).
   const std::size_t stall_cap = adaptive ? schedule->phases.size() + 4
@@ -963,18 +952,6 @@ DistributedSpannerRun run_distributed_sampler(const graph::Graph& g,
   FL_REQUIRE(run.stats.terminated,
              "distributed sampler did not terminate within its schedule");
   run.metrics = net.metrics();
-  if (adaptive && net.congest().enforced()) {
-    // Model field: rounds the event-driven barrier saved against the fixed
-    // timetable a slack-provisioned run would have booked. The slack is
-    // derived the way the old E6d table derived it — the worst-case
-    // per-hop deferral of the largest message, plus one framing round.
-    const std::uint64_t budget = net.congest().words_per_edge_per_round;
-    const std::uint64_t slack =
-        (2 * run.metrics.max_message_words + budget - 1) / budget + 1;
-    const std::uint64_t provisioned = schedule->base_rounds * slack;
-    run.metrics.barrier_rounds_saved =
-        provisioned > run.stats.rounds ? provisioned - run.stats.rounds : 0;
-  }
 
   // Extract the spanner (union of per-node marks) and per-level records.
   std::vector<bool> in_spanner(g.num_edges(), false);

@@ -73,16 +73,13 @@ struct PhaseSpec {
 
 /// The full timetable for a (k, h) configuration. Identical at every node.
 ///
-/// Under BarrierMode::FixedSchedule the start/length windows are the
-/// execution plan. Under event-driven barriers only the phase *sequence*
-/// matters — a phase ends on the first silent round (Context::
-/// network_silent) instead of at start + length — and the windows survive
-/// purely as the provisioned-rounds baseline for
-/// sim::Metrics::barrier_rounds_saved.
+/// In plain LOCAL the start/length windows are the execution plan — the
+/// paper's timetable. Under an enforced CONGEST budget only the phase
+/// *sequence* matters: a phase ends on the first silent round (Context::
+/// network_silent) instead of at start + length.
 struct Schedule {
   std::vector<PhaseSpec> phases;
-  std::size_t total_rounds = 0;  ///< slack-stretched timetable length
-  std::size_t base_rounds = 0;   ///< unstretched (schedule_slack = 1) length
+  std::size_t total_rounds = 0;  ///< the paper's timetable length
 
   static Schedule build(const SamplerConfig& cfg);
 };

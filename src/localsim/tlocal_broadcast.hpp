@@ -39,7 +39,7 @@ struct BroadcastRun {
 /// Flood origin ids for `rounds` rounds over the subgraph given by `edges`
 /// (pass all edge ids for G itself). Every node is an origin. `congest`
 /// overrides the network's bandwidth budget (default: the FL_SIM_CONGEST
-/// environment probe, else unlimited); with a finite Defer budget the run
+/// environment probe, else unlimited); with a finite budget the run
 /// takes more rounds but reaches the same sets.
 ///
 /// `dedup_reforward` controls the budget-improvement optimisation: a batch

@@ -42,7 +42,7 @@ struct ExecutionReport {
 /// Native LOCAL execution: t rounds of bundled flooding over G, then local
 /// evaluation. Θ(t·m) messages — the baseline being improved. `congest`
 /// overrides the broadcast network's bandwidth budget (default: the
-/// FL_SIM_CONGEST probe, else unlimited); a finite Defer budget stretches
+/// FL_SIM_CONGEST probe, else unlimited); a finite budget stretches
 /// the reported rounds without changing the outputs.
 ExecutionReport run_native(const graph::Graph& g, const LocalAlgorithm& alg,
                            std::uint64_t seed,

@@ -1,7 +1,6 @@
 #include "sim/congest.hpp"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "util/assert.hpp"
 
@@ -21,20 +20,8 @@ CongestConfig default_congest_config() {
              "FL_SIM_CONGEST must start with a positive word budget");
   FL_REQUIRE(words < CongestConfig::kUnlimited,
              "FL_SIM_CONGEST budget out of range");
+  FL_REQUIRE(*end == '\0', "FL_SIM_CONGEST must be '<words>'");
   cfg.words_per_edge_per_round = words;
-  if (*end == ':') {
-    ++end;
-    if (std::strcmp(end, "strict") == 0) {
-      cfg.policy = CongestPolicy::Strict;
-    } else {
-      FL_REQUIRE(std::strcmp(end, "defer") == 0,
-                 "FL_SIM_CONGEST policy must be 'defer' or 'strict'");
-      cfg.policy = CongestPolicy::Defer;
-    }
-  } else {
-    FL_REQUIRE(*end == '\0',
-               "FL_SIM_CONGEST must be '<words>' or '<words>:<policy>'");
-  }
   return cfg;
 }
 

@@ -186,14 +186,12 @@ std::uint64_t Network::congest_admit() {
   //     ceil(K / B) rounds instead of livelocking;
   //   * a message is admitted iff the edge still has capacity >= its
   //     words and no earlier message was deferred this round (FIFO: once
-  //     one message on the edge waits, everything behind it waits);
-  //   * under Strict nothing ever waits — the first overflow throws.
+  //     one message on the edge waits, everything behind it waits).
   //
   // Three steps mirror the offsets pass: decide (chunk-parallel, all
   // state destination-owned), prefix chunk totals (sequential O(S)),
   // relocate into a fresh arena + rewrite offsets (chunk-parallel).
   const std::uint64_t budget = congest_.words_per_edge_per_round;
-  const bool strict = congest_.policy == CongestPolicy::Strict;
   const std::uint64_t stamp = round_ + 1;  // this round; never the 0 init
   auto decide = [&](unsigned c) {
     LaneScope scope(check_.get(), c, EnginePhase::Admit);
@@ -205,8 +203,7 @@ std::uint64_t Network::congest_admit() {
     chunk.admitted.clear();
     chunk.carry_next.clear();
     // The budget decision reads only the 16-byte header; the payload is
-    // moved once, wherever the message lands (admitted or carried). The
-    // Strict throw reads the payload type, but that path never returns.
+    // moved once, wherever the message lands (admitted or carried).
     auto consider = [&](const MessageHeader& h, Payload& p) {
       const std::size_t key = 2 * static_cast<std::size_t>(h.edge) +
                               (h.to > h.from ? 1 : 0);
@@ -226,21 +223,6 @@ std::uint64_t Network::congest_admit() {
         st.remaining -= w;
         chunk.admitted.push_back(h, std::move(p));
         return;
-      }
-      if (strict) {
-        const std::type_info* held = p.type();
-        throw CongestViolation(
-            "CONGEST budget exceeded: edge " + std::to_string(h.edge) +
-                " (" + std::to_string(h.from) + " -> " +
-                std::to_string(h.to) + ") would carry " +
-                std::to_string(budget - st.remaining + w) + " words in round " +
-                std::to_string(round_) + " (budget " +
-                std::to_string(budget) +
-                " words/edge/round); offending payload: " +
-                (held == nullptr ? std::string("<empty>")
-                                 : detail::type_name(*held)),
-            h.edge, h.from, h.to, round_, budget - st.remaining + w,
-            budget);
       }
       st.blocked = true;
       ++chunk.deferred_events;

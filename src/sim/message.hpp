@@ -8,8 +8,8 @@
 // (clamped to >= 1 at enqueue — every message costs at least one word),
 // and CONGEST-style comparisons are *enforced*, not just possible: under
 // a finite sim::CongestConfig budget the merge barrier meters these hints
-// against a per-directed-edge words-per-round limit, deferring (or, in
-// Strict mode, rejecting) the overflow — see sim/congest.hpp.
+// against a per-directed-edge words-per-round limit, deferring the
+// overflow to later rounds — see sim/congest.hpp.
 //
 // Plane layout. A message is two records in two parallel arrays:
 //

@@ -34,17 +34,9 @@ struct Metrics {
   /// in the bench JSON next to deferrals.
   std::uint64_t carry_peak = 0;
   /// Largest single self-reported message size seen so far — the smallest
-  /// per-edge budget under which no message is individually oversized
-  /// (CongestPolicy::Strict's floor, and the scale for schedule slack).
+  /// per-edge budget under which no message needs more than one round to
+  /// cross its edge.
   std::uint64_t max_message_words = 0;
-  /// Rounds an event-driven phase barrier saved against the fixed
-  /// slack-stretched timetable: provisioned rounds (the unstretched
-  /// schedule times the deferral-derived slack) minus the rounds actually
-  /// run, clamped at 0. A *model* field (bit-identical across thread
-  /// counts), but filled by the protocol driver after the run — the
-  /// engine knows nothing about timetables — and 0 whenever no adaptive
-  /// barrier was active (LOCAL mode, BarrierMode::FixedSchedule).
-  std::uint64_t barrier_rounds_saved = 0;
   std::vector<std::uint64_t> messages_per_round;
   std::vector<std::uint64_t> messages_per_node;  ///< sent, indexed by node
 

@@ -138,8 +138,8 @@ void Network::debug_touch_node(graph::NodeId v, unsigned as_lane) {
 
 void Network::set_congest(CongestConfig congest) {
   FL_REQUIRE(!started_, "cannot change the congest budget after the run started");
-  // A 0-word budget could never admit anything: Defer would carry forever
-  // and Strict would reject the first send. kUnlimited means LOCAL.
+  // A 0-word budget could never admit anything: the carry queues would
+  // never drain. kUnlimited means LOCAL.
   FL_REQUIRE(congest.words_per_edge_per_round >= 1,
              "congest budget must be at least 1 word per edge per round");
   congest_ = congest;

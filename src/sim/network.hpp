@@ -22,11 +22,11 @@
 //
 // With an enforced CongestConfig (congest.hpp) the merge grows a fourth
 // step: an admission pass over the freshly merged arena that meters words
-// per directed edge per round and defers (or, under Strict, rejects) the
-// overflow. The pass is chunk-parallel over the destination shards — a
-// directed edge delivers to exactly one node, so its budget tally and
-// carry queue belong to exactly one chunk — and preserves the engine's
-// bit-determinism across thread counts.
+// per directed edge per round and defers the overflow to later rounds. The
+// pass is chunk-parallel over the destination shards — a directed edge
+// delivers to exactly one node, so its budget tally and carry queue belong
+// to exactly one chunk — and preserves the engine's bit-determinism across
+// thread counts.
 //
 // The merge + admission machinery is the Network's own, in its own
 // translation unit (sim/delivery.cpp); the storage it works on is
@@ -114,9 +114,8 @@ class Network {
 
   /// CONGEST bandwidth budget (defaults to FL_SIM_CONGEST, else unlimited
   /// = plain LOCAL); only legal before the first round. With a finite
-  /// budget, Defer stretches the round schedule (carry queues at the merge
-  /// barrier) and Strict throws CongestViolation on the first over-budget
-  /// edge-round. Results stay bit-identical across thread counts for any
+  /// budget the round schedule stretches (carry queues at the merge
+  /// barrier). Results stay bit-identical across thread counts for any
   /// fixed config.
   void set_congest(CongestConfig congest);
   CongestConfig congest() const { return congest_; }
@@ -133,6 +132,11 @@ class Network {
   /// every FL_SIM_THREADS and any FL_SIM_CONGEST value, and is stable for
   /// the whole step phase (it only mutates at the next merge). Programs
   /// read it through Context::network_silent().
+  ///
+  /// Oracle-assisted: silence is a *global* fact about the whole network
+  /// that no real node can observe locally, so round counts of protocols
+  /// that advance on it (the sampler under a CONGEST budget, contract C13)
+  /// are oracle-assisted, not the cost of a deployable barrier.
   bool round_silent() const {
     return delivered_last_round_ == 0 && carry_total_ == 0;
   }
@@ -297,7 +301,7 @@ class Network {
   std::vector<std::uint32_t> arena_offsets_;  // size n + 1
   std::vector<std::uint64_t> chunk_weight_;   // offsets scratch, size S
 
-  // CONGEST admission state (congest.hpp): the policy, per-directed-edge
+  // CONGEST admission state (congest.hpp): the budget, per-directed-edge
   // budget tallies and per-chunk carry / admitted planes, all
   // destination-owned so the pass parallelizes with no shared writes.
   // None of it is sized in LOCAL mode.

@@ -71,7 +71,9 @@ class Context {
   /// output, identical for every node in the round and bit-identical at
   /// any thread count or CONGEST budget; stable for the whole step phase.
   /// Phase-scheduled protocols advance their logical phase on silence
-  /// instead of counting provisioned rounds.
+  /// instead of counting provisioned rounds. An oracle: no real node can
+  /// observe global silence, so round counts that rest on it are
+  /// oracle-assisted (contract C13).
   bool network_silent() const;
 
  private:

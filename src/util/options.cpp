@@ -1,11 +1,29 @@
 #include "util/options.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/assert.hpp"
 
 namespace fl::util {
+namespace {
+
+// strtoll/strtod read "" as 0 and clamp an out-of-range value to the type's
+// limit (flagging ERANGE), so a whole-text parse must reject both cases
+// explicitly.
+std::int64_t parse_int(const std::string& name, const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  FL_REQUIRE(!text.empty() && *end == '\0',
+             "option --" + name + " expects an integer, got '" + text + "'");
+  FL_REQUIRE(errno != ERANGE,
+             "option --" + name + ": integer out of range '" + text + "'");
+  return v;
+}
+
+}  // namespace
 
 Options::Options(int argc, const char* const* argv) {
   FL_REQUIRE(argc >= 1, "argv must contain the program name");
@@ -40,20 +58,19 @@ std::int64_t Options::get_int(const std::string& name,
                               std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  FL_REQUIRE(end && *end == '\0',
-             "option --" + name + " expects an integer, got '" + it->second + "'");
-  return v;
+  return parse_int(name, it->second);
 }
 
 double Options::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
+  errno = 0;
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
-  FL_REQUIRE(end && *end == '\0',
+  FL_REQUIRE(!it->second.empty() && *end == '\0',
              "option --" + name + " expects a number, got '" + it->second + "'");
+  FL_REQUIRE(errno != ERANGE, "option --" + name + ": number out of range '" +
+                                  it->second + "'");
   return v;
 }
 
@@ -77,10 +94,7 @@ std::vector<std::int64_t> Options::get_int_list(
   for (std::size_t i = 0; i <= s.size(); ++i) {
     if (i == s.size() || s[i] == ',') {
       FL_REQUIRE(!token.empty(), "option --" + name + ": empty list element");
-      char* end = nullptr;
-      out.push_back(std::strtoll(token.c_str(), &end, 10));
-      FL_REQUIRE(end && *end == '\0',
-                 "option --" + name + ": bad integer '" + token + "'");
+      out.push_back(parse_int(name, token));
       token.clear();
     } else {
       token += s[i];

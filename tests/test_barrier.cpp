@@ -1,4 +1,5 @@
-// Event-driven phase barriers (BarrierMode::EventDriven).
+// Event-driven phase barriers — what the sampler runs whenever its
+// network's effective CONGEST budget is enforced.
 //
 // The barrier is the merge-barrier silence predicate
 // (Network::round_silent, surfaced as Context::network_silent): a phase
@@ -7,8 +8,10 @@
 // that makes it usable (docs/CONTRACTS.md C13):
 //   * bit-identical delivery at every FL_SIM_THREADS, for binding and
 //     never-binding budgets, across graph families;
-//   * spanner output and message counts identical to the fixed timetable
+//   * spanner output and message counts identical to the LOCAL timetable
 //     (the barrier changes *when* phases start, never what they do);
+//   * the budget alone picks the barrier, whether it arrives through the
+//     FL_SIM_CONGEST probe or through SamplerConfig::congest;
 //   * the predicate survives stop/resume mid-phase with live carry queues;
 //   * observational tooling (FL_SIM_CHECK, FL_SIM_TRACE / contract C12)
 //     stays neutral with the barrier active.
@@ -28,7 +31,6 @@
 namespace fl {
 namespace {
 
-using core::BarrierMode;
 using core::SamplerConfig;
 using graph::EdgeId;
 using graph::Graph;
@@ -57,15 +59,7 @@ Graph family_graph(const std::string& family) {
 
 SamplerConfig barrier_cfg(std::uint64_t budget) {
   auto cfg = SamplerConfig::bench_profile(2, 2, 7);
-  if (budget == 0) {
-    // Budget 0 spells "plain LOCAL, pinned" (a 0-word budget would never
-    // deliver anything): the barrier still runs, every round is silent or
-    // draining exactly as in a budgeted run, with no admission pass.
-    cfg.congest = sim::CongestConfig{};
-  } else {
-    cfg.congest = sim::CongestConfig{budget, sim::CongestPolicy::Defer};
-  }
-  cfg.barriers = BarrierMode::EventDriven;
+  cfg.congest = sim::CongestConfig{budget};
   return cfg;
 }
 
@@ -73,8 +67,7 @@ TEST(Barrier, BitIdenticalAcrossThreadsBudgetsAndFamilies) {
   for (const char* family : {"dense", "sparse", "skewed"}) {
     const Graph g = family_graph(family);
     for (const std::uint64_t budget :
-         {std::uint64_t{0}, std::uint64_t{2}, std::uint64_t{8},
-          std::uint64_t{1000000000}}) {
+         {std::uint64_t{2}, std::uint64_t{8}, std::uint64_t{1000000000}}) {
       const auto cfg = barrier_cfg(budget);
       core::DistributedSpannerRun base;
       for (const unsigned threads : {1u, 2u, 8u}) {
@@ -97,9 +90,6 @@ TEST(Barrier, BitIdenticalAcrossThreadsBudgetsAndFamilies) {
             << at;
         EXPECT_EQ(run.metrics.deferrals_total, base.metrics.deferrals_total)
             << at;
-        EXPECT_EQ(run.metrics.barrier_rounds_saved,
-                  base.metrics.barrier_rounds_saved)
-            << at;
       }
     }
   }
@@ -108,19 +98,18 @@ TEST(Barrier, BitIdenticalAcrossThreadsBudgetsAndFamilies) {
 TEST(Barrier, AdaptiveMatchesFixedTimetableOutputs) {
   // The barrier only re-times phase starts; every send is drawn from the
   // same phase-indexed RNG streams, so spanner edges, message counts and
-  // the role breakdown must be bit-identical to the fixed timetable — in
-  // plain LOCAL mode and at a never-binding budget (where the fixed
-  // timetable is also correct). Only rounds may differ.
+  // the role breakdown must be bit-identical to the fixed timetable of
+  // the plain LOCAL run — at a binding and at a never-binding budget.
+  // Only rounds may differ.
   util::Xoshiro256 rng(31);
   const Graph g = graph::erdos_renyi_gnm(96, 700, rng);
 
   auto fixed_local = SamplerConfig::bench_profile(2, 2, 11);
   fixed_local.congest = sim::CongestConfig{};
-  fixed_local.barriers = BarrierMode::FixedSchedule;
   const auto want = core::run_distributed_sampler(g, fixed_local);
 
-  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{8},
-                                     std::uint64_t{1000000000}}) {
+  for (const std::uint64_t budget :
+       {std::uint64_t{8}, std::uint64_t{1000000000}}) {
     auto cfg = barrier_cfg(budget);
     cfg.seed = 11;
     const auto run = core::run_distributed_sampler(g, cfg);
@@ -188,7 +177,7 @@ TEST(Barrier, SurvivesStopResumeMidPhaseWithLiveCarry) {
   // per-run bookkeeping, so a pause must not perturb it.
   const Graph g = graph::star(12);
   const unsigned phases = 3;
-  const sim::CongestConfig budget{2, sim::CongestPolicy::Defer};
+  const sim::CongestConfig budget{2};
 
   sim::Network full(g, 5);
   full.set_congest(budget);
@@ -256,33 +245,27 @@ TEST(Barrier, TracingNeutralWithBarrierActive) {
   EXPECT_EQ(traced.stats.messages, plain.stats.messages);
   EXPECT_EQ(traced.metrics.messages_per_round,
             plain.metrics.messages_per_round);
-  EXPECT_EQ(traced.metrics.barrier_rounds_saved,
-            plain.metrics.barrier_rounds_saved);
 }
 
-TEST(Barrier, AdaptiveBeatsSlackStretchedTimetable) {
-  // The headline: under a binding budget the event-driven run takes
-  // strictly fewer rounds than the fixed timetable stretched by the slack
-  // the old E6d table derived (ceil(2 * max_words / budget) + 1).
+TEST(Barrier, EnvBudgetPicksTheSameBarrierAsConfigBudget) {
+  // The effective budget alone picks the barrier: a budget inherited from
+  // the FL_SIM_CONGEST probe (cfg.congest unset) and the same budget set
+  // on the config must run the same event-driven sampler.
   util::Xoshiro256 rng(43);
   const Graph g = graph::erdos_renyi_gnm(64, 256, rng);
-
-  auto adaptive = barrier_cfg(8);
-  const auto fast = core::run_distributed_sampler(g, adaptive);
-  ASSERT_TRUE(fast.stats.terminated);
-  EXPECT_GT(fast.metrics.barrier_rounds_saved, 0u);
-
-  auto fixed = SamplerConfig::bench_profile(2, 2, 7);
-  fixed.congest = sim::CongestConfig{8, sim::CongestPolicy::Defer};
-  fixed.barriers = BarrierMode::FixedSchedule;
-  fixed.schedule_slack = static_cast<unsigned>(
-      (2 * fast.metrics.max_message_words + 7) / 8 + 1);
-  const auto slow = core::run_distributed_sampler(g, fixed);
-  ASSERT_TRUE(slow.stats.terminated);
-
-  EXPECT_LT(fast.stats.rounds, slow.stats.rounds);
-  EXPECT_EQ(fast.edges, slow.edges)
-      << "both modes must produce the same spanner";
+  auto cfg = SamplerConfig::bench_profile(2, 2, 7);
+  core::DistributedSpannerRun from_env;
+  {
+    const EnvGuard env("FL_SIM_CONGEST", "8");
+    from_env = core::run_distributed_sampler(g, cfg);
+  }
+  cfg.congest = sim::CongestConfig{8};
+  const auto from_cfg = core::run_distributed_sampler(g, cfg);
+  ASSERT_TRUE(from_env.stats.terminated);
+  ASSERT_TRUE(from_cfg.stats.terminated);
+  EXPECT_EQ(from_env.edges, from_cfg.edges);
+  EXPECT_EQ(from_env.stats.rounds, from_cfg.stats.rounds);
+  EXPECT_EQ(from_env.stats.messages, from_cfg.stats.messages);
 }
 
 }  // namespace

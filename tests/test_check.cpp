@@ -71,7 +71,7 @@ std::uint64_t run_digest(unsigned threads, bool check, bool budget) {
   Network net(g, /*seed=*/7);
   net.set_parallelism(threads);
   net.set_check(check);
-  if (budget) net.set_congest({4, CongestPolicy::Defer});
+  if (budget) net.set_congest({4});
   net.install_all<Chatter>(4u);
   const RunStats stats = net.run_until_drained(64);
   EXPECT_TRUE(stats.terminated);
@@ -215,7 +215,7 @@ TEST(CheckViolations, OutOfPhaseCarryMutationCaughtAtOneAndEightLanes) {
     Network net(g, 7);
     net.set_parallelism(threads);
     net.set_check(true);
-    net.set_congest({1000000000, CongestPolicy::Defer});  // chunks exist
+    net.set_congest({1000000000});  // chunks exist
     net.install_all<Chatter>(4u);
     net.set_check_probe([](Network& n, unsigned lane) {
       if (lane != 0) return;

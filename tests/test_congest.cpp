@@ -1,8 +1,8 @@
 // Tests for the CONGEST bandwidth-budget engine (sim/congest.hpp): the
-// FL_SIM_CONGEST probe, budget validation, Defer's carry-queue semantics
+// FL_SIM_CONGEST probe, budget validation, the carry-queue semantics
 // (FIFO per directed edge, ceil(K/B)-round crossings, stretched-but-
-// complete schedules), Strict's diagnostics, bit-determinism of budgeted
-// runs across thread counts and balance modes, and the words-accounting
+// complete schedules), bit-determinism of budgeted runs across thread
+// counts and balance modes, and the words-accounting
 // fixes the budget engine depends on (minimum one word per message,
 // pre-run sends).
 #include <gtest/gtest.h>
@@ -12,8 +12,6 @@
 #include <tuple>
 #include <vector>
 
-#include "core/config.hpp"
-#include "core/distributed_sampler.hpp"
 #include "graph/generators.hpp"
 #include "localsim/tlocal_broadcast.hpp"
 #include "sim/network.hpp"
@@ -25,14 +23,6 @@ namespace {
 using graph::EdgeId;
 using graph::Graph;
 using graph::NodeId;
-
-CongestConfig defer(std::uint64_t words) {
-  return CongestConfig{words, CongestPolicy::Defer};
-}
-
-CongestConfig strict_budget(std::uint64_t words) {
-  return CongestConfig{words, CongestPolicy::Strict};
-}
 
 // ------------------------------------------------------- config plumbing
 
@@ -48,15 +38,12 @@ TEST(CongestConfig, EnvProbeParsesBudgetAndPolicy) {
   CongestConfig cfg = default_congest_config();
   EXPECT_TRUE(cfg.enforced());
   EXPECT_EQ(cfg.words_per_edge_per_round, 64u);
-  EXPECT_EQ(cfg.policy, CongestPolicy::Defer);
 
+  // The format is the bare word count; a policy suffix is rejected.
   setenv("FL_SIM_CONGEST", "8:strict", 1);
-  cfg = default_congest_config();
-  EXPECT_EQ(cfg.words_per_edge_per_round, 8u);
-  EXPECT_EQ(cfg.policy, CongestPolicy::Strict);
-
+  EXPECT_THROW(default_congest_config(), util::ContractViolation);
   setenv("FL_SIM_CONGEST", "8:defer", 1);
-  EXPECT_EQ(default_congest_config().policy, CongestPolicy::Defer);
+  EXPECT_THROW(default_congest_config(), util::ContractViolation);
 
   setenv("FL_SIM_CONGEST", "0", 1);
   EXPECT_THROW(default_congest_config(), util::ContractViolation);
@@ -70,19 +57,18 @@ TEST(CongestConfig, EnvProbeParsesBudgetAndPolicy) {
 
 TEST(CongestConfig, NetworkPicksUpTheEnvironmentDefault) {
   const Graph g = graph::path(2);
-  setenv("FL_SIM_CONGEST", "16:strict", 1);
+  setenv("FL_SIM_CONGEST", "16", 1);
   Network net(g, 1);
   unsetenv("FL_SIM_CONGEST");
   EXPECT_TRUE(net.congest().enforced());
   EXPECT_EQ(net.congest().words_per_edge_per_round, 16u);
-  EXPECT_EQ(net.congest().policy, CongestPolicy::Strict);
 }
 
 TEST(CongestConfig, SetCongestValidation) {
   const Graph g = graph::ring(4);
   Network net(g, 1);
-  EXPECT_THROW(net.set_congest(defer(0)), util::ContractViolation);
-  net.set_congest(defer(4));
+  EXPECT_THROW(net.set_congest(CongestConfig{0}), util::ContractViolation);
+  net.set_congest(CongestConfig{4});
   EXPECT_EQ(net.congest().words_per_edge_per_round, 4u);
   net.install([](NodeId) {
     class P final : public NodeProgram {
@@ -94,7 +80,7 @@ TEST(CongestConfig, SetCongestValidation) {
     return std::make_unique<P>();
   });
   net.run(5);
-  EXPECT_THROW(net.set_congest(defer(8)), util::ContractViolation);
+  EXPECT_THROW(net.set_congest(CongestConfig{8}), util::ContractViolation);
 }
 
 // -------------------------------------------------- words accounting fixes
@@ -152,7 +138,7 @@ TEST(CongestWords, PreRunSendsLandInWordsTotal) {
   }
 }
 
-// ----------------------------------------------------------- Defer policy
+// ---------------------------------------------------- carry-queue deferral
 
 /// Node 0 sends `count` messages of `words` words each over the single
 /// edge in round 0; node 1 logs (arrival round, payload).
@@ -186,7 +172,7 @@ TEST(CongestDefer, CarryDrainsInFifoOrderOneMessagePerRound) {
   // the carry queue preserves send order while the schedule stretches.
   const Graph g = graph::path(2);
   Network net(g, 1);
-  net.set_congest(defer(2));
+  net.set_congest(CongestConfig{2});
   net.install_all<WordBurst>(4u, std::uint32_t{2});
   const RunStats stats = net.run(50);
   EXPECT_TRUE(stats.terminated);
@@ -207,7 +193,7 @@ TEST(CongestDefer, OversizedMessageCrossesInCeilWordsOverBudgetRounds) {
   // ceil(10/3) = 4 instead of livelocking.
   const Graph g = graph::path(2);
   Network net(g, 1);
-  net.set_congest(defer(3));
+  net.set_congest(CongestConfig{3});
   net.install_all<WordBurst>(1u, std::uint32_t{10});
   const RunStats stats = net.run(50);
   EXPECT_TRUE(stats.terminated);
@@ -233,7 +219,7 @@ TEST(CongestDefer, StrictlyMoreRoundsOnOverBudgetWorkload) {
                       net.metrics().deferrals_total};
   };
   const auto local = run_once(CongestConfig{});
-  const auto budgeted = run_once(defer(4));
+  const auto budgeted = run_once(CongestConfig{4});
   EXPECT_GT(std::get<0>(budgeted), std::get<0>(local));
   EXPECT_EQ(std::get<1>(budgeted), std::get<1>(local));
   EXPECT_EQ(std::get<2>(budgeted), std::get<2>(local));
@@ -247,7 +233,7 @@ TEST(CongestDefer, RunCanStopAndResumeWithCarryPending) {
   // run() call must drain it.
   const Graph g = graph::path(2);
   Network net(g, 1);
-  net.set_congest(defer(1));
+  net.set_congest(CongestConfig{1});
   net.install_all<WordBurst>(6u, std::uint32_t{1});
   const RunStats mid = net.run(3);
   EXPECT_FALSE(mid.terminated);
@@ -257,67 +243,6 @@ TEST(CongestDefer, RunCanStopAndResumeWithCarryPending) {
   EXPECT_EQ(net.carried_messages(), 0u);
   EXPECT_EQ(done.messages, 6u);
   EXPECT_EQ(net.program_as<WordBurst>(1).got.size(), 6u);
-}
-
-// ---------------------------------------------------------- Strict policy
-
-TEST(CongestStrict, ThrowsWithEdgeRoundAndPayloadDiagnostics) {
-  const Graph g = graph::path(2);
-  Network net(g, 1);
-  net.set_congest(strict_budget(4));
-  net.install_all<WordBurst>(2u, std::uint32_t{3});  // 6 words > 4
-  try {
-    net.run(5);
-    FAIL() << "expected CongestViolation";
-  } catch (const CongestViolation& v) {
-    EXPECT_EQ(v.edge, 0u);
-    EXPECT_EQ(v.from, 0u);
-    EXPECT_EQ(v.to, 1u);
-    EXPECT_EQ(v.round, 0u);
-    EXPECT_EQ(v.words, 6u);
-    EXPECT_EQ(v.budget, 4u);
-    const std::string what = v.what();
-    EXPECT_NE(what.find("edge 0"), std::string::npos) << what;
-    EXPECT_NE(what.find("round 0"), std::string::npos) << what;
-    EXPECT_NE(what.find("unsigned int"), std::string::npos)
-        << "payload type missing from: " << what;
-  }
-}
-
-TEST(CongestStrict, SingleOversizedMessageIsAViolation) {
-  // Strict is a compliance check, not a scheduler: a message that could
-  // never fit any round's budget fails even alone on its edge.
-  const Graph g = graph::path(2);
-  Network net(g, 1);
-  net.set_congest(strict_budget(4));
-  net.install_all<WordBurst>(1u, std::uint32_t{5});
-  EXPECT_THROW(net.run(5), CongestViolation);
-}
-
-TEST(CongestStrict, CompliantTrafficRunsToCompletionUnchanged) {
-  const Graph g = graph::star(5);
-  auto run_once = [&](CongestConfig congest) {
-    Network net(g, 3);
-    net.set_congest(congest);
-    net.install_all<WordBurst>(2u, std::uint32_t{2});
-    const RunStats stats = net.run(50);
-    EXPECT_TRUE(stats.terminated);
-    return std::tuple{stats.rounds, stats.messages,
-                      net.program_as<WordBurst>(1).got};
-  };
-  EXPECT_EQ(run_once(CongestConfig{}), run_once(strict_budget(4)));
-}
-
-TEST(CongestStrict, ViolationSurfacesFromWorkerLanes) {
-  // The offending destination lives in a high shard; the admission pass
-  // runs on a worker thread there, and the pool must rethrow.
-  util::Xoshiro256 rng(8);
-  const Graph g = graph::random_tree(40, rng);
-  Network net(g, 1);
-  net.set_parallelism(8);
-  net.set_congest(strict_budget(1));
-  net.install_all<WordBurst>(3u, std::uint32_t{1});  // 3 words > 1 per edge
-  EXPECT_THROW(net.run(5), CongestViolation);
 }
 
 // --------------------------------------- determinism across thread counts
@@ -392,7 +317,7 @@ void expect_identical(const ChatterResult& a, const ChatterResult& b) {
 
 TEST(CongestDeterminism, DeferBitIdenticalAcrossThreadCountsOnEveryFamily) {
   // The acceptance matrix: dense, sparse and skewed families under a
-  // binding Defer budget, at 1, 2 and 8 lanes — RunStats, Metrics
+  // binding budget, at 1, 2 and 8 lanes — RunStats, Metrics
   // (deferrals included) and every per-node delivery log must be
   // bit-identical, exactly like the unbudgeted engine.
   util::Xoshiro256 dense_rng(123), sparse_rng(124), skew_rng(125);
@@ -400,11 +325,11 @@ TEST(CongestDeterminism, DeferBitIdenticalAcrossThreadCountsOnEveryFamily) {
   const Graph sparse = graph::random_tree(101, sparse_rng);
   const Graph skewed = graph::barabasi_albert(90, 6, skew_rng);
   for (const Graph* g : {&dense, &sparse, &skewed}) {
-    const auto seq = run_word_chatter(*g, 1, defer(3));
+    const auto seq = run_word_chatter(*g, 1, CongestConfig{3});
     EXPECT_GT(seq.stats.messages, 0u);
     EXPECT_GT(seq.metrics.deferrals_total, 0u);  // the budget must bind
     for (const unsigned threads : {2u, 8u})
-      expect_identical(seq, run_word_chatter(*g, threads, defer(3)));
+      expect_identical(seq, run_word_chatter(*g, threads, CongestConfig{3}));
   }
 }
 
@@ -416,7 +341,8 @@ TEST(CongestDeterminism, NeverBindingBudgetMatchesLocalBitForBit) {
   util::Xoshiro256 rng(123);
   const Graph g = graph::erdos_renyi_gnm(97, 400, rng);
   const auto local = run_word_chatter(g, 1, CongestConfig{});
-  const auto huge = run_word_chatter(g, 1, defer(std::uint64_t{1} << 40));
+  const auto huge =
+      run_word_chatter(g, 1, CongestConfig{std::uint64_t{1} << 40});
   expect_identical(local, huge);
   EXPECT_EQ(huge.metrics.deferrals_total, 0u);
 }
@@ -432,7 +358,7 @@ TEST(CongestProtocols, BroadcastReachesSameSetsWithMoreRounds) {
   const auto edges = localsim::all_edges(g);
   const auto local = localsim::run_tlocal_broadcast(g, edges, 3, 9);
   const auto budgeted =
-      localsim::run_tlocal_broadcast(g, edges, 3, 9, defer(2));
+      localsim::run_tlocal_broadcast(g, edges, 3, 9, CongestConfig{2});
   EXPECT_EQ(local.reached, budgeted.reached);
   EXPECT_GT(budgeted.stats.rounds, local.stats.rounds);
   EXPECT_GE(budgeted.stats.messages, local.stats.messages);
@@ -450,9 +376,9 @@ TEST(CongestProtocols, BroadcastReforwardDedupSavesWordsKeepsCoverage) {
   const Graph g = graph::erdos_renyi_gnm(60, 180, rng);
   const auto edges = localsim::all_edges(g);
   const auto dedup =
-      localsim::run_tlocal_broadcast(g, edges, 4, 9, defer(1));
+      localsim::run_tlocal_broadcast(g, edges, 4, 9, CongestConfig{1});
   const auto full = localsim::run_tlocal_broadcast(
-      g, edges, 4, 9, defer(1), /*dedup_reforward=*/false);
+      g, edges, 4, 9, CongestConfig{1}, /*dedup_reforward=*/false);
   EXPECT_GT(full.metrics.deferrals_total, 0u);  // the budget binds
   EXPECT_EQ(dedup.reached, full.reached);
   EXPECT_LT(dedup.metrics.words_total, full.metrics.words_total);
@@ -482,7 +408,8 @@ TEST(CongestProtocols, BroadcastBudgetedRunIsThreadCountInvariant) {
     } else {
       setenv("FL_SIM_THREADS", std::to_string(threads).c_str(), 1);
     }
-    auto run = localsim::run_tlocal_broadcast(g, edges, 3, 9, defer(2));
+    auto run =
+        localsim::run_tlocal_broadcast(g, edges, 3, 9, CongestConfig{2});
     unsetenv("FL_SIM_THREADS");
     return run;
   };
@@ -490,46 +417,6 @@ TEST(CongestProtocols, BroadcastBudgetedRunIsThreadCountInvariant) {
   for (const unsigned threads : {2u, 8u}) {
     const auto par = run_with_threads(threads);
     EXPECT_EQ(seq.reached, par.reached);
-    EXPECT_EQ(seq.stats.rounds, par.stats.rounds);
-    EXPECT_EQ(seq.stats.messages, par.stats.messages);
-    EXPECT_EQ(seq.metrics.deferrals_total, par.metrics.deferrals_total);
-  }
-}
-
-TEST(CongestProtocols, SamplerRunsBudgetedWithScheduleSlack) {
-  // The fixed timetable assumes LOCAL delivery; with a finite budget plus
-  // proportional schedule slack (BarrierMode::FixedSchedule — the
-  // compatibility path; event-driven barriers are covered by
-  // tests/test_barrier.cpp) the run must still terminate, take strictly
-  // more rounds than its LOCAL twin, and stay deterministic across thread
-  // counts. Both runs pin their congest config explicitly so the test
-  // means the same thing under any ambient FL_SIM_CONGEST.
-  util::Xoshiro256 rng(5);
-  const Graph g = graph::erdos_renyi_gnm(64, 256, rng);
-  auto cfg = core::SamplerConfig::bench_profile(2, 2, 7);
-
-  cfg.congest = sim::CongestConfig{};  // plain LOCAL baseline
-  const auto local = core::run_distributed_sampler(g, cfg);
-
-  cfg.congest = defer(8);
-  cfg.barriers = core::BarrierMode::FixedSchedule;
-  cfg.schedule_slack = 4;
-  auto run_with_threads = [&](unsigned threads) {
-    if (threads == 1) {
-      unsetenv("FL_SIM_THREADS");
-    } else {
-      setenv("FL_SIM_THREADS", std::to_string(threads).c_str(), 1);
-    }
-    auto run = core::run_distributed_sampler(g, cfg);
-    unsetenv("FL_SIM_THREADS");
-    return run;
-  };
-  const auto seq = run_with_threads(1);
-  EXPECT_GT(seq.stats.rounds, local.stats.rounds);
-  EXPECT_FALSE(seq.edges.empty());
-  for (const unsigned threads : {2u, 8u}) {
-    const auto par = run_with_threads(threads);
-    EXPECT_EQ(seq.edges, par.edges);
     EXPECT_EQ(seq.stats.rounds, par.stats.rounds);
     EXPECT_EQ(seq.stats.messages, par.stats.messages);
     EXPECT_EQ(seq.metrics.deferrals_total, par.metrics.deferrals_total);

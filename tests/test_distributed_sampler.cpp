@@ -260,7 +260,7 @@ std::uint64_t sampler_output_hash(const core::DistributedSpannerRun& run) {
 TEST(DistributedSamplerGolden, OutputsMatchPinnedHashes) {
   using graph::Family;
   const sim::CongestConfig local{};
-  const sim::CongestConfig budget8{8, sim::CongestPolicy::Defer};
+  const sim::CongestConfig budget8{8};
   const SamplerGoldenPoint points[] = {
       {Family::ErdosRenyi, 256, 48, 3, 2, 2, 17, local, 0x48c9ecfd76517738ull},
       {Family::Complete, 128, 0, 1, 2, 3, 29, local, 0x4f85d606a8495168ull},

@@ -170,7 +170,7 @@ TEST(PlaneReuse, SteadyStateBudgetedRoundsAllocateNothing) {
   // plus a round-0 burst the budget can never catch up on: every round
   // defers one message per directed edge into the carry queue and admits
   // one out of it — a true steady state with the carry path *active*.
-  net.set_congest({1, CongestPolicy::Defer});
+  net.set_congest({1});
   net.install_all<Flood>(16u, 1u, /*burst=*/true);
   net.step(4);
   const std::uint64_t warm = net.debug_plane_allocations();
@@ -198,7 +198,7 @@ TEST(PlaneReuse, StopResumeWithCarryQueuesMatchesUninterruptedRun) {
 
   // Reference: one uninterrupted budgeted run.
   Network full(g, 3);
-  full.set_congest({budget, CongestPolicy::Defer});
+  full.set_congest({budget});
   full.install_all<Flood>(rounds, 3u);  // 3 words vs 1-word budget: backlog
   const RunStats want = full.run_until_drained(64);
   ASSERT_TRUE(want.terminated);
@@ -206,7 +206,7 @@ TEST(PlaneReuse, StopResumeWithCarryQueuesMatchesUninterruptedRun) {
   // Same run stopped mid-backlog (carry queues non-empty) and resumed: the
   // carry planes must survive the pause intact and keep their storage.
   Network half(g, 3);
-  half.set_congest({budget, CongestPolicy::Defer});
+  half.set_congest({budget});
   half.install_all<Flood>(rounds, 3u);
   RunStats stats = half.run(4);
   ASSERT_FALSE(stats.terminated);
@@ -233,7 +233,7 @@ TEST(PlaneReuse, RunIsBitIdenticalAcrossThreadsAndBudgets) {
     for (const unsigned threads : {1u, 2u, 8u}) {
       Network net(g, 11);
       net.set_parallelism(threads);
-      if (budget > 0) net.set_congest({budget, CongestPolicy::Defer});
+      if (budget > 0) net.set_congest({budget});
       net.install_all<Flood>(6u);
       const RunStats stats = net.run_until_drained(64);
       ASSERT_TRUE(stats.terminated);

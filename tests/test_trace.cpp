@@ -152,8 +152,7 @@ TEST(TraceNeutrality, ProfileModelFieldsThreadInvariant) {
     Network net(g, 5);
     net.set_parallelism(threads);
     if (congest)
-      net.set_congest({.words_per_edge_per_round = 2,
-                       .policy = sim::CongestPolicy::Defer});
+      net.set_congest({.words_per_edge_per_round = 2});
     net.set_trace(collect_only(level));
     net.install_all<PartitionProbe>(6u);
     (void)net.run(200);

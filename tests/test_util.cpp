@@ -210,6 +210,18 @@ TEST(Options, RejectsMalformedInput) {
   const char* bad2[] = {"prog", "--n", "abc"};
   Options opt(3, bad2);
   EXPECT_THROW(opt.get_int("n", 0), ContractViolation);
+  // An empty value is not 0, and an out-of-range one does not clamp.
+  const char* empty[] = {"prog", "--seed=", "--x=", "--ns="};
+  const Options blank(4, empty);
+  EXPECT_THROW(blank.get_int("seed", 1), ContractViolation);
+  EXPECT_THROW(blank.get_double("x", 1.0), ContractViolation);
+  EXPECT_THROW(blank.get_int_list("ns", {1}), ContractViolation);
+  const char* huge[] = {"prog", "--big=99999999999999999999", "--x=1e999",
+                        "--ns=4,99999999999999999999"};
+  const Options range(4, huge);
+  EXPECT_THROW(range.get_int("big", 1), ContractViolation);
+  EXPECT_THROW(range.get_double("x", 1.0), ContractViolation);
+  EXPECT_THROW(range.get_int_list("ns", {1}), ContractViolation);
   const char* typo[] = {"prog", "--quick", "--capcity"};
   const Options named(3, typo);
   EXPECT_NO_THROW(named.reject_unknown({"quick", "capcity"}));
