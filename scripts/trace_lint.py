@@ -17,7 +17,9 @@ Two artifact kinds, distinguished by filename:
   *.jsonl       Round-profile dump: one flat JSON object per line — the
                 per-round rows first (each with the model fields round /
                 messages / words / deferrals / carry_depth, rounds strictly
-                ascending, busy_ns a list), then histogram lines (each with
+                ascending, deferrals == carry_depth — a round's deferrals
+                are the messages still parked after it — busy_ns a list),
+                then histogram lines (each with
                 "histogram", "count", and a "buckets" list whose entries
                 carry lo <= hi and n >= 1).
 
@@ -158,6 +160,12 @@ def lint_profile_jsonl(path: Path, problems: list) -> None:
                 f"{path.name} line {i}: round {obj['round']} does not "
                 f"ascend past {prev_round}")
         prev_round = obj["round"]
+        if obj["deferrals"] != obj["carry_depth"]:
+            problems.append(
+                f"{path.name} line {i}: round {obj['round']} has "
+                f"deferrals {obj['deferrals']} != carry_depth "
+                f"{obj['carry_depth']} (every parked message is deferred "
+                f"by the round it is parked after)")
         busy = obj.get("busy_ns")
         if not isinstance(busy, list) or not all(
                 isinstance(b, int) and b >= 0 for b in busy):

@@ -209,7 +209,7 @@ class SamplerNode final : public sim::NodeProgram {
     // Step 2: execute phase-start actions that are due.
     if (adaptive_) {
       // Event-driven barrier: a phase ends on the first *silent* round —
-      // nothing delivered, nothing parked in a carry queue. Every send in
+      // nothing delivered, nothing parked by the budget. Every send in
       // this protocol is either a phase-start action or an immediate
       // reaction to a delivery, so a phase's traffic is a chain of
       // consecutive delivery rounds and silence proves the chain (and

@@ -149,6 +149,8 @@ struct RoundProfile {
   std::uint64_t messages = 0;     ///< delivered this round
   std::uint64_t words = 0;        ///< words sent this round
   std::uint64_t deferrals = 0;    ///< congest deferral events this round
+                                  ///< (== carry_depth: each parked
+                                  ///< message was deferred by it)
   std::uint64_t carry_depth = 0;  ///< carried messages after admission
 
   // -- engine diagnostics: deterministic for a fixed configuration but

@@ -10,8 +10,8 @@
 //     the step phase;
 //   * phasing — the merge-barrier structures are mutated only in their
 //     designated phase: SendLane counts/cursors and the arena in the merge
-//     phase, per-directed-edge budget tallies and the congest carry queues
-//     in the admission phase.
+//     phase, per-directed-edge budget state and the congest calendars in
+//     the admission phase.
 //
 // OwnershipChecker turns both contracts into *logical* assertions: each
 // engine phase binds (checker, lane, phase) into a thread-local scope, and
@@ -46,7 +46,7 @@ namespace fl::sim {
 enum class EnginePhase : std::uint8_t {
   Step,   ///< lanes step their shards' nodes (sends happen here)
   Merge,  ///< lane outboxes relocate into the delivery arena
-  Admit,  ///< CONGEST admission: budget tallies + carry queues
+  Admit,  ///< CONGEST admission: budget state + calendars
 };
 
 const char* phase_name(EnginePhase phase);
@@ -100,12 +100,13 @@ class OwnershipChecker {
   void touch_merge_dest(graph::NodeId v, const char* what) const;
 
   /// Assert the calling thread's bound chunk owns destination v and is in
-  /// the admission phase (per-directed-edge budget tallies, carry queues,
-  /// admitted buffers). No-op outside a scope.
+  /// the admission phase (per-directed-edge budget state, admitted
+  /// buffers). No-op outside a scope.
   void touch_admit_dest(graph::NodeId v, const char* what) const;
 
   /// Assert the calling thread is bound to chunk `chunk` in the admission
-  /// phase before mutating its carry queue. No-op outside a scope.
+  /// phase before mutating its calendar (the parked, "carried" messages).
+  /// No-op outside a scope.
   void touch_carry(unsigned chunk, const char* what) const;
 
  private:

@@ -1,11 +1,11 @@
 // The merge barrier: how one round's sends become the next round's
 // inboxes. The storage it works on (the double-buffered arena, the
-// CONGEST carry queues and budget tallies) is documented on Network's
+// CONGEST calendars and per-edge budget state) is documented on Network's
 // private delivery members (network.hpp).
 #include "sim/network.hpp"
 
-#include <algorithm>
 #include <limits>
+#include <string>
 
 #include "util/assert.hpp"
 
@@ -13,16 +13,28 @@ namespace fl::sim {
 
 using graph::NodeId;
 
+namespace {
+
+// Per-directed-edge state index: 2e + (to > from).
+std::size_t directed_edge(const MessageHeader& h) {
+  return 2 * static_cast<std::size_t>(h.edge) + (h.to > h.from ? 1 : 0);
+}
+
+}  // namespace
+
 void Network::plan_delivery() {
   chunk_weight_.assign(shards_.size(), 0);
   if (congest_.enforced()) {
-    // Budget state is per *directed* edge (index 2e + direction); carry
-    // queues and admitted buffers are per destination shard. None of it
-    // exists in LOCAL mode, which keeps the unbudgeted engine untouched.
-    congest_edges_.assign(2 * static_cast<std::size_t>(graph_->num_edges()),
-                          EdgeBudgetState{});
+    // Budget state is per *directed* edge (index 2e + direction);
+    // calendars and admitted buffers are per destination shard. None of
+    // it exists in LOCAL mode, which keeps the unbudgeted engine
+    // untouched.
+    const std::size_t directed =
+        2 * static_cast<std::size_t>(graph_->num_edges());
+    congest_edges_.assign(directed, EdgeBudgetState{});
     congest_chunks_.resize(shards_.size());
     congest_counts_.assign(graph_->num_nodes(), 0);
+    if (trace_) congest_occupancy_.assign(directed, 0);
   }
 }
 
@@ -31,21 +43,10 @@ InboxView Network::inbox_span(NodeId v) const {
   return arena_.range(arena_offsets_[v], arena_offsets_[v + 1]);
 }
 
-std::uint64_t Network::max_carried_words() const {
-  std::uint64_t max_words = 0;
-  for (const auto& chunk : congest_chunks_)
-    for (std::size_t i = 0; i < chunk.carry.size(); ++i)
-      max_words = std::max<std::uint64_t>(
-          max_words, chunk.carry.header(i).size_hint_words);
-  return max_words;
-}
-
 std::uint64_t Network::debug_plane_allocations() const {
   std::uint64_t total = arena_.allocations() + arena_next_.allocations();
-  for (const auto& chunk : congest_chunks_) {
-    total += chunk.carry.allocations() + chunk.carry_next.allocations() +
-             chunk.admitted.allocations();
-  }
+  for (const auto& chunk : congest_chunks_)
+    total += chunk.slab.allocations() + chunk.admitted.allocations();
   for (const auto& lane : lanes_) total += lane.outbox.allocations();
   return total;
 }
@@ -53,9 +54,59 @@ std::uint64_t Network::debug_plane_allocations() const {
 void Network::debug_mutate_carry(unsigned chunk) {
   FL_REQUIRE(chunk < congest_chunks_.size(), "carry chunk out of range");
   if (check_) check_->touch_carry(chunk, "carry queue");
-  // Harmless when legally reached: the queue's contents are untouched.
-  auto& q = congest_chunks_[chunk].carry_next;
-  q.reserve(q.size());
+  // Harmless when legally reached: the parked messages are untouched.
+  auto& slab = congest_chunks_[chunk].slab;
+  slab.reserve(slab.size());
+}
+
+void Network::CongestChunk::file(std::uint64_t round, std::uint64_t due,
+                                 const MessageHeader& h, Payload&& p) {
+  if (due - round >= ring.size()) {
+    // Re-home every bucket into a ring that spans the new horizon. A
+    // bucket holds exactly one due round (all pending rounds lie within
+    // one ring length of `round`), read off its head.
+    std::size_t size = ring.size();
+    while (due - round >= size) size *= 2;
+    std::vector<Bucket> grown(size);
+    for (const Bucket& b : ring)
+      if (b.head != kNil) grown[due_round[b.head] & (size - 1)] = b;
+    ring.swap(grown);
+  }
+  std::uint32_t slot = free_head;
+  if (slot != kNil) {
+    free_head = next[slot];
+    slab.header(slot) = h;
+    slab.payload(slot) = std::move(p);
+    due_round[slot] = due;
+    next[slot] = kNil;
+  } else {
+    FL_REQUIRE(slab.size() < kNil, "calendar slab overflows 32-bit slots");
+    slot = static_cast<std::uint32_t>(slab.size());
+    slab.push_back(h, std::move(p));
+    due_round.push_back(due);
+    next.push_back(kNil);
+  }
+  Bucket& b = ring[due & (ring.size() - 1)];
+  if (b.head == kNil) {
+    b.head = slot;
+  } else {
+    next[b.tail] = slot;
+  }
+  b.tail = slot;
+  ++parked;
+}
+
+void Network::CongestChunk::recount(std::uint32_t& on_edge,
+                                    std::uint32_t count) {
+  if (on_edge > 0) --edges_at_occupancy[on_edge];
+  if (count > 0) {
+    if (count >= edges_at_occupancy.size())
+      edges_at_occupancy.resize(count + 1, 0);
+    ++edges_at_occupancy[count];
+  }
+  on_edge = count;
+  while (!edges_at_occupancy.empty() && edges_at_occupancy.back() == 0)
+    edges_at_occupancy.pop_back();
 }
 
 std::uint64_t Network::merge_barrier() {
@@ -174,25 +225,31 @@ void Network::merge_lanes(std::uint64_t total) {
 }
 
 std::uint64_t Network::congest_admit() {
-  // The CONGEST admission pass (congest.hpp). Candidates for node v this
-  // round are its chunk's carried messages for v (FIFO, from earlier
-  // rounds) followed by v's freshly merged arena segment; both orders are
-  // bit-identical across thread counts, so admission is too. Per directed
-  // edge the rule is a B-words-per-round FIFO channel:
+  // The CONGEST admission pass (congest.hpp). Per directed edge the rule
+  // is a B-words-per-round FIFO channel that banks unused capacity while
+  // blocked, so a K-word message crosses in ceil(K / B) rounds. That rule
+  // has a closed form: with the edge's tail (its last queued message)
+  // admitted in round a with `leftover` capacity to spare, a fresh
+  // w-word message reaching admission in round r starts from
   //
-  //   * on the edge's first touch of a round its capacity is B, plus the
-  //     capacity it banked while blocked in the immediately preceding
-  //     round(s) — that is what lets one K-word message cross in
-  //     ceil(K / B) rounds instead of livelocking;
-  //   * a message is admitted iff the edge still has capacity >= its
-  //     words and no earlier message was deferred this round (FIFO: once
-  //     one message on the edge waits, everything behind it waits).
+  //   (start, cap) = a >= r ? (a, leftover) : (r, B)
   //
-  // Three steps mirror the offsets pass: decide (chunk-parallel, all
-  // state destination-owned), prefix chunk totals (sequential O(S)),
-  // relocate into a fresh arena + rewrite offsets (chunk-parallel).
+  // (a FIFO waits for its tail; capacity left over in a round is usable
+  // only in that round, since nothing was blocked to bank it), and is
+  // admitted in round start + k with k = 0 if cap >= w, else
+  // k = ceil((w - cap) / B), leaving cap + k·B - w. So each message is
+  // decided once, on arrival: admitted now, or filed in the chunk's
+  // calendar under its admission round, to be popped exactly then.
+  //
+  // Node v's inbox this round is its popped messages in arrival order
+  // (they reached admission in earlier rounds) followed by its fresh
+  // admitted segment in arena order; both orders are bit-identical across
+  // thread counts, so admission is too. Three steps mirror the offsets
+  // pass: decide (chunk-parallel, all state destination-owned), prefix
+  // chunk totals (sequential O(S)), relocate into a fresh arena + rewrite
+  // offsets (chunk-parallel).
   const std::uint64_t budget = congest_.words_per_edge_per_round;
-  const std::uint64_t stamp = round_ + 1;  // this round; never the 0 init
+  const std::uint64_t round = round_;
   auto decide = [&](unsigned c) {
     LaneScope scope(check_.get(), c, EnginePhase::Admit);
     const obs::SpanScope span(trace_.get(), obs::SpanKind::AdmitLane, c,
@@ -201,42 +258,98 @@ std::uint64_t Network::congest_admit() {
     CongestChunk& chunk = congest_chunks_[c];
     if (check_) check_->touch_carry(c, "carry queue");
     chunk.admitted.clear();
-    chunk.carry_next.clear();
-    // The budget decision reads only the 16-byte header; the payload is
-    // moved once, wherever the message lands (admitted or carried).
-    auto consider = [&](const MessageHeader& h, Payload& p) {
-      const std::size_t key = 2 * static_cast<std::size_t>(h.edge) +
-                              (h.to > h.from ? 1 : 0);
-      // A directed edge delivers to exactly one node, so its budget state
-      // belongs to the destination's chunk — the property that lets the
-      // admission pass parallelize with no shared writes.
-      if (check_) check_->touch_admit_dest(h.to, "per-edge budget tally");
-      EdgeBudgetState& st = congest_edges_[key];
-      if (st.stamp != stamp) {
-        const bool backlogged = st.blocked && st.stamp + 1 == stamp;
-        st.remaining = (backlogged ? st.remaining : 0) + budget;
-        st.blocked = false;
-        st.stamp = stamp;
+    // Pop this round's bucket and group it by destination with a stable
+    // counting pass: the bucket is in filing order, so each destination's
+    // messages stay in arrival order.
+    chunk.popped.clear();
+    CongestChunk::Bucket& bucket =
+        chunk.ring[round & (chunk.ring.size() - 1)];
+    if (bucket.head != CongestChunk::kNil) {
+      for (NodeId v = range.begin; v < range.end; ++v) congest_counts_[v] = 0;
+      std::size_t count = 0;
+      for (std::uint32_t s = bucket.head; s != CongestChunk::kNil;
+           s = chunk.next[s]) {
+        // A filed message is popped in exactly its admission round:
+        // nothing overdue, nothing aliased from another lap of the ring.
+        FL_ENSURE(chunk.due_round[s] == round,
+                  "calendar slot due in round " +
+                      std::to_string(chunk.due_round[s]) +
+                      " popped in round " + std::to_string(round) +
+                      " — admission-pass engine bug");
+        ++congest_counts_[chunk.slab.header(s).to];
+        ++count;
       }
-      const std::uint64_t w = h.size_hint_words;
-      if (!st.blocked && st.remaining >= w) {
-        st.remaining -= w;
-        chunk.admitted.push_back(h, std::move(p));
-        return;
+      std::uint32_t sum = 0;
+      for (NodeId v = range.begin; v < range.end; ++v) {
+        const std::uint32_t cnt = congest_counts_[v];
+        congest_counts_[v] = sum;
+        sum += cnt;
       }
-      st.blocked = true;
-      ++chunk.deferred_events;
-      if (check_) check_->touch_carry(c, "carry queue");
-      chunk.carry_next.push_back(h, std::move(p));
-    };
+      chunk.popped.resize(count);
+      for (std::uint32_t s = bucket.head; s != CongestChunk::kNil;
+           s = chunk.next[s])
+        chunk.popped[congest_counts_[chunk.slab.header(s).to]++] = s;
+      bucket = CongestChunk::Bucket{};
+      chunk.parked -= count;
+    }
+    // congest_counts_[v] is now the end of v's popped run; it becomes v's
+    // admitted count below.
     std::size_t cursor = 0;
     for (NodeId v = range.begin; v < range.end; ++v) {
+      if (check_) check_->touch_admit_dest(v, "per-edge budget tally");
       const std::size_t before = chunk.admitted.size();
-      for (; cursor < chunk.carry.size() && chunk.carry.header(cursor).to == v;
-           ++cursor)
-        consider(chunk.carry.header(cursor), chunk.carry.payload(cursor));
-      for (std::uint32_t i = arena_offsets_[v]; i < arena_offsets_[v + 1]; ++i)
-        consider(arena_.header(i), arena_.payload(i));
+      if (!chunk.popped.empty()) {
+        for (const std::size_t end = congest_counts_[v]; cursor < end;
+             ++cursor) {
+          const std::uint32_t s = chunk.popped[cursor];
+          const MessageHeader& h = chunk.slab.header(s);
+          if (trace_) {
+            std::uint32_t& on_edge = congest_occupancy_[directed_edge(h)];
+            chunk.recount(on_edge, on_edge - 1);
+          }
+          chunk.admitted.push_back(h, std::move(chunk.slab.payload(s)));
+          chunk.release(s);
+        }
+      }
+      for (std::uint32_t i = arena_offsets_[v]; i < arena_offsets_[v + 1];
+           ++i) {
+        const MessageHeader& h = arena_.header(i);
+        const std::size_t key = directed_edge(h);
+        // A directed edge delivers to exactly one node, so its budget
+        // state belongs to the destination's chunk — the property that
+        // lets the admission pass parallelize with no shared writes.
+        EdgeBudgetState& st = congest_edges_[key];
+        const std::uint64_t w = h.size_hint_words;
+        std::uint64_t due = round;
+        std::uint64_t cap = budget;
+        if (st.tail_end > round) {
+          due = st.tail_end - 1;
+          cap = st.leftover;
+        }
+        if (cap >= w) {
+          st.leftover = cap - w;
+        } else {
+          const std::uint64_t k = (w - cap - 1) / budget + 1;
+          // The banking bound: past its tail's admission round, a message
+          // waits at most the rounds its own words need at B per round.
+          FL_ENSURE(k <= (w - 1) / budget + 1,
+                    "admission delay exceeds the banking bound — "
+                    "admission-pass engine bug");
+          due += k;
+          st.leftover = k * budget - (w - cap);
+        }
+        st.tail_end = due + 1;
+        if (due == round) {
+          chunk.admitted.push_back(h, std::move(arena_.payload(i)));
+          continue;
+        }
+        if (check_) check_->touch_carry(c, "carry queue");
+        if (trace_) {
+          std::uint32_t& on_edge = congest_occupancy_[key];
+          chunk.recount(on_edge, on_edge + 1);
+        }
+        chunk.file(round, due, h, std::move(arena_.payload(i)));
+      }
       congest_counts_[v] =
           static_cast<std::uint32_t>(chunk.admitted.size() - before);
     }
@@ -246,40 +359,23 @@ std::uint64_t Network::congest_admit() {
   std::uint64_t admitted_total = 0;
   carry_total_ = 0;
   for (unsigned c = 0; c < congest_chunks_.size(); ++c) {
-    CongestChunk& chunk = congest_chunks_[c];
-    chunk.carry.swap(chunk.carry_next);
-    carry_total_ += chunk.carry.size();
-    metrics_.deferrals_total += chunk.deferred_events;
-    chunk.deferred_events = 0;
+    carry_total_ += congest_chunks_[c].parked;
     const std::uint64_t w = chunk_weight_[c];
     chunk_weight_[c] = admitted_total;  // becomes the chunk's arena base
     admitted_total += w;
   }
+  // A message parked after this round was deferred by it: the per-round
+  // deferral count is the parked count.
+  metrics_.deferrals_total += carry_total_;
   if (carry_total_ > metrics_.carry_peak)
     metrics_.carry_peak = carry_total_;
   if (trace_ && carry_total_ > 0) {
-    // Per-directed-edge carry occupancy: within a chunk's carry the same
-    // directed edge's messages need not be contiguous (arrival order
-    // interleaves edges sharing a destination), so count runs over the
-    // sorted key list. Adds are order-independent, the sort makes the
-    // walk deterministic anyway, and the O(c log c) cost exists only with
-    // tracing on.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(static_cast<std::size_t>(carry_total_));
-    for (const auto& chunk : congest_chunks_) {
-      for (std::size_t i = 0; i < chunk.carry.size(); ++i) {
-        const MessageHeader& h = chunk.carry.header(i);
-        keys.push_back(2 * static_cast<std::uint64_t>(h.edge) +
-                       (h.to > h.from ? 1 : 0));
-      }
-    }
-    std::sort(keys.begin(), keys.end());
-    for (std::size_t i = 0; i < keys.size();) {
-      std::size_t j = i;
-      while (j < keys.size() && keys[j] == keys[i]) ++j;
-      trace_->edge_carry_hist().add(j - i);
-      i = j;
-    }
+    // Per-directed-edge carry occupancy, from the chunks' in-place
+    // tallies; adds are order-independent.
+    for (const auto& chunk : congest_chunks_)
+      for (std::size_t k = 1; k < chunk.edges_at_occupancy.size(); ++k)
+        if (chunk.edges_at_occupancy[k] > 0)
+          trace_->edge_carry_hist().add(k, chunk.edges_at_occupancy[k]);
   }
   FL_REQUIRE(admitted_total < std::numeric_limits<std::uint32_t>::max(),
              "admitted message count overflows the 32-bit arena offsets "

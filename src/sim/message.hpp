@@ -23,7 +23,7 @@
 //     (relocated at the merge, read by the receiving program).
 //
 // MessagePlanes owns one pair of such arrays (the delivery arena, each
-// lane's outbox, the congest carry queues are all MessagePlanes);
+// lane's outbox, the congest calendar slabs are all MessagePlanes);
 // MessageView is the zipped per-message view handed to node programs, and
 // InboxView is the contiguous zipped range a program iterates. Programs
 // never see the split: `for (const auto& m : inbox)` with `m.edge()` /
@@ -152,7 +152,7 @@ class InboxView {
 /// payload plane, always the same length. This is the *only* legal way to
 /// hold messages in bulk (fl_lint FL008 flags stray std::vector<Message*>
 /// declarations) — the delivery arena, every lane outbox, and the congest
-/// carry/admitted buffers are all MessagePlanes.
+/// calendar slabs and admitted buffers are all MessagePlanes.
 ///
 /// Capacity is sticky: clear() and resize() never release storage, so a
 /// steady-state round reuses last round's allocation. `allocations()`

@@ -12,7 +12,8 @@
 // run shows its stretched schedule), `words_total` and `messages_per_node`
 // count at *send* time (they are delivery-schedule invariant), and
 // `deferrals_total` counts how many times a message was bumped to a later
-// round by a full edge (one message deferred for k rounds counts k).
+// round by a full edge (one message deferred for k rounds counts k; so a
+// round adds exactly the number of messages parked after it).
 #pragma once
 
 #include <cstdint>
@@ -27,7 +28,7 @@ struct Metrics {
   std::uint64_t messages_total = 0;
   std::uint64_t words_total = 0;
   std::uint64_t deferrals_total = 0;  ///< congest-mode message-round delays
-  /// Largest total carry-queue occupancy (messages parked across every
+  /// Largest total calendar occupancy (messages parked across every
   /// per-edge FIFO) seen after any admission pass — how deep the budget
   /// backlog ever got. 0 in LOCAL mode and whenever the budget never
   /// binds; a model field (bit-identical across thread counts), surfaced

@@ -138,7 +138,7 @@ void Network::debug_touch_node(graph::NodeId v, unsigned as_lane) {
 
 void Network::set_congest(CongestConfig congest) {
   FL_REQUIRE(!started_, "cannot change the congest budget after the run started");
-  // A 0-word budget could never admit anything: the carry queues would
+  // A 0-word budget could never admit anything: parked messages would
   // never drain. kUnlimited means LOCAL.
   FL_REQUIRE(congest.words_per_edge_per_round >= 1,
              "congest budget must be at least 1 word per edge per round");
@@ -375,7 +375,7 @@ bool Network::all_done() const {
 
 bool Network::quiescent() const {
   // Phase 0 — quiesce check: no messages in flight (the last merge counted
-  // what it moved, O(1)), nothing parked in a congest carry queue (O(1),
+  // what it moved, O(1)), nothing parked in a congest calendar (O(1),
   // written only at the merge barrier), and every program done (O(S) sum).
   return delivered_last_round_ == 0 && carry_total_ == 0 && all_done();
 }
@@ -409,20 +409,15 @@ RunStats Network::run_until_drained(std::size_t stall_cap) {
   begin_if_needed();
   RunStats stats;
   // Delivery rounds are uncapped: for a terminating protocol each one
-  // retires pending traffic (a merge delivered messages, or the admission
-  // pass banked budget toward a parked message), so only two failure modes
-  // need caps, and each gets a sharp diagnostic instead of the old
-  // cap * 64 + 4096 guess:
-  //   * stall rounds — round_silent() yet some program not done. A live
-  //     protocol must advance at least one logical step per silent round
-  //     (the event-driven barrier contract), so the cumulative count is
-  //     bounded by the protocol's own step count, independent of any
-  //     CONGEST stretch.
-  //   * carry wedge — consecutive zero-delivery rounds with messages
-  //     parked. Banking admits a K-word head message within ceil(K / B)
-  //     rounds, so exceeding that bound (+1 slack) is an engine bug.
+  // retires pending traffic (a merge delivered messages, or a parked
+  // message waits for the admission round it was filed under — finite by
+  // the banking bound the admission pass checks per message), so only
+  // stall rounds need a cap: round_silent() yet some program not done. A
+  // live protocol must advance at least one logical step per silent round
+  // (the event-driven barrier contract), so the cumulative count is
+  // bounded by the protocol's own step count, independent of any CONGEST
+  // stretch.
   std::size_t stalls = 0;
-  std::size_t carry_wait = 0;
   while (true) {
     bool quiet;
     {
@@ -434,22 +429,7 @@ RunStats Network::run_until_drained(std::size_t stall_cap) {
       stats.terminated = true;
       break;
     }
-    if (delivered_last_round_ > 0) {
-      carry_wait = 0;
-    } else if (carry_total_ > 0) {
-      ++carry_wait;
-      const std::uint64_t budget = congest_.words_per_edge_per_round;
-      const std::uint64_t bound =
-          (max_carried_words() + budget - 1) / budget + 1;
-      FL_ENSURE(carry_wait <= bound,
-                "carry queues wedged: " + std::to_string(carry_wait) +
-                    " consecutive zero-delivery rounds with " +
-                    std::to_string(carry_total_) +
-                    " messages parked exceeds the banking bound " +
-                    std::to_string(bound) + " at round " +
-                    std::to_string(round_) + " — admission-pass engine bug");
-    } else {
-      carry_wait = 0;
+    if (round_silent()) {
       ++stalls;
       FL_REQUIRE(stalls <= stall_cap,
                  "protocol wedged: " + std::to_string(stalls) +

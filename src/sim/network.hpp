@@ -22,10 +22,12 @@
 //
 // With an enforced CongestConfig (congest.hpp) the merge grows a fourth
 // step: an admission pass over the freshly merged arena that meters words
-// per directed edge per round and defers the overflow to later rounds. The
-// pass is chunk-parallel over the destination shards — a directed edge
-// delivers to exactly one node, so its budget tally and carry queue belong
-// to exactly one chunk — and preserves the engine's bit-determinism across
+// per directed edge per round. It computes each message's admission round
+// once, on arrival, and files a deferred message in a calendar bucket
+// keyed by that round; a round pops only its own bucket. The pass is
+// chunk-parallel over the destination shards — a directed edge delivers to
+// exactly one node, so its budget state and calendar entries belong to
+// exactly one chunk — and preserves the engine's bit-determinism across
 // thread counts.
 //
 // The merge + admission machinery is the Network's own, in its own
@@ -82,17 +84,17 @@ class Network {
   void step(std::size_t rounds);
 
   /// Run until global termination, with no guessed round cap: delivery
-  /// rounds (traffic moved or carry queues busy) are uncapped — each one
+  /// rounds (traffic moved or messages parked) are uncapped — each one
   /// consumes finite pending work for a terminating protocol — and only
   /// *stall* rounds (round_silent() yet some program not done) count
   /// against `stall_cap`. A protocol that advances at least one logical
   /// step per silent round therefore needs a cap of (logical steps + a
-  /// small constant), independent of any CONGEST stretch factor. Two sharp
-  /// diagnostics replace the old doubling heuristic's hard cap: exceeding
-  /// `stall_cap` throws ContractViolation naming rounds/stalls/carry/done
-  /// counts (a wedged protocol), and an engine invariant bounds
-  /// consecutive zero-delivery rounds with carry parked by the banking
-  /// bound ceil(max carried words / budget) + 1 (a wedged admission pass).
+  /// small constant), independent of any CONGEST stretch factor. Exceeding
+  /// `stall_cap` throws ContractViolation naming the round and stall
+  /// count (a wedged protocol). A parked message cannot wedge: the
+  /// admission pass files it under a computed round, at most
+  /// ceil(words / budget) rounds past its FIFO predecessor's (the banking
+  /// bound), and asserts it pops in exactly that round.
   RunStats run_until_drained(std::size_t stall_cap);
 
   const graph::Graph& graph() const { return *graph_; }
@@ -114,9 +116,9 @@ class Network {
 
   /// CONGEST bandwidth budget (defaults to FL_SIM_CONGEST, else unlimited
   /// = plain LOCAL); only legal before the first round. With a finite
-  /// budget the round schedule stretches (carry queues at the merge
-  /// barrier). Results stay bit-identical across thread counts for any
-  /// fixed config.
+  /// budget the round schedule stretches (deferred messages wait in a
+  /// calendar at the merge barrier). Results stay bit-identical across
+  /// thread counts for any fixed config.
   void set_congest(CongestConfig congest);
   CongestConfig congest() const { return congest_; }
 
@@ -125,9 +127,9 @@ class Network {
   std::uint64_t carried_messages() const { return carry_total_; }
 
   /// The deterministic silence predicate for event-driven phase barriers:
-  /// the last merge delivered nothing and no message is parked in a carry
-  /// queue — i.e. every message sent so far has been fully delivered *and*
-  /// handled (any reaction it provoked would itself be in flight). Both
+  /// the last merge delivered nothing and no message is parked in a
+  /// calendar — i.e. every message sent so far has been fully delivered
+  /// *and* handled (any reaction it provoked would itself be in flight). Both
   /// facts are merge-barrier outputs, so the predicate is bit-identical at
   /// every FL_SIM_THREADS and any FL_SIM_CONGEST value, and is stable for
   /// the whole step phase (it only mutates at the next merge). Programs
@@ -184,7 +186,7 @@ class Network {
   void debug_touch_node(graph::NodeId v, unsigned as_lane);
 
   /// Test-only: perform a (guarded, otherwise harmless) mutation of chunk's
-  /// congest carry queue — out of the admission phase this must throw.
+  /// congest calendar — out of the admission phase this must throw.
   void debug_mutate_carry(unsigned chunk);
 
   /// Messages delivered to `v` this round — a zipped view into the
@@ -194,8 +196,8 @@ class Network {
 
   /// Test-only: total capacity-growth events across every message plane
   /// the engine owns (both arena buffers, all lane outboxes, all congest
-  /// carry/admitted buffers). Steady-state rounds must not move this —
-  /// the zero-allocation regression tests pin it.
+  /// calendar slabs and admitted buffers). Steady-state rounds must not
+  /// move this — the zero-allocation regression tests pin it.
   std::uint64_t debug_plane_allocations() const;
 
   NodeProgram& program(graph::NodeId v);
@@ -238,7 +240,6 @@ class Network {
   std::uint64_t merge_barrier();
   void merge_lanes(std::uint64_t total);
   std::uint64_t congest_admit();
-  std::uint64_t max_carried_words() const;
 
   const graph::Graph* graph_;
   util::StreamFactory streams_;
@@ -302,29 +303,66 @@ class Network {
   std::vector<std::uint64_t> chunk_weight_;   // offsets scratch, size S
 
   // CONGEST admission state (congest.hpp): the budget, per-directed-edge
-  // budget tallies and per-chunk carry / admitted planes, all
+  // budget state and per-chunk calendars / admitted planes, all
   // destination-owned so the pass parallelizes with no shared writes.
   // None of it is sized in LOCAL mode.
   CongestConfig congest_;
+  // The FIFO-with-banking rule in closed form: a directed edge only needs
+  // to remember when its last queued message is admitted and how much
+  // capacity that round has left, so a message's admission round is known
+  // the moment it reaches admission (delivery.cpp, congest_admit).
   struct EdgeBudgetState {
-    std::uint64_t remaining = 0;  ///< capacity left in the stamped round;
-                                  ///< banks across rounds while blocked
-    std::uint64_t stamp = 0;      ///< round + 1 of the last touch
-    bool blocked = false;         ///< a message deferred in stamped round
+    std::uint64_t tail_end = 0;  ///< round + 1 in which the edge's last
+                                 ///< queued message is admitted; 0 = never
+    std::uint64_t leftover = 0;  ///< capacity left in that round
   };
+  // A calendar queue (Brown, CACM 1988) of deferred messages: every
+  // deferred message is filed once, in the bucket of its admission round,
+  // and that round pops only its own bucket. Bucket i of the ring holds
+  // the messages due in rounds congruent to i modulo the ring size (a
+  // power of two, grown only when a due round lies beyond the horizon);
+  // each bucket is a FIFO linked through one slab whose slots are
+  // recycled through a free list, so the slab's capacity tracks the peak
+  // number of parked messages and steady-state rounds allocate nothing.
   struct CongestChunk {
-    MessagePlanes carry;       // deferred; destination-ascending,
-                               // FIFO within each directed edge
-    MessagePlanes carry_next;  // double buffer for the next round
-    MessagePlanes admitted;    // this round, destination-ascending
-    std::uint64_t deferred_events = 0;
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+    struct Bucket {
+      std::uint32_t head = kNil;
+      std::uint32_t tail = kNil;
+    };
+    MessagePlanes slab;                    // parked messages, by slot
+    std::vector<std::uint64_t> due_round;  // per slot: admission round
+    std::vector<std::uint32_t> next;       // per slot: bucket / free link
+    std::uint32_t free_head = kNil;
+    std::vector<Bucket> ring = std::vector<Bucket>(2);
+    std::vector<std::uint32_t> popped;  // this round's slots, by destination
+    MessagePlanes admitted;             // this round, destination-ascending
+    std::uint64_t parked = 0;           // messages filed and not yet popped
+    // Tracing only: entry k counts the chunk's directed edges with k
+    // messages parked (feeds the edge_carry histogram).
+    std::vector<std::uint64_t> edges_at_occupancy;
+
+    // Park a message due in round `due` (> `round`, the current one) at
+    // the tail of its bucket, growing the ring if `due` is beyond it.
+    void file(std::uint64_t round, std::uint64_t due, const MessageHeader& h,
+              Payload&& p);
+    // Return a popped slot (its payload already moved out) to the slab.
+    void release(std::uint32_t slot) {
+      next[slot] = free_head;
+      free_head = slot;
+    }
+    // Set a directed edge's parked count (its congest_occupancy_ entry)
+    // to `count`, keeping edges_at_occupancy in step.
+    void recount(std::uint32_t& on_edge, std::uint32_t count);
   };
   std::vector<EdgeBudgetState> congest_edges_;  // size 2m: 2e + (to>from)
   std::vector<CongestChunk> congest_chunks_;    // one per shard
   std::vector<std::uint32_t> congest_counts_;   // admitted per node, size n
-  // Messages across all carry queues. Written only by the admission pass,
-  // so round_silent() and carried_messages() are O(1) reads that mutate
-  // only at the merge — the stability contract programs rely on.
+  // Tracing only: messages parked per directed edge, size 2m.
+  std::vector<std::uint32_t> congest_occupancy_;
+  // Messages parked across all calendars. Written only by the admission
+  // pass, so round_silent() and carried_messages() are O(1) reads that
+  // mutate only at the merge — the stability contract programs rely on.
   std::uint64_t carry_total_ = 0;
 
   // Logical ownership / phase checker (check.hpp). Null unless FL_SIM_CHECK

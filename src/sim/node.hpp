@@ -66,8 +66,8 @@ class Context {
   util::Xoshiro256& rng();
 
   /// Event-driven barrier fact (Network::round_silent): true when the last
-  /// merge delivered nothing and no message is parked in a congest carry
-  /// queue — i.e. all traffic sent so far has drained. A merge-barrier
+  /// merge delivered nothing and no message is parked in a congest
+  /// calendar — i.e. all traffic sent so far has drained. A merge-barrier
   /// output, identical for every node in the round and bit-identical at
   /// any thread count or CONGEST budget; stable for the whole step phase.
   /// Phase-scheduled protocols advance their logical phase on silence

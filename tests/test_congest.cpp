@@ -1,14 +1,16 @@
 // Tests for the CONGEST bandwidth-budget engine (sim/congest.hpp): the
-// FL_SIM_CONGEST probe, budget validation, the carry-queue semantics
-// (FIFO per directed edge, ceil(K/B)-round crossings, stretched-but-
-// complete schedules), bit-determinism of budgeted runs across thread
-// counts and balance modes, and the words-accounting
-// fixes the budget engine depends on (minimum one word per message,
-// pre-run sends).
+// FL_SIM_CONGEST probe, budget validation, the deferral semantics (FIFO
+// per directed edge, ceil(K/B)-round crossings, stretched-but-complete
+// schedules), the closed-form calendar admission checked round by round
+// against a per-round FIFO reference model, bit-determinism of budgeted
+// runs across thread counts, and the words-accounting fixes the budget
+// engine depends on (minimum one word per message, pre-run sends).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -26,7 +28,7 @@ using graph::NodeId;
 
 // ------------------------------------------------------- config plumbing
 
-TEST(CongestConfig, EnvProbeParsesBudgetAndPolicy) {
+TEST(CongestConfig, EnvProbeParsesBudget) {
   struct EnvGuard {
     ~EnvGuard() { unsetenv("FL_SIM_CONGEST"); }
   } guard;
@@ -118,6 +120,9 @@ TEST(CongestWords, PreRunSendsLandInWordsTotal) {
   for (const unsigned threads : {1u, 8u}) {
     Network net(g, 1);
     net.set_parallelism(threads);
+    // LOCAL: a binding FL_SIM_CONGEST would hold the 7-word message past
+    // the round cap.
+    net.set_congest(CongestConfig{});
     net.install([](NodeId) {
       class P final : public NodeProgram {
        public:
@@ -138,7 +143,7 @@ TEST(CongestWords, PreRunSendsLandInWordsTotal) {
   }
 }
 
-// ---------------------------------------------------- carry-queue deferral
+// ---------------------------------------------------------- FIFO deferral
 
 /// Node 0 sends `count` messages of `words` words each over the single
 /// edge in round 0; node 1 logs (arrival round, payload).
@@ -243,6 +248,287 @@ TEST(CongestDefer, RunCanStopAndResumeWithCarryPending) {
   EXPECT_EQ(net.carried_messages(), 0u);
   EXPECT_EQ(done.messages, 6u);
   EXPECT_EQ(net.program_as<WordBurst>(1).got.size(), 6u);
+}
+
+// ---------------------------------------- calendar vs per-round reference
+
+/// One destination's deliveries in one round, in inbox order.
+using Delivered = std::vector<std::pair<EdgeId, std::uint64_t>>;
+
+/// One message as the reference model sees it.
+struct RefMsg {
+  NodeId from = 0;
+  NodeId to = 0;
+  EdgeId edge = 0;
+  std::uint32_t words = 1;
+  std::uint64_t payload = 0;
+};
+
+/// The admission rule stated the slow way: every round, walk every queued
+/// message of every directed edge in FIFO order (carried first, then this
+/// round's arrivals), with capacity that banks only while the edge stayed
+/// blocked through the previous round. The engine instead decides each
+/// message once, in closed form; the two must agree round by round.
+class PerRoundFifoReference {
+ public:
+  PerRoundFifoReference(NodeId n, std::size_t m, std::uint64_t budget)
+      : budget_(budget), edges_(2 * m), carry_(n) {}
+
+  /// Admission for round `round`; fresh[v] holds v's arrivals in arena
+  /// order. Returns each destination's delivered (edge, payload) list.
+  std::vector<Delivered> admit(std::size_t round,
+                               const std::vector<std::vector<RefMsg>>& fresh) {
+    const std::uint64_t stamp = round + 1;
+    std::vector<Delivered> out(carry_.size());
+    carried_ = 0;
+    for (NodeId v = 0; v < carry_.size(); ++v) {
+      std::vector<RefMsg> queue = std::move(carry_[v]);
+      queue.insert(queue.end(), fresh[v].begin(), fresh[v].end());
+      carry_[v].clear();
+      for (const RefMsg& msg : queue) {
+        Edge& st = edges_[2 * msg.edge + (msg.to > msg.from ? 1 : 0)];
+        if (st.stamp != stamp) {
+          const bool backlogged = st.blocked && st.stamp + 1 == stamp;
+          st.remaining = (backlogged ? st.remaining : 0) + budget_;
+          st.blocked = false;
+          st.stamp = stamp;
+        }
+        if (!st.blocked && st.remaining >= msg.words) {
+          st.remaining -= msg.words;
+          out[v].emplace_back(msg.edge, msg.payload);
+        } else {
+          st.blocked = true;
+          carry_[v].push_back(msg);
+          ++carried_;
+        }
+      }
+    }
+    deferrals_ += carried_;  // every parked message was bumped this round
+    return out;
+  }
+
+  std::uint64_t carried() const { return carried_; }
+  std::uint64_t deferrals() const { return deferrals_; }
+
+ private:
+  struct Edge {
+    std::uint64_t remaining = 0;
+    std::uint64_t stamp = 0;
+    bool blocked = false;
+  };
+  std::uint64_t budget_;
+  std::vector<Edge> edges_;
+  std::vector<std::vector<RefMsg>> carry_;
+  std::uint64_t carried_ = 0;
+  std::uint64_t deferrals_ = 0;
+};
+
+/// Logs every send and every delivery. Sends come from a script (the
+/// targeted cases) or, without one, from a seeded chatter: in each of the
+/// first `active` rounds, 0..2 messages of 1..3B words per incident edge.
+class OracleProbe final : public NodeProgram {
+ public:
+  struct Sent {
+    std::size_t round;
+    EdgeId edge;
+    std::uint32_t words;
+    std::uint64_t payload;
+  };
+  struct Heard {
+    std::size_t round;
+    EdgeId edge;
+    std::uint64_t payload;
+  };
+  using Script = std::function<void(OracleProbe&, Context&)>;
+
+  OracleProbe(NodeId self, unsigned active, std::uint64_t budget,
+              Script script)
+      : self_(self), active_(active), budget_(budget),
+        script_(std::move(script)) {}
+
+  std::vector<Sent> sent;
+  std::vector<Heard> heard;
+
+  NodeId self() const { return self_; }
+
+  void send(Context& ctx, EdgeId e, std::uint32_t words) {
+    const std::uint64_t payload =
+        (std::uint64_t{self_} << 32) | static_cast<std::uint32_t>(sent.size());
+    sent.push_back({ctx.round(), e, words, payload});
+    ctx.send(e, payload, words);
+  }
+
+  void on_start(Context& ctx) override { act(ctx); }
+  void on_round(Context& ctx, InboxView inbox) override {
+    for (const auto& m : inbox)
+      heard.push_back({ctx.round(), m.edge(), payload_as<std::uint64_t>(m)});
+    act(ctx);
+  }
+  bool done() const override { return true; }
+
+ private:
+  void act(Context& ctx) {
+    if (script_) {
+      script_(*this, ctx);
+      return;
+    }
+    if (ctx.round() >= active_) return;
+    for (const EdgeId e : ctx.incident_edges()) {
+      const unsigned count = static_cast<unsigned>(ctx.rng()() % 3);
+      for (unsigned i = 0; i < count; ++i)
+        send(ctx, e,
+             static_cast<std::uint32_t>(1 + ctx.rng()() % (3 * budget_)));
+    }
+  }
+
+  NodeId self_;
+  unsigned active_;
+  std::uint64_t budget_;
+  Script script_;
+};
+
+/// Per round r: what the merge of round r delivered to each destination,
+/// the messages parked after it, and the cumulative deferrals.
+struct AdmissionTrace {
+  std::vector<std::vector<Delivered>> delivered;
+  std::vector<std::uint64_t> carried;
+  std::vector<std::uint64_t> deferrals;
+  std::vector<bool> observed;  // carried/deferrals recorded for round r
+};
+
+/// Runs the probe on the engine, stepping one round at a time (after an
+/// optional run(stop_at) that stops mid-backlog), until quiescent.
+AdmissionTrace run_engine(const Graph& g, std::uint64_t budget,
+                          unsigned threads, unsigned active,
+                          const OracleProbe::Script& script,
+                          std::size_t stop_at = 0) {
+  Network net(g, 5);
+  net.set_parallelism(threads);
+  net.set_congest(CongestConfig{budget});
+  net.install([&](NodeId v) {
+    return std::make_unique<OracleProbe>(v, active, budget, script);
+  });
+  AdmissionTrace tr;
+  auto observe = [&] {
+    const std::size_t r = net.round() - 1;  // the merge that just ran
+    tr.carried.resize(r + 1, 0);
+    tr.deferrals.resize(r + 1, 0);
+    tr.observed.resize(r + 1, false);
+    tr.carried[r] = net.carried_messages();
+    tr.deferrals[r] = net.metrics().deferrals_total;
+    tr.observed[r] = true;
+  };
+  if (stop_at > 0) {
+    const RunStats mid = net.run(stop_at);
+    EXPECT_FALSE(mid.terminated);
+    EXPECT_GT(net.carried_messages(), 0u) << "stop point must hold a backlog";
+    observe();
+  }
+  while (true) {
+    net.step(1);
+    observe();
+    if (net.round() > active + 1 && net.carried_messages() == 0 &&
+        net.metrics().messages_per_round.back() == 0)
+      break;
+    if (net.round() >= 100000u) {
+      ADD_FAILURE() << "engine never drained";
+      break;
+    }
+  }
+  tr.delivered.assign(net.round(), std::vector<Delivered>(g.num_nodes()));
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    for (const auto& h : net.program_as<OracleProbe>(v).heard)
+      tr.delivered[h.round - 1][v].emplace_back(h.edge, h.payload);
+  // Feed the reference the same send log, in arena order: by destination,
+  // then sender id, then the sender's own send order.
+  PerRoundFifoReference ref(g.num_nodes(), g.num_edges(), budget);
+  for (std::size_t r = 0; r < net.round(); ++r) {
+    std::vector<std::vector<RefMsg>> fresh(g.num_nodes());
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      for (const auto& s : net.program_as<OracleProbe>(u).sent) {
+        if (s.round != r) continue;
+        const auto ep = g.endpoints(s.edge);
+        const NodeId to = ep.u == u ? ep.v : ep.u;
+        fresh[to].push_back({u, to, s.edge, s.words, s.payload});
+      }
+    }
+    const auto want = ref.admit(r, fresh);
+    for (NodeId v = 0; v < g.num_nodes(); ++v)
+      EXPECT_EQ(tr.delivered[r][v], want[v])
+          << "round " << r << " destination " << v;
+    if (tr.observed[r]) {
+      EXPECT_EQ(tr.carried[r], ref.carried()) << "round " << r;
+      EXPECT_EQ(tr.deferrals[r], ref.deferrals()) << "round " << r;
+    }
+  }
+  EXPECT_EQ(ref.carried(), 0u) << "reference still holds a backlog";
+  return tr;
+}
+
+TEST(CongestCalendar, MatchesPerRoundFifoReference) {
+  util::Xoshiro256 er_rng(31), ba_rng(32);
+  const Graph path = graph::path(12);
+  const Graph star = graph::star(10);
+  const Graph er = graph::erdos_renyi_gnm(40, 120, er_rng);
+  const Graph ba = graph::barabasi_albert(40, 3, ba_rng);
+  for (const Graph* g : {&path, &star, &er, &ba}) {
+    for (const std::uint64_t budget : {1u, 2u, 3u, 7u}) {
+      for (const unsigned threads : {1u, 8u}) {
+        SCOPED_TRACE(g->summary() + " B=" + std::to_string(budget) +
+                     " lanes=" + std::to_string(threads));
+        const auto tr = run_engine(*g, budget, threads, 5, nullptr);
+        EXPECT_GT(tr.deferrals.back(), 0u) << "the budget must bind";
+      }
+    }
+  }
+  // Stopped mid-backlog by run(), then resumed one round at a time.
+  SCOPED_TRACE("stop/resume");
+  run_engine(er, 2, 8, 5, nullptr, /*stop_at=*/4);
+}
+
+/// Node 0 of a path(2) sends `words[i]` words in round `rounds[i]`.
+OracleProbe::Script two_node_script(std::vector<std::size_t> rounds,
+                                    std::vector<std::uint32_t> words) {
+  return [rounds, words](OracleProbe& me, Context& ctx) {
+    if (me.self() != 0) return;
+    for (std::size_t i = 0; i < rounds.size(); ++i)
+      if (rounds[i] == ctx.round()) me.send(ctx, 0, words[i]);
+  };
+}
+
+/// The round each of node 1's deliveries arrived in (ctx.round()).
+std::vector<std::size_t> arrival_rounds(const AdmissionTrace& tr) {
+  std::vector<std::size_t> out;
+  for (std::size_t r = 0; r < tr.delivered.size(); ++r)
+    for (std::size_t i = 0; i < tr.delivered[r][1].size(); ++i)
+      out.push_back(r + 1);
+  return out;
+}
+
+TEST(CongestCalendar, FreshMessageUsesTailLeftoverInTheTailsRound) {
+  // B=3: a 5-word message banks 3 + 3 and is admitted in round 1 with 1
+  // word to spare; a 1-word message arriving in round 1 rides on it.
+  const Graph g = graph::path(2);
+  const auto tr = run_engine(g, 3, 1, 2, two_node_script({0, 1}, {5, 1}));
+  EXPECT_EQ(arrival_rounds(tr), (std::vector<std::size_t>{2, 2}));
+}
+
+TEST(CongestCalendar, LeftoverDroppedOnceTheEdgeStopsWaiting) {
+  // B=3: the 5-word message is admitted in round 1 leaving 1 word; the
+  // edge is not blocked after that, so a 4-word message sent in round 2
+  // starts from a fresh 3 (not 1 + 3) and waits a round.
+  const Graph g = graph::path(2);
+  const auto tr = run_engine(g, 3, 1, 3, two_node_script({0, 2}, {5, 4}));
+  EXPECT_EQ(arrival_rounds(tr), (std::vector<std::size_t>{2, 4}));
+}
+
+TEST(CongestCalendar, OversizedMessageQueuedBehindPartlyDrainedTail) {
+  // B=2: a 5-word message is admitted in round 2 with 1 word left; a
+  // 7-word message sent in round 1 waits for it, then needs
+  // ceil((7 - 1) / 2) = 3 more rounds.
+  const Graph g = graph::path(2);
+  const auto tr = run_engine(g, 2, 1, 2, two_node_script({0, 1}, {5, 7}));
+  EXPECT_EQ(arrival_rounds(tr), (std::vector<std::size_t>{3, 6}));
 }
 
 // --------------------------------------- determinism across thread counts
@@ -356,7 +642,8 @@ TEST(CongestProtocols, BroadcastReachesSameSetsWithMoreRounds) {
   util::Xoshiro256 rng(17);
   const Graph g = graph::erdos_renyi_gnm(60, 180, rng);
   const auto edges = localsim::all_edges(g);
-  const auto local = localsim::run_tlocal_broadcast(g, edges, 3, 9);
+  const auto local =
+      localsim::run_tlocal_broadcast(g, edges, 3, 9, CongestConfig{});
   const auto budgeted =
       localsim::run_tlocal_broadcast(g, edges, 3, 9, CongestConfig{2});
   EXPECT_EQ(local.reached, budgeted.reached);

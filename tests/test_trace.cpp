@@ -171,6 +171,47 @@ TEST(TraceNeutrality, ProfileModelFieldsThreadInvariant) {
   }
 }
 
+/// Multi-word chatter: 1..6-word messages over three in four incident
+/// edges for `active` rounds, so a small budget defers heavily.
+class WordChatter final : public NodeProgram {
+ public:
+  explicit WordChatter(NodeId, unsigned active) : active_(active) {}
+
+  void on_start(Context& ctx) override { maybe_send(ctx); }
+  void on_round(Context& ctx, InboxView) override { maybe_send(ctx); }
+  bool done() const override { return true; }
+
+ private:
+  void maybe_send(Context& ctx) {
+    if (ctx.round() >= active_) return;
+    for (const EdgeId e : ctx.incident_edges()) {
+      if (ctx.rng().bernoulli(0.25)) continue;
+      const std::uint64_t v = ctx.rng()();
+      ctx.send(e, v, static_cast<std::uint32_t>(1 + v % 6));
+    }
+  }
+  unsigned active_;
+};
+
+TEST(TraceProfile, DeferralsEqualCarryDepthEveryRound) {
+  // A round's deferrals are exactly the messages still parked after it:
+  // every parked message was bumped past this round once. trace_lint.py
+  // rejects a profile row that breaks this.
+  const Graph g = golden_graph();
+  for (const unsigned threads : {1u, 8u}) {
+    Network net(g, 7);
+    net.set_parallelism(threads);
+    net.set_congest({.words_per_edge_per_round = 3});
+    net.set_trace(collect_only(TraceLevel::Profile));
+    net.install_all<WordChatter>(6u);
+    ASSERT_TRUE(net.run(600).terminated);
+    ASSERT_GT(net.metrics().deferrals_total, 0u) << "the budget must bind";
+    for (const RoundProfile& p : net.profile())
+      EXPECT_EQ(p.deferrals, p.carry_depth)
+          << "round " << p.round << " at " << threads << " lanes";
+  }
+}
+
 TEST(TraceProfile, LaneBusyAndPhaseDataPresent) {
   const Graph g = golden_graph();
   Network net(g, 5);

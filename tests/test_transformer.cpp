@@ -73,8 +73,11 @@ TEST(Transformer, MessageSavingsOnDenseGraph) {
   // two regimes the theorem actually promises at this scale:
   //   (a) steady state: per-payload flooding beats native flooding;
   //   (b) amortized over a few payloads the total wins too.
+  // Every arm is a LOCAL run: pin the budget so FL_SIM_CONGEST cannot
+  // stretch the sampler or re-forward broadcast bundles.
   const Graph g = graph::complete(300);
-  const auto cfg = SamplerConfig::bench_profile(2, 3, 17);
+  auto cfg = SamplerConfig::bench_profile(2, 3, 17);
+  cfg.congest = sim::CongestConfig{};
   const auto spanner_run = core::build_spanner(g, cfg);
 
   std::uint64_t native_total = 0;
@@ -82,9 +85,12 @@ TEST(Transformer, MessageSavingsOnDenseGraph) {
   const unsigned payload_count = 3;
   for (unsigned i = 0; i < payload_count; ++i) {
     const localsim::LocalMin alg(4 + i);
-    const auto native = localsim::run_native(g, alg, 17 + i);
-    const auto reduced = localsim::run_over_spanner(
-        g, alg, spanner_run.edges, cfg.stretch_bound(), 17 + i);
+    const auto native =
+        localsim::run_native(g, alg, 17 + i, sim::CongestConfig{});
+    const auto reduced =
+        localsim::run_over_spanner(g, alg, spanner_run.edges,
+                                   cfg.stretch_bound(), 17 + i,
+                                   sim::CongestConfig{});
     EXPECT_EQ(reduced.outputs, native.outputs) << "payload " << i;
     EXPECT_LT(reduced.messages, native.messages) << "payload " << i;  // (a)
     native_total += native.messages;
