@@ -10,6 +10,7 @@
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
+#include "util/sorted_intersection.hpp"
 
 namespace fl::core {
 
@@ -264,23 +265,41 @@ class SamplerNode final : public sim::NodeProgram {
     pool_pos_[s] = kNoSlot;
   }
 
-  /// Remove every own pool edge that appears in `list`.
+  /// Remove every own pool edge that appears in `list` (a cluster's
+  /// sorted boundary). Slots are removed in ascending order, which is the
+  /// order phase_query_send's draws against the swap-removed pool depend on.
   void peel_list(const std::vector<EdgeId>& list) {
-    for (const EdgeId e : list) {
-      const std::size_t s = slot_of(e);
-      if (s != kNoSlot) pool_remove_slot(s);
-    }
+    if (pool_.empty()) return;
+    util::for_each_common(inc_, list, [&](std::size_t s, std::size_t) {
+      pool_remove_slot(s);
+    });
   }
 
   // ---------------------------------------------------- root pool model
+  // The root's view of the whole cluster's pool: one live flag per edge of
+  // its sorted boundary_, plus the live count that MsgTrialRate floods as
+  // pool_total and that makes the level's status Light at zero. Peeling
+  // clears the boundary positions a list shares. Lists can overlap: an
+  // edge peeled at only one endpoint in an earlier level is reported once
+  // by the gather, so it sits in the boundary, and a query over it returns
+  // the cluster's own list. A repeat hit must not count twice.
   void rebuild_root_pool() {
-    root_pool_.clear();
+    root_live_.clear();
+    root_live_count_ = 0;
     if (!is_root_ || boundary_ == nullptr) return;
-    root_pool_.insert(boundary_->begin(), boundary_->end());
+    root_live_.assign(boundary_->size(), true);
+    root_live_count_ = boundary_->size();
   }
 
   void root_peel(const std::vector<EdgeId>& list) {
-    for (const EdgeId e : list) root_pool_.erase(e);
+    if (root_live_count_ == 0) return;
+    FL_ENSURE(root_live_.size() == boundary_->size(),
+              "root pool must track the root's boundary");
+    util::for_each_common(*boundary_, list, [&](std::size_t i, std::size_t) {
+      if (!root_live_[i]) return;
+      root_live_[i] = false;
+      --root_live_count_;
+    });
   }
 
   // --------------------------------------------------------- messaging
@@ -480,9 +499,9 @@ class SamplerNode final : public sim::NodeProgram {
     if (is_root_) {
       MsgTrialRate rate;
       rate.trial_size = cfg_.trial_size(n0_, level_);
-      rate.pool_total = root_pool_.size();
+      rate.pool_total = root_live_count_;
       const std::size_t budget = cfg_.budget(n0_, level_);
-      rate.skip = root_pool_.empty() || f_entries_.size() >= budget;
+      rate.skip = root_live_count_ == 0 || f_entries_.size() >= budget;
       current_rate_ = rate;
       if (spec.length > 0) flood_to_children(ctx, rate, 3);
     }
@@ -659,7 +678,7 @@ class SamplerNode final : public sim::NodeProgram {
 
   void finalize_level_record(JoinDecision decision) {
     const std::size_t budget = cfg_.budget(n0_, level_);
-    if (root_pool_.empty())
+    if (root_live_count_ == 0)
       record_.status = NodeStatus::Light;
     else if (f_entries_.size() >= budget)
       record_.status = NodeStatus::Heavy;
@@ -859,7 +878,8 @@ class SamplerNode final : public sim::NodeProgram {
   std::shared_ptr<std::vector<Found>> pending_apply_;
 
   // root bookkeeping
-  std::unordered_set<EdgeId> root_pool_;
+  std::vector<bool> root_live_;  ///< over boundary_; see rebuild_root_pool
+  std::size_t root_live_count_ = 0;
   std::unordered_set<NodeId> known_neighbors_;
   std::vector<std::pair<NodeId, EdgeId>> f_entries_;
   NodeId chosen_center_ = kInvalidNode;

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
 
 #include "core/config.hpp"
 #include "core/distributed_sampler.hpp"
@@ -225,9 +227,9 @@ TEST(DistributedSampler, WorksOnTinyGraphs) {
 // ------------------------------------------------ output goldens (pinned)
 
 /// One pinned Sampler run: graph family, size and parameter, generator
-/// seed, (k, h), sampler seed, and the delivery budget. `congest` is always
-/// explicit, so an ambient FL_SIM_CONGEST cannot switch a LOCAL point to
-/// event-driven barriers and move its round count.
+/// seed, (k, h), sampler seed, the delivery budget and the config preset.
+/// `congest` is always explicit, so an ambient FL_SIM_CONGEST cannot switch
+/// a LOCAL point to event-driven barriers and move its round count.
 struct SamplerGoldenPoint {
   graph::Family family;
   graph::NodeId n;
@@ -238,7 +240,28 @@ struct SamplerGoldenPoint {
   std::uint64_t seed;
   sim::CongestConfig congest;
   std::uint64_t hash;
+  /// paper_faithful's trials are so large at these sizes that nodes query
+  /// their whole pool; bench_profile's draw from it, so they see its order.
+  SamplerConfig (*preset)(unsigned, unsigned, std::uint64_t) =
+      &SamplerConfig::paper_faithful;
 };
+
+core::DistributedSpannerRun run_golden_point(const SamplerGoldenPoint& p) {
+  util::Xoshiro256 rng(p.graph_seed);
+  const Graph g = graph::make_family(p.family, p.n, p.param, rng);
+  auto cfg = p.preset(p.k, p.h, p.seed);
+  cfg.congest = p.congest;
+  return core::run_distributed_sampler(g, cfg);
+}
+
+std::string describe_point(const SamplerGoldenPoint& p) {
+  std::ostringstream out;
+  out << graph::family_name(p.family) << " n=" << p.n << " k=" << p.k
+      << " h=" << p.h << " seed=" << p.seed << " budget="
+      << (p.congest.enforced() ? p.congest.words_per_edge_per_round : 0)
+      << (p.preset == &SamplerConfig::bench_profile ? " bench_profile" : "");
+  return out.str();
+}
 
 /// FNV over the spanner edge ids, the four MessageBreakdown counts, the
 /// round count and the metered words — the protocol's observable output.
@@ -271,20 +294,60 @@ TEST(DistributedSamplerGolden, OutputsMatchPinnedHashes) {
       {Family::Dumbbell, 100, 0, 1, 1, 3, 53, local, 0xf095666f93097640ull},
       {Family::ErdosRenyi, 256, 48, 3, 2, 2, 17, budget8,
        0x89267c9c9069ed2dull},
+      {Family::Complete, 128, 0, 1, 2, 2, 29, local, 0x9a586f435aaeeb61ull,
+       &SamplerConfig::bench_profile},
   };
   for (const auto& p : points) {
-    util::Xoshiro256 rng(p.graph_seed);
-    const Graph g = graph::make_family(p.family, p.n, p.param, rng);
-    auto cfg = SamplerConfig::paper_faithful(p.k, p.h, p.seed);
-    cfg.congest = p.congest;
-    const auto run = core::run_distributed_sampler(g, cfg);
+    const auto run = run_golden_point(p);
     EXPECT_TRUE(run.stats.terminated);
     const std::uint64_t got = sampler_output_hash(run);
-    EXPECT_EQ(got, p.hash)
-        << graph::family_name(p.family) << " n=" << p.n << " k=" << p.k
-        << " h=" << p.h << " seed=" << p.seed << " budget="
-        << (p.congest.enforced() ? p.congest.words_per_edge_per_round : 0)
-        << ": sampler golden moved to 0x" << std::hex << got;
+    EXPECT_EQ(got, p.hash) << describe_point(p)
+                           << ": sampler golden moved to 0x" << std::hex
+                           << got;
+  }
+}
+
+/// FNV over every level's diagnostics: virtual graph shape, the roots'
+/// Light/Heavy/Neither statuses, clustering outcomes and work counts.
+std::uint64_t level_trace_hash(const core::DistributedSpannerRun& run) {
+  testing::TraceHash h;
+  for (const auto& lt : run.levels)
+    h.u64(lt.virtual_nodes)
+        .u64(lt.virtual_edges)
+        .u64(lt.light)
+        .u64(lt.heavy)
+        .u64(lt.neither)
+        .u64(lt.centers)
+        .u64(lt.clustered)
+        .u64(lt.unclustered)
+        .u64(lt.query_edges)
+        .u64(lt.spanner_added);
+  return h.value();
+}
+
+/// Level-trace golden. A root's status comes from its count of live pool
+/// edges, which a miscounted peel can get wrong while every spanner edge
+/// and message stays put, so the output hash alone would not notice.
+TEST(DistributedSamplerGolden, LevelTracesMatchPinnedHashes) {
+  using graph::Family;
+  const sim::CongestConfig local{};
+  const sim::CongestConfig budget8{8};
+  const SamplerGoldenPoint points[] = {
+      {Family::ErdosRenyi, 256, 48, 3, 2, 2, 17, local, 0xa028adea23482b78ull},
+      {Family::ErdosRenyi, 256, 48, 3, 2, 2, 17, budget8,
+       0xa028adea23482b78ull},
+      {Family::Complete, 128, 0, 1, 2, 2, 29, local, 0xaf063ddaa381ae1full,
+       &SamplerConfig::bench_profile},
+      {Family::ErdosRenyi, 192, 96, 3, 3, 2, 17, local, 0x36ffadd88acca992ull,
+       &SamplerConfig::bench_profile},
+  };
+  for (const auto& p : points) {
+    const auto run = run_golden_point(p);
+    EXPECT_TRUE(run.stats.terminated);
+    const std::uint64_t got = level_trace_hash(run);
+    EXPECT_EQ(got, p.hash) << describe_point(p)
+                           << ": level-trace golden moved to 0x" << std::hex
+                           << got;
   }
 }
 

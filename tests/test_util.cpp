@@ -1,15 +1,21 @@
 // Tests for the utility substrate: RNG determinism and distribution sanity,
 // statistics (including the log-log exponent fits the benches rely on),
-// tables and option parsing.
+// tables, option parsing and the galloping sorted intersection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
+#include "util/sorted_intersection.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -232,6 +238,133 @@ TEST(Options, RejectsMalformedInput) {
     const std::string what = e.what();
     EXPECT_NE(what.find("--capcity"), std::string::npos) << what;
     EXPECT_NE(what.find("--quick, --capacity"), std::string::npos) << what;
+  }
+}
+
+// ------------------------------------------------- sorted intersection
+
+using Ids = std::vector<std::uint64_t>;
+
+/// The helper's hits for (a, b), checked against std::set_intersection:
+/// every hit is a real match, both indices strictly ascend, and the matched
+/// values are exactly the reference intersection.
+std::vector<std::pair<std::size_t, std::size_t>> checked_hits(const Ids& a,
+                                                              const Ids& b) {
+  std::vector<std::pair<std::size_t, std::size_t>> hits;
+  for_each_common(a, b, [&](std::size_t i, std::size_t j) {
+    hits.emplace_back(i, j);
+  });
+  Ids got;
+  for (std::size_t h = 0; h < hits.size(); ++h) {
+    const auto [i, j] = hits[h];
+    EXPECT_LT(i, a.size());
+    EXPECT_LT(j, b.size());
+    if (i >= a.size() || j >= b.size()) break;
+    EXPECT_EQ(a[i], b[j]);
+    if (h > 0) {
+      EXPECT_LT(hits[h - 1].first, i);
+      EXPECT_LT(hits[h - 1].second, j);
+    }
+    got.push_back(a[i]);
+  }
+  Ids want;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(want));
+  EXPECT_EQ(got, want);
+  return hits;
+}
+
+/// Check (a, b) and (b, a): the same matches with the indices swapped.
+void check_both_orders(const Ids& a, const Ids& b) {
+  const auto ab = checked_hits(a, b);
+  const auto ba = checked_hits(b, a);
+  ASSERT_EQ(ab.size(), ba.size());
+  for (std::size_t h = 0; h < ab.size(); ++h) {
+    EXPECT_EQ(ab[h].first, ba[h].second);
+    EXPECT_EQ(ab[h].second, ba[h].first);
+  }
+}
+
+/// `n` strictly ascending values starting at `from`, gaps drawn in [1, gap].
+Ids ascending(std::size_t n, std::uint64_t from, std::uint64_t gap,
+              Xoshiro256& rng) {
+  Ids v;
+  v.reserve(n);
+  std::uint64_t x = from;
+  for (std::size_t i = 0; i < n; ++i) {
+    x += 1 + rng.below(gap);
+    v.push_back(x);
+  }
+  return v;
+}
+
+TEST(SortedIntersection, EmptyAndSingleElementInputs) {
+  const Ids empty;
+  const Ids one{7};
+  const Ids many{1, 3, 7, 9};
+  EXPECT_TRUE(checked_hits(empty, empty).empty());
+  check_both_orders(empty, many);
+  check_both_orders(one, many);
+  check_both_orders(one, one);
+  check_both_orders(Ids{0}, many);
+  check_both_orders(Ids{10}, many);
+  check_both_orders(Ids{1}, many);
+  check_both_orders(Ids{9}, many);
+  EXPECT_EQ(checked_hits(one, many),
+            (std::vector<std::pair<std::size_t, std::size_t>>{{0, 2}}));
+  EXPECT_EQ(checked_hits(many, one),
+            (std::vector<std::pair<std::size_t, std::size_t>>{{2, 0}}));
+}
+
+TEST(SortedIntersection, IdenticalInputsHitEveryIndexOnce) {
+  Xoshiro256 rng(5);
+  for (const std::size_t n : {1u, 2u, 3u, 17u, 1000u}) {
+    const Ids v = ascending(n, 0, 4, rng);
+    const auto hits = checked_hits(v, v);
+    ASSERT_EQ(hits.size(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(hits[i], std::make_pair(i, i));
+  }
+}
+
+TEST(SortedIntersection, DisjointPrefixAndSuffixRanges) {
+  Xoshiro256 rng(9);
+  for (const std::size_t n : {1u, 5u, 64u, 3000u}) {
+    const Ids low = ascending(n, 0, 3, rng);
+    const Ids high = ascending(2 * n + 1, low.back() + 1, 3, rng);
+    EXPECT_TRUE(checked_hits(low, high).empty());
+    EXPECT_TRUE(checked_hits(high, low).empty());
+    // Interleaved but never equal: evens against odds.
+    Ids evens, odds;
+    for (std::uint64_t x = 0; x < 2 * n; ++x)
+      (x % 2 == 0 ? evens : odds).push_back(x);
+    EXPECT_TRUE(checked_hits(evens, odds).empty());
+    EXPECT_TRUE(checked_hits(odds, evens).empty());
+  }
+}
+
+TEST(SortedIntersection, MatchesSetIntersectionAcrossSizeRatios) {
+  Xoshiro256 rng(31);
+  // (short size, long/short ratio): 1:1 up to 1:100,000.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {200, 1}, {150, 2}, {100, 7},   {60, 100},
+      {20, 1000}, {3, 10000}, {1, 100000}, {2, 100000}};
+  for (const auto& [short_n, ratio] : shapes) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const Ids longer = ascending(short_n * ratio, 0, 3, rng);
+      // Half the short list is drawn from the long one, half is random in
+      // (and just past) its range; duplicates collapse.
+      Ids shorter;
+      for (std::size_t i = 0; i < short_n; ++i) {
+        shorter.push_back(i % 2 == 0 ? longer[rng.index(longer.size())]
+                                     : rng.below(longer.back() + 8));
+      }
+      std::sort(shorter.begin(), shorter.end());
+      shorter.erase(std::unique(shorter.begin(), shorter.end()),
+                    shorter.end());
+      SCOPED_TRACE(testing::Message() << short_n << " : " << longer.size());
+      check_both_orders(shorter, longer);
+    }
   }
 }
 
