@@ -5,8 +5,11 @@
 // sending asymptotically fewer messages on dense graphs.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <memory>
 
+#include "baseline/baswana_sen.hpp"
 #include "core/config.hpp"
 #include "core/distributed_sampler.hpp"
 #include "core/sampler.hpp"
@@ -14,6 +17,8 @@
 #include "localsim/algorithms.hpp"
 #include "localsim/tlocal_broadcast.hpp"
 #include "localsim/transformer.hpp"
+#include "sim/congest.hpp"
+#include "trace_hash.hpp"
 #include "util/rng.hpp"
 
 namespace fl {
@@ -152,6 +157,118 @@ TEST(Transformer, TwoStagePipelineMatchesReference) {
   const auto over = localsim::run_over_spanner(
       g, alg, spanner_run.edges, cfg.stretch_bound(), 41);
   EXPECT_EQ(over.outputs, localsim::run_reference(g, alg));
+}
+
+
+// ------------------------------------------------ output goldens (pinned)
+
+/// All six local algorithms, with coins and round budgets small enough that
+/// the radius-αt balls stay partial on the golden graphs.
+std::vector<std::unique_ptr<localsim::LocalAlgorithm>> golden_algorithms() {
+  std::vector<std::unique_ptr<localsim::LocalAlgorithm>> out;
+  out.push_back(std::make_unique<localsim::LubyMis>(101, 3));
+  out.push_back(std::make_unique<localsim::GreedyColoring>(103, 3));
+  out.push_back(std::make_unique<localsim::BfsLayers>(2));
+  out.push_back(std::make_unique<localsim::LeaderElection>(1));
+  out.push_back(std::make_unique<localsim::LocalMin>(1));
+  out.push_back(std::make_unique<localsim::MaximalMatching>(107, 2));
+  return out;
+}
+
+/// One pinned transformer point: graph family, size and parameter,
+/// generator seed, the Baswana–Sen parameter k of the spanner the broadcast
+/// runs over, its delivery budget (always explicit, so an ambient
+/// FL_SIM_CONGEST cannot move it), and one hash per algorithm of
+/// golden_algorithms(), in order.
+struct LocalGoldenPoint {
+  graph::Family family;
+  graph::NodeId n;
+  double param;
+  std::uint64_t graph_seed;
+  unsigned spanner_k;
+  sim::CongestConfig congest;
+  std::array<std::uint64_t, 6> hashes;
+};
+
+/// FNV over the reference outputs, the outputs evaluated from the balls a
+/// spanner broadcast collected, and the collected origin sets themselves.
+std::uint64_t local_output_hash(const std::vector<std::uint64_t>& reference,
+                                const std::vector<std::uint64_t>& outputs,
+                                const localsim::BroadcastRun& broadcast) {
+  testing::TraceHash h;
+  h.u64(reference.size());
+  for (const auto x : reference) h.u64(x);
+  h.u64(outputs.size());
+  for (const auto x : outputs) h.u64(x);
+  for (const auto& known : broadcast.reached) {
+    h.u64(known.size());
+    for (const auto u : known) h.u64(u);
+  }
+  return h.value();
+}
+
+/// Output golden for the local algorithms and the transformer's last two
+/// steps: any change to an algorithm's compute(), to what a broadcast
+/// collects, or to how a node evaluates its collected ball fails here. The
+/// harness only compares the transform against run_reference, which calls
+/// the same compute(), so a change to compute() alone would pass it.
+TEST(LocalAlgorithmGolden, OutputsMatchPinnedHashes) {
+  using graph::Family;
+  const sim::CongestConfig local{};
+  const sim::CongestConfig budget2{2};
+  const LocalGoldenPoint points[] = {
+      {Family::ErdosRenyi, 150, 16, 3, 2, local,
+       {0xc7d79da1e067e645ull, 0x6e2656ab2288f1a5ull, 0xe470b0f55f2b1045ull,
+        0x8c359051dbd45965ull, 0x35cb8d2ba5dfe6c5ull, 0x8ad220ec4d2bc9c5ull}},
+      {Family::Grid, 144, 0, 1, 3, local,
+       {0xc2eb59f6ecae0ad9ull, 0x24dc3d0e5c43ed99ull, 0xfce29c7eeeed2b43ull,
+        0x33f08de52b5fa3baull, 0xca49de802c9c597aull, 0xa7c1913aa78a43a3ull}},
+      {Family::BarabasiAlbert, 150, 4, 5, 2, local,
+       {0x57f0b506bb9fb2c5ull, 0xbf733bb19d52e485ull, 0x6404d30b8b8fc885ull,
+        0x8d9ea38f2b563e5full, 0xcc13333bb5ab21ffull, 0xa453a2b64c653645ull}},
+      // A binding budget stretches the rounds but not what is collected,
+      // so this point pins the same hashes as the first one.
+      {Family::ErdosRenyi, 150, 16, 3, 2, budget2,
+       {0xc7d79da1e067e645ull, 0x6e2656ab2288f1a5ull, 0xe470b0f55f2b1045ull,
+        0x8c359051dbd45965ull, 0x35cb8d2ba5dfe6c5ull, 0x8ad220ec4d2bc9c5ull}},
+  };
+  const auto algs = golden_algorithms();
+  for (const auto& p : points) {
+    util::Xoshiro256 rng(p.graph_seed);
+    const Graph g = graph::make_family(p.family, p.n, p.param, rng);
+    // At these sizes the Sampler keeps every edge; Baswana–Sen (stretch
+    // 2k - 1) drops some, so the broadcast runs over a proper subgraph.
+    const auto bs = baseline::build_baswana_sen(g, p.spanner_k, 59);
+    const auto& spanner = bs.edges;
+    ASSERT_LT(spanner.size(), g.num_edges()) << g.summary();
+    const double alpha = bs.stretch_bound();
+    for (std::size_t i = 0; i < algs.size(); ++i) {
+      const auto& alg = *algs[i];
+      const auto reference = localsim::run_reference(g, alg);
+      const auto rep =
+          localsim::run_over_spanner(g, alg, spanner, alpha, 61, p.congest);
+      EXPECT_EQ(rep.outputs, reference) << alg.name() << " " << g.summary();
+      const auto radius = static_cast<unsigned>(
+          std::ceil(alpha * static_cast<double>(alg.radius(g))));
+      const auto broadcast =
+          localsim::run_tlocal_broadcast(g, spanner, radius, 61, p.congest);
+      if (p.congest.enforced()) {
+        // The binding budget must deliver some origins first by a longer
+        // path, so the re-forward dedup (which skips only improvements)
+        // saves words: the improvement path through best_hops_ is live.
+        const auto no_dedup = localsim::run_tlocal_broadcast(
+            g, spanner, radius, 61, p.congest, /*dedup_reforward=*/false);
+        EXPECT_LT(broadcast.metrics.words_total, no_dedup.metrics.words_total)
+            << alg.name();
+      }
+      const std::uint64_t got =
+          local_output_hash(reference, rep.outputs, broadcast);
+      EXPECT_EQ(got, p.hashes[i])
+          << alg.name() << " on " << g.summary() << " budget="
+          << (p.congest.enforced() ? p.congest.words_per_edge_per_round : 0)
+          << ": local-algorithm golden moved to 0x" << std::hex << got;
+    }
+  }
 }
 
 }  // namespace
