@@ -45,6 +45,12 @@ diff <(FL_SIM_THREADS=1 "$BUILD_DIR"/examples/quickstart) \
      <(FL_SIM_THREADS=4 "$BUILD_DIR"/examples/quickstart) \
   || { echo "check.sh: quickstart output differs across thread counts"; exit 1; }
 echo "check.sh: quickstart byte-identical at 1 and 4 threads"
+# The quickstart never runs the transformer; the message-reduction demo
+# does, so this diff also covers ball evaluation, which runs on the lanes.
+diff <(FL_SIM_THREADS=1 "$BUILD_DIR"/examples/message_reduction_demo) \
+     <(FL_SIM_THREADS=4 "$BUILD_DIR"/examples/message_reduction_demo) \
+  || { echo "check.sh: message_reduction_demo output differs across thread counts"; exit 1; }
+echo "check.sh: message_reduction_demo byte-identical at 1 and 4 threads"
 if [ -n "${FL_BENCH_FULL:-}" ]; then
   "$BUILD_DIR"/bench/bench_micro_perf --delivery --congest --json | tee BENCH_micro_perf_full.json
 fi

@@ -9,11 +9,14 @@ namespace fl::graph {
 
 namespace {
 
-/// Shared BFS core parameterized on an incidence accessor.
+/// Shared BFS core parameterized on an incidence accessor. With a `stop_at`
+/// node the search returns as soon as it discovers that node, so only its
+/// entry (and those of nodes found earlier) is final.
 template <typename IncidentFn>
 std::vector<std::uint32_t> bfs_core(NodeId n, NodeId source,
                                     std::uint32_t max_depth,
-                                    IncidentFn&& incident) {
+                                    IncidentFn&& incident,
+                                    NodeId stop_at = kInvalidNode) {
   FL_REQUIRE(source < n, "BFS source out of range");
   std::vector<std::uint32_t> dist(n, kUnreachable);
   std::vector<NodeId> frontier{source};
@@ -26,6 +29,7 @@ std::vector<std::uint32_t> bfs_core(NodeId n, NodeId source,
       for (const Incidence& inc : incident(v)) {
         if (dist[inc.to] == kUnreachable) {
           dist[inc.to] = depth + 1;
+          if (inc.to == stop_at) return dist;
           next.push_back(inc.to);
         }
       }
@@ -83,6 +87,13 @@ std::vector<std::uint32_t> SubgraphView::bfs_distances_bounded(
     NodeId source, std::uint32_t max_depth) const {
   return bfs_core(num_nodes(), source, max_depth,
                   [&](NodeId v) { return incident(v); });
+}
+
+std::uint32_t SubgraphView::distance_capped(NodeId source, NodeId target,
+                                            std::uint32_t max_depth) const {
+  FL_REQUIRE(target < num_nodes(), "BFS target out of range");
+  return bfs_core(num_nodes(), source, max_depth,
+                  [&](NodeId v) { return incident(v); }, target)[target];
 }
 
 bool SubgraphView::preserves_connectivity() const {

@@ -43,6 +43,12 @@ class SubgraphView {
   std::vector<std::uint32_t> bfs_distances_bounded(NodeId source,
                                                    std::uint32_t max_depth) const;
 
+  /// dist_H(source, target) if it is at most `max_depth`, else
+  /// kUnreachable: bfs_distances_bounded(source, max_depth)[target], but the
+  /// search stops as soon as it discovers `target`.
+  std::uint32_t distance_capped(NodeId source, NodeId target,
+                                std::uint32_t max_depth) const;
+
   /// True iff the subgraph spans the base graph's single component set, i.e.
   /// every pair connected in G is connected in H.
   bool preserves_connectivity() const;

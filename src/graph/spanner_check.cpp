@@ -72,10 +72,10 @@ StretchReport check_spanner_sampled(const Graph& g,
   double sum = 0.0;
   for (const std::size_t e : picks) {
     const Endpoints ep = g.endpoints(static_cast<EdgeId>(e));
-    const auto dist = h.bfs_distances_bounded(ep.u, depth_cap);
-    const double d = dist[ep.v] == kUnreachable
+    const std::uint32_t dist = h.distance_capped(ep.u, ep.v, depth_cap);
+    const double d = dist == kUnreachable
                          ? static_cast<double>(depth_cap) + 1.0
-                         : static_cast<double>(dist[ep.v]);
+                         : static_cast<double>(dist);
     rep.max_edge_stretch = std::max(rep.max_edge_stretch, d);
     sum += d;
     ++rep.edges_checked;

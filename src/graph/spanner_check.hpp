@@ -32,7 +32,9 @@ StretchReport check_spanner_exact(const Graph& g,
                                   double alpha = 0.0);
 
 /// Stretch over a uniform sample of G's edges (BFS on H bounded at
-/// `depth_cap`, treating deeper as stretch = depth_cap + 1).
+/// `depth_cap`, treating deeper as stretch = depth_cap + 1). Each BFS stops
+/// as soon as it reaches the sampled edge's other endpoint, so the report
+/// is the same as with full bounded BFSs, at a fraction of the work.
 StretchReport check_spanner_sampled(const Graph& g,
                                     std::span<const EdgeId> spanner,
                                     std::size_t sample_edges,

@@ -40,17 +40,22 @@ std::uint64_t LubyMis::compute(const BallView& ball) const {
     if (ball.contains(u)) members.push_back(u);
 
   std::vector<St> state(g.num_nodes(), St::Undecided);
+  // prio[u] is valid only for the undecided members, which are the only
+  // nodes the win loop compares.
+  std::vector<std::uint64_t> prio(g.num_nodes());
   for (unsigned r = 0; r < t; ++r) {
+    for (const NodeId u : members)
+      if (state[u] == St::Undecided) prio[u] = priority(seed_, u, r);
     // Joiners: undecided nodes beating every undecided ball-neighbour.
     std::vector<NodeId> joiners;
     for (const NodeId u : members) {
       if (state[u] != St::Undecided) continue;
-      const std::uint64_t mine = priority(seed_, u, r);
+      const std::uint64_t mine = prio[u];
       bool wins = true;
       for (const auto& inc : g.incident(u)) {
         if (!ball.contains(inc.to) || state[inc.to] != St::Undecided)
           continue;
-        const std::uint64_t theirs = priority(seed_, inc.to, r);
+        const std::uint64_t theirs = prio[inc.to];
         if (theirs > mine || (theirs == mine && inc.to > u)) {
           wins = false;
           break;

@@ -55,7 +55,9 @@ class LocalAlgorithm {
   /// The round complexity t on graph `g` (may depend on n).
   virtual unsigned radius(const graph::Graph& g) const = 0;
 
-  /// The output of ball.center given exactly its radius-t ball.
+  /// The output of ball.center given exactly its radius-t ball. Must be
+  /// reentrant: ball evaluation runs on the execution lanes, which call
+  /// compute() on one algorithm object concurrently for different balls.
   virtual std::uint64_t compute(const BallView& ball) const = 0;
 };
 

@@ -44,21 +44,25 @@ class FloodNode final : public sim::NodeProgram {
       : self_(self), edge_in_(std::move(edge_in)), rounds_(rounds), n_(n),
         dedup_reforward_(dedup_reforward) {}
 
+  /// The known set is exactly {u : best_hops_[u] >= 0}, so one ascending
+  /// scan extracts it already sorted.
   std::vector<NodeId> known_sorted() const {
-    std::vector<NodeId> out(known_.begin(), known_.end());
-    std::sort(out.begin(), out.end());
+    std::vector<NodeId> out;
+    out.reserve(known_count_);
+    for (NodeId u = 0; u < n_; ++u)
+      if (best_hops_[u] >= 0) out.push_back(u);
     return out;
   }
 
   void on_start(sim::Context& ctx) override {
-    known_.push_back(self_);
     best_hops_.assign(n_, -1);
     best_hops_[self_] = static_cast<std::int32_t>(rounds_);
+    known_count_ = 1;
     if (rounds_ == 0) {
       finished_ = true;
       return;
     }
-    auto batch = std::make_shared<const std::vector<NodeId>>(known_);
+    auto batch = std::make_shared<const std::vector<NodeId>>(1, self_);
     send_over_subset(ctx, batch, rounds_ - 1);
   }
 
@@ -96,7 +100,7 @@ class FloodNode final : public sim::NodeProgram {
       for (const NodeId id : *o.origins) {
         if (hops <= best_hops_[id]) continue;
         const bool improvement = best_hops_[id] >= 0;
-        if (!improvement) known_.push_back(id);
+        if (!improvement) ++known_count_;
         best_hops_[id] = hops;
         if (hops >= 1)
           bucket(static_cast<std::uint32_t>(hops - 1),
@@ -147,7 +151,7 @@ class FloodNode final : public sim::NodeProgram {
   bool dedup_reforward_;
   unsigned send_round_ = 0;
   bool finished_ = false;
-  std::vector<NodeId> known_;
+  std::size_t known_count_ = 0;  // |{u : best_hops_[u] >= 0}|
   // best_hops_[u] = largest remaining hop budget this node has seen for
   // origin u (-1 = never heard). In LOCAL mode it only ever improves once.
   std::vector<std::int32_t> best_hops_;

@@ -6,6 +6,7 @@
 #include "core/distributed_sampler.hpp"
 #include "graph/algorithms.hpp"
 #include "localsim/tlocal_broadcast.hpp"
+#include "sim/exec.hpp"
 #include "util/assert.hpp"
 
 namespace fl::localsim {
@@ -46,21 +47,35 @@ std::vector<std::uint32_t> restricted_bfs(const Graph& g, NodeId center,
 }
 
 /// Evaluate the algorithm at every node from its collected origin set.
+/// Balls are independent, so the nodes are cut into contiguous shards, one
+/// per execution lane (FL_SIM_THREADS, as for the broadcast's Network),
+/// weighted by ball size. Each lane keeps its own epoch mask and writes
+/// out[v] only for the nodes it owns, so outputs do not depend on the lane
+/// count.
 std::vector<std::uint64_t> evaluate_from_collections(
     const Graph& g, const LocalAlgorithm& alg, unsigned t,
     const std::vector<std::vector<NodeId>>& reached) {
-  std::vector<std::uint64_t> out(g.num_nodes());
-  std::vector<unsigned> mask(g.num_nodes(), 0);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const unsigned epoch = v + 1;
-    for (const NodeId u : reached[v]) mask[u] = epoch;
-    BallView ball;
-    ball.g = &g;
-    ball.center = v;
-    ball.radius = t;
-    ball.dist = restricted_bfs(g, v, t, mask, epoch);
-    out[v] = alg.compute(ball);
-  }
+  const NodeId n = g.num_nodes();
+  std::vector<std::uint64_t> out(n);
+  std::vector<std::uint64_t> weights(n);
+  for (NodeId v = 0; v < n; ++v) weights[v] = reached[v].size() + 1;
+  const auto shards =
+      sim::partition_nodes(n, sim::default_parallel_config(), weights);
+  sim::ExecPool pool(static_cast<unsigned>(shards.size()));
+  pool.run([&](unsigned lane) {
+    const sim::ShardRange range = shards[lane];
+    std::vector<unsigned> mask(n, 0);
+    for (NodeId v = range.begin; v < range.end; ++v) {
+      const unsigned epoch = v + 1;
+      for (const NodeId u : reached[v]) mask[u] = epoch;
+      BallView ball;
+      ball.g = &g;
+      ball.center = v;
+      ball.radius = t;
+      ball.dist = restricted_bfs(g, v, t, mask, epoch);
+      out[v] = alg.compute(ball);
+    }
+  });
   return out;
 }
 

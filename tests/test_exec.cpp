@@ -17,7 +17,9 @@
 #include "core/config.hpp"
 #include "core/distributed_sampler.hpp"
 #include "graph/generators.hpp"
+#include "localsim/algorithms.hpp"
 #include "localsim/tlocal_broadcast.hpp"
+#include "localsim/transformer.hpp"
 #include "sim/exec.hpp"
 #include "sim/network.hpp"
 #include "trace_hash.hpp"
@@ -510,6 +512,50 @@ TEST(ParallelProtocols, BroadcastResultsInvariantUnderThreads) {
     EXPECT_EQ(seq.reached, par.reached);
     EXPECT_EQ(seq.stats.rounds, par.stats.rounds);
     EXPECT_EQ(seq.stats.messages, par.stats.messages);
+  }
+}
+
+TEST(ParallelProtocols, TransformerOutputsInvariantUnderThreads) {
+  // Ball evaluation runs on the lanes too, one contiguous shard of nodes
+  // per lane. Every algorithm's outputs must match the sequential run and
+  // the reference at every lane count, also when lanes outnumber nodes.
+  std::vector<std::unique_ptr<localsim::LocalAlgorithm>> algs;
+  algs.push_back(std::make_unique<localsim::LubyMis>(5, 3));
+  algs.push_back(std::make_unique<localsim::GreedyColoring>(7, 3));
+  algs.push_back(std::make_unique<localsim::BfsLayers>(2));
+  algs.push_back(std::make_unique<localsim::LeaderElection>(2));
+  algs.push_back(std::make_unique<localsim::LocalMin>(2));
+  algs.push_back(std::make_unique<localsim::MaximalMatching>(11, 3));
+  util::Xoshiro256 rng(23);
+  const Graph graphs[] = {graph::erdos_renyi_gnm(90, 360, rng),
+                          graph::ring(5)};
+
+  auto run_with_threads = [&](const Graph& g,
+                              const localsim::LocalAlgorithm& alg,
+                              unsigned threads) {
+    if (threads == 1) {
+      unsetenv("FL_SIM_THREADS");
+    } else {
+      setenv("FL_SIM_THREADS", std::to_string(threads).c_str(), 1);
+    }
+    auto rep = localsim::run_native(g, alg, 13, CongestConfig{});
+    unsetenv("FL_SIM_THREADS");
+    return rep;
+  };
+
+  for (const Graph& g : graphs) {
+    for (const auto& alg : algs) {
+      const auto seq = run_with_threads(g, *alg, 1);
+      EXPECT_EQ(seq.outputs, localsim::run_reference(g, *alg))
+          << alg->name() << " on " << g.summary();
+      for (const unsigned threads : {2u, 8u}) {
+        const auto par = run_with_threads(g, *alg, threads);
+        EXPECT_EQ(seq.outputs, par.outputs)
+            << alg->name() << " on " << g.summary() << " at " << threads;
+        EXPECT_EQ(seq.rounds, par.rounds);
+        EXPECT_EQ(seq.messages, par.messages);
+      }
+    }
   }
 }
 

@@ -78,6 +78,47 @@ TEST(SpannerCheck, SampledDepthCapSaturates) {
   EXPECT_DOUBLE_EQ(rep.max_edge_stretch, 4.0);
 }
 
+TEST(SpannerCheck, CappedDistanceMatchesFullBfs) {
+  // The sampled checker's early-exit probe must agree with a capped BFS
+  // that fills the whole distance vector: on the spanner's own edges, on
+  // the G-edges it dropped (distances up to the stretch), from a node to
+  // itself, and for targets beyond the cap.
+  util::Xoshiro256 rng(41);
+  const Graph graphs[] = {erdos_renyi_gnm(120, 600, rng), grid(8, 9),
+                          ring(12), barabasi_albert(100, 3, rng)};
+  for (const Graph& g : graphs) {
+    // Every other edge outside a spanning forest is dropped (the first
+    // one included), so H keeps G's connectivity but stretches the dropped
+    // edges.
+    const auto forest = spanning_forest(g);
+    std::vector<bool> in_forest(g.num_edges(), false);
+    for (const EdgeId e : forest) in_forest[e] = true;
+    std::vector<EdgeId> kept = forest;
+    for (EdgeId e = 0, other = 0; e < g.num_edges(); ++e)
+      if (!in_forest[e] && (other++ % 2 == 1)) kept.push_back(e);
+    ASSERT_LT(kept.size(), g.num_edges()) << g.summary();
+    const SubgraphView h(g, kept);
+    bool saw_beyond_cap = false;
+    for (std::uint32_t cap = 1; cap <= 5; ++cap) {
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        const auto dist = h.bfs_distances_bounded(u, cap);
+        EXPECT_EQ(h.distance_capped(u, u, cap), 0u);
+        for (const Incidence& inc : g.incident(u)) {
+          EXPECT_EQ(h.distance_capped(u, inc.to, cap), dist[inc.to])
+              << g.summary() << " u=" << u << " v=" << inc.to
+              << " cap=" << cap;
+          saw_beyond_cap |= dist[inc.to] == kUnreachable;
+        }
+        // A target that is not a G-neighbour, possibly far beyond the cap.
+        const NodeId far = (u + g.num_nodes() / 2) % g.num_nodes();
+        EXPECT_EQ(h.distance_capped(u, far, cap), dist[far]);
+        saw_beyond_cap |= dist[far] == kUnreachable;
+      }
+    }
+    EXPECT_TRUE(saw_beyond_cap) << g.summary();
+  }
+}
+
 TEST(SpannerCheck, PairwiseStretchSaneOnTree) {
   const Graph g = star(20);
   std::vector<EdgeId> all(g.num_edges());

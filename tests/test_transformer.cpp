@@ -159,7 +159,6 @@ TEST(Transformer, TwoStagePipelineMatchesReference) {
   EXPECT_EQ(over.outputs, localsim::run_reference(g, alg));
 }
 
-
 // ------------------------------------------------ output goldens (pinned)
 
 /// All six local algorithms, with coins and round budgets small enough that
