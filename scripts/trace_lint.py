@@ -16,12 +16,13 @@ Two artifact kinds, distinguished by filename:
 
   *.jsonl       Round-profile dump: one flat JSON object per line — the
                 per-round rows first (each with the model fields round /
-                messages / words / deferrals / carry_depth, rounds strictly
-                ascending, deferrals == carry_depth — a round's deferrals
-                are the messages still parked after it — busy_ns a list),
-                then histogram lines (each with
-                "histogram", "count", and a "buckets" list whose entries
-                carry lo <= hi and n >= 1).
+                messages / words / deferrals / carry_depth / stepped,
+                rounds strictly ascending, deferrals == carry_depth — a
+                round's deferrals are the messages still parked after it —
+                stepped <= n, busy_ns a list), then histogram lines (each
+                with "histogram", "count", and a "buckets" list whose
+                entries carry lo <= hi and n >= 1). n is the node_sends
+                histogram's count: it holds one sample per node.
 
 Usage:  scripts/trace_lint.py FILE [FILE...]
 Exit status: 0 when every file is well-formed, 1 otherwise. Never run this
@@ -35,7 +36,7 @@ import sys
 from pathlib import Path
 
 REQUIRED_ROUND_FIELDS = ("round", "messages", "words", "deferrals",
-                         "carry_depth")
+                         "carry_depth", "stepped")
 VALID_PHASES = {"M", "X", "C"}
 
 
@@ -112,6 +113,8 @@ def lint_profile_jsonl(path: Path, problems: list) -> None:
     prev_round = None
     saw_round = False
     saw_histogram = False
+    max_stepped = None  # (line, round, stepped) of the largest count
+    nodes = None
     for i, line in enumerate(lines):
         try:
             obj = json.loads(line)
@@ -123,6 +126,8 @@ def lint_profile_jsonl(path: Path, problems: list) -> None:
             continue
         if "histogram" in obj:
             saw_histogram = True
+            if obj.get("histogram") == "node_sends":
+                nodes = obj.get("count")
             if not isinstance(obj.get("count"), int):
                 problems.append(
                     f"{path.name} line {i} (histogram "
@@ -166,12 +171,20 @@ def lint_profile_jsonl(path: Path, problems: list) -> None:
                 f"deferrals {obj['deferrals']} != carry_depth "
                 f"{obj['carry_depth']} (every parked message is deferred "
                 f"by the round it is parked after)")
+        if max_stepped is None or obj["stepped"] > max_stepped[2]:
+            max_stepped = (i, obj["round"], obj["stepped"])
         busy = obj.get("busy_ns")
         if not isinstance(busy, list) or not all(
                 isinstance(b, int) and b >= 0 for b in busy):
             problems.append(
                 f"{path.name} line {i}: busy_ns missing or not a list of "
                 f"non-negative integers")
+    if max_stepped is not None and isinstance(nodes, int) \
+            and max_stepped[2] > nodes:
+        problems.append(
+            f"{path.name} line {max_stepped[0]}: round {max_stepped[1]} "
+            f"stepped {max_stepped[2]} nodes, more than the network's "
+            f"{nodes}")
     if not saw_round:
         problems.append(f"{path.name}: no round-profile rows")
     if not saw_histogram:

@@ -231,7 +231,6 @@ class SamplerNode final : public sim::NodeProgram {
           ++phase_idx_;
         }
       }
-      ++logical_round_;
       return;
     }
     // Fixed timetable: phases start at their provisioned rounds.
@@ -246,6 +245,11 @@ class SamplerNode final : public sim::NodeProgram {
   bool done() const override {
     return phase_idx_ >= schedule_->phases.size();
   }
+
+  /// On event-driven barriers every action is a reaction to mail or a
+  /// phase start on silence, so an empty, non-silent round is a no-op and
+  /// the engine may skip it. The fixed timetable counts every round.
+  bool reactive() const override { return adaptive_; }
 
  private:
   // ------------------------------------------------------- edge slots
@@ -837,7 +841,7 @@ class SamplerNode final : public sim::NodeProgram {
   bool adaptive_ = false;  ///< event-driven barriers vs fixed timetable
   util::StreamFactory streams_;
 
-  std::size_t logical_round_ = 0;
+  std::size_t logical_round_ = 0;  ///< fixed timetable only
   std::size_t phase_idx_ = 0;
   unsigned level_ = 0;
 
@@ -937,6 +941,15 @@ Schedule Schedule::build(const SamplerConfig& cfg) {
 DistributedSpannerRun run_distributed_sampler(const graph::Graph& g,
                                               const SamplerConfig& cfg) {
   cfg.validate(g.num_nodes());
+  // Only the centralized build_spanner implements these two fields; the
+  // protocol always peels and never patches a Neither node, so a run that
+  // asked otherwise would silently measure something else.
+  FL_REQUIRE(cfg.peel_parallel_edges,
+             "SamplerConfig::peel_parallel_edges = false is not implemented "
+             "by the distributed sampler (build_spanner only)");
+  FL_REQUIRE(!cfg.force_light_completion,
+             "SamplerConfig::force_light_completion = true is not "
+             "implemented by the distributed sampler (build_spanner only)");
   const auto schedule = std::make_shared<const Schedule>(Schedule::build(cfg));
   const double n0 = g.num_nodes();
 

@@ -35,16 +35,21 @@ std::uint64_t GreedyColoring::compute(const BallView& ball) const {
     if (ball.contains(u)) members.push_back(u);
 
   std::vector<std::uint32_t> color(g.num_nodes(), kUncolored);
+  // prio[u] is valid only for the uncolored members, which are the only
+  // nodes the win loop compares.
+  std::vector<std::uint64_t> prio(g.num_nodes());
   std::vector<bool> used;
   for (unsigned r = 0; r < t; ++r) {
+    for (const NodeId u : members)
+      if (color[u] == kUncolored) prio[u] = priority(seed_, u, r);
     std::vector<NodeId> winners;
     for (const NodeId u : members) {
       if (color[u] != kUncolored) continue;
-      const std::uint64_t mine = priority(seed_, u, r);
+      const std::uint64_t mine = prio[u];
       bool wins = true;
       for (const auto& inc : g.incident(u)) {
         if (!ball.contains(inc.to) || color[inc.to] != kUncolored) continue;
-        const std::uint64_t theirs = priority(seed_, inc.to, r);
+        const std::uint64_t theirs = prio[inc.to];
         if (theirs > mine || (theirs == mine && inc.to > u)) {
           wins = false;
           break;

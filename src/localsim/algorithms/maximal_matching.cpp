@@ -39,34 +39,39 @@ std::uint64_t MaximalMatching::compute(const BallView& ball) const {
     if (ball.contains(u)) members.push_back(u);
 
   std::vector<NodeId> partner(g.num_nodes(), graph::kInvalidNode);
+  auto live = [&](NodeId v) {
+    return ball.contains(v) && partner[v] == graph::kInvalidNode;
+  };
+  // prio[e] is valid only for live edges (both endpoints in the ball and
+  // unmatched), the only edges the win test compares. It is drawn once per
+  // round, at the edge's smaller endpoint, which the ascending member walk
+  // reaches first. best[u] is u's live edge with the largest (priority,
+  // edge id).
+  std::vector<std::uint64_t> prio(g.num_edges());
+  std::vector<graph::Incidence> best(g.num_nodes());
   for (unsigned r = 0; r < t; ++r) {
+    for (const NodeId u : members) {
+      if (partner[u] != graph::kInvalidNode) continue;
+      graph::Incidence top;
+      for (const auto& inc : g.incident(u)) {
+        if (!live(inc.to)) continue;
+        const EdgeId e = inc.edge;
+        if (inc.to >= u) prio[e] = priority(seed_, e, r);
+        if (top.edge == graph::kInvalidEdge || prio[e] > prio[top.edge] ||
+            (prio[e] == prio[top.edge] && e > top.edge))
+          top = inc;
+      }
+      best[u] = top;
+    }
     // An edge joins the matching iff both endpoints are unmatched and its
-    // priority beats every competing incident edge (with two unmatched
-    // endpoints) at both ends. Winners are vertex-disjoint by construction.
+    // priority beats every competing live edge at both ends, i.e. it is
+    // both endpoints' best. Winners are vertex-disjoint by construction.
     std::vector<std::pair<NodeId, NodeId>> winners;
     for (const NodeId u : members) {
       if (partner[u] != graph::kInvalidNode) continue;
-      for (const auto& inc : g.incident(u)) {
-        const NodeId v = inc.to;
-        if (v < u) continue;  // consider each edge once
-        if (!ball.contains(v) || partner[v] != graph::kInvalidNode) continue;
-        const std::uint64_t mine = priority(seed_, inc.edge, r);
-        bool wins = true;
-        auto beats_competitors = [&](NodeId endpoint) {
-          for (const auto& jnc : g.incident(endpoint)) {
-            if (jnc.edge == inc.edge) continue;
-            if (!ball.contains(jnc.to) ||
-                partner[jnc.to] != graph::kInvalidNode)
-              continue;
-            const std::uint64_t theirs = priority(seed_, jnc.edge, r);
-            if (theirs > mine || (theirs == mine && jnc.edge > inc.edge))
-              return false;
-          }
-          return true;
-        };
-        if (!beats_competitors(u) || !beats_competitors(v)) wins = false;
-        if (wins) winners.emplace_back(u, v);
-      }
+      const auto [v, e] = best[u];
+      if (e != graph::kInvalidEdge && v >= u && best[v].edge == e)
+        winners.emplace_back(u, v);
     }
     for (const auto& [u, v] : winners) {
       partner[u] = v;

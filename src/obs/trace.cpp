@@ -157,13 +157,15 @@ void Tracer::record_named(const char* name, std::size_t round,
 
 void Tracer::end_round(std::size_t round, std::uint64_t delivered,
                        std::uint64_t words_cum, std::uint64_t deferrals_cum,
-                       std::uint64_t carry_depth, std::uint64_t allocations) {
+                       std::uint64_t carry_depth, std::uint64_t stepped,
+                       std::uint64_t allocations) {
   RoundProfile p;
   p.round = round;
   p.messages = delivered;
   p.words = words_cum - prev_words_cum_;
   p.deferrals = deferrals_cum - prev_deferrals_cum_;
   p.carry_depth = carry_depth;
+  p.stepped = stepped;
   p.allocations = allocations;
   prev_words_cum_ = words_cum;
   prev_deferrals_cum_ = deferrals_cum;
@@ -328,6 +330,8 @@ void Tracer::write_profile_jsonl(std::ostream& os) const {
     append_u64(out, p.deferrals);
     out += ",\"carry_depth\":";
     append_u64(out, p.carry_depth);
+    out += ",\"stepped\":";
+    append_u64(out, p.stepped);
     out += ",\"allocations\":";
     append_u64(out, p.allocations);
     out += ",\"lanes\":";

@@ -14,9 +14,9 @@
 //     allocation-free after bind_lanes;
 //   * RoundProfile — one structured record per round: phase durations,
 //     per-lane busy time and the max/avg imbalance ratio, plus the round's
-//     model quantities (messages, words, deferrals, carry depth, plane
-//     allocations) and an RSS sample. Queryable as Network::profile(),
-//     dumped as JSONL next to the trace;
+//     model quantities (messages, words, deferrals, carry depth, nodes
+//     stepped, plane allocations) and an RSS sample. Queryable as
+//     Network::profile(), dumped as JSONL next to the trace;
 //   * histograms — log-bucketed (util/histogram.hpp) message words,
 //     per-directed-edge carry occupancy, per-node send counts;
 //   * export — Chrome-trace-event JSON, so a run opens directly in
@@ -34,8 +34,8 @@
 //
 // RoundProfile fields come in two classes, and the split is load-bearing
 // for tooling: *model* fields (round, messages, words, deferrals,
-// carry_depth) are bit-identical across thread counts and trace levels —
-// bench_diff treats them as strict; *advisory* fields (every `_ns`
+// carry_depth, stepped) are bit-identical across thread counts and trace
+// levels — bench_diff treats them as strict; *advisory* fields (every `_ns`
 // duration, `max_over_avg_busy`, `rss_kb`) are wall-clock artifacts that
 // differ run to run — tooling must never gate on them.
 #pragma once
@@ -152,6 +152,7 @@ struct RoundProfile {
                                   ///< (== carry_depth: each parked
                                   ///< message was deferred by it)
   std::uint64_t carry_depth = 0;  ///< carried messages after admission
+  std::uint64_t stepped = 0;      ///< nodes whose on_start/on_round ran
 
   // -- engine diagnostics: deterministic for a fixed configuration but
   //    lane-count-dependent (outbox planes scale with lanes).
@@ -202,7 +203,8 @@ class Tracer {
   /// them so the profile carries per-round deltas.
   void end_round(std::size_t round, std::uint64_t delivered,
                  std::uint64_t words_cum, std::uint64_t deferrals_cum,
-                 std::uint64_t carry_depth, std::uint64_t allocations);
+                 std::uint64_t carry_depth, std::uint64_t stepped,
+                 std::uint64_t allocations);
 
   // Histogram surfaces. The engine fills them only under `if (trace_)`;
   // adds are order-independent, so chunk iteration order never shows.

@@ -82,7 +82,10 @@ std::vector<ShardRange> partition_nodes(graph::NodeId n, unsigned shards,
 /// sweep). `done_count` is the number of currently-done nodes in the
 /// lane's shard, maintained by transition (±1 when a node's done() answer
 /// flips) as nodes are stepped — the engine's quiesce check sums S of
-/// these instead of scanning n programs.
+/// these instead of scanning n programs. `always_step` lists the shard's
+/// non-reactive nodes (NodeProgram::reactive) in ascending order, fixed
+/// after on_start: with the shard's recipients it is what a non-silent
+/// round steps, and `stepped` counts the nodes the last step phase ran.
 struct SendLane {
   MessagePlanes outbox;
   std::vector<std::uint32_t> dest_counts;  // size n
@@ -90,6 +93,8 @@ struct SendLane {
   std::uint64_t words = 0;
   std::uint64_t max_words = 0;  // largest single size hint, monotone
   std::int64_t done_count = 0;
+  std::vector<graph::NodeId> always_step;
+  std::uint64_t stepped = 0;
 };
 
 /// Persistent worker pool executing one job per lane with a barrier.

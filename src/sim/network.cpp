@@ -306,7 +306,16 @@ void Network::phase_step(bool starting) {
   // locks. The done() re-read happens here, immediately after the step —
   // the only place done-state can change — keeping the quiesce phase free
   // of any per-node work.
+  //
+  // The start round and every silent round step every node. Any other
+  // round steps the nodes with mail plus the non-reactive ones: a
+  // reactive program's on_round is a no-op on an empty inbox outside
+  // silence (node.hpp), so skipping it leaves that node untouched and
+  // every send, arena slot and done-counter exactly as stepping it would.
+  // The shard's recipients come off its CSR arena slice in ascending
+  // order, so the phase costs O(recipients + non-reactive nodes).
   if (check_) check_->set_round(round_);
+  const bool everyone = starting || round_silent();
   // Phase span on the engine track; per-lane busy spans on the lane
   // tracks. Both are one null-check when tracing is off, and the lane
   // span's duration is what RoundProfile::lane_busy_ns accumulates — the
@@ -321,17 +330,42 @@ void Network::phase_step(bool starting) {
     const obs::SpanScope span(trace_.get(), obs::SpanKind::StepLane, s, round_);
     const ShardRange range = shards_[s];
     SendLane& lane = lanes_[s];
-    for (NodeId v = range.begin; v < range.end; ++v) {
+    lane.stepped = 0;
+    auto step_node = [&](NodeId v) {
       if (check_) check_->touch_node(v, "program state");
+      NodeProgram& program = *programs_[v];
       Context ctx(*this, v, lane);
       if (starting) {
-        programs_[v]->on_start(ctx);
+        program.on_start(ctx);
+        if (!program.reactive()) lane.always_step.push_back(v);
       } else {
-        programs_[v]->on_round(ctx, inbox_span(v));
+        program.on_round(ctx, inbox_span(v));
       }
-      const std::uint8_t now = programs_[v]->done() ? 1 : 0;
+      const std::uint8_t now = program.done() ? 1 : 0;
       lane.done_count += static_cast<int>(now) - static_cast<int>(done_state_[v]);
       done_state_[v] = now;
+      ++lane.stepped;
+    };
+    if (everyone || lane.always_step.size() == range.end - range.begin) {
+      for (NodeId v = range.begin; v < range.end; ++v) step_node(v);
+    } else {
+      // Merge the shard's recipients (one per inbox run of the arena
+      // slice) with its always-step list; both ascend, so the nodes step
+      // in id order exactly as in the all-nodes loop.
+      std::uint32_t mail = arena_offsets_[range.begin];
+      const std::uint32_t mail_end = arena_offsets_[range.end];
+      std::size_t k = 0;
+      while (true) {
+        const NodeId next_mail =
+            mail < mail_end ? arena_.header(mail).to : range.end;
+        const NodeId next_always =
+            k < lane.always_step.size() ? lane.always_step[k] : range.end;
+        const NodeId v = std::min(next_mail, next_always);
+        if (v == range.end) break;
+        step_node(v);
+        if (v == next_mail) mail = arena_offsets_[v + 1];
+        if (v == next_always) ++k;
+      }
     }
     if (check_probe_) check_probe_(*this, s);
   };
@@ -357,8 +391,10 @@ void Network::phase_merge() {
     // Close the round's profile. The engine hands over model counters and
     // never reads anything back (C12) — deltas and imbalance are computed
     // on the tracer's side of the fence.
+    std::uint64_t stepped = 0;
+    for (const auto& lane : lanes_) stepped += lane.stepped;
     trace_->end_round(round_, count, metrics_.words_total,
-                      metrics_.deferrals_total, carry_total_,
+                      metrics_.deferrals_total, carry_total_, stepped,
                       debug_plane_allocations());
   }
   ++round_;

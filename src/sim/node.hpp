@@ -1,9 +1,11 @@
 // Node-program interface for the synchronous LOCAL simulator.
 //
 // A protocol is a class derived from NodeProgram, instantiated once per
-// node. Each round the network calls on_round() with the node's inbox; the
-// program reacts and sends messages through the Context. The model
-// assumptions of the paper (Section 1.1) are encoded in Context:
+// node. Each round the network calls on_round() with the node's inbox (a
+// reactive program only when it has mail or the round is silent — see
+// NodeProgram::reactive); the program reacts and sends messages through
+// the Context. The model assumptions of the paper (Section 1.1) are
+// encoded in Context:
 //   * nodes know an O(1)-approximate upper bound on log n  -> log_n_bound();
 //   * unique edge IDs known to both endpoints              -> incident_edges().
 // Nodes have NO other a-priori topology knowledge — Context has no call that
@@ -90,7 +92,8 @@ class NodeProgram {
   /// Called once, before the first round. May send messages.
   virtual void on_start(Context& ctx) = 0;
 
-  /// Called once per round with all messages delivered this round. The
+  /// Called once per round (for a reactive program, only in the rounds
+  /// reactive() names) with all messages delivered this round. The
   /// inbox is a zipped view into the delivery arena's header/payload
   /// planes (message.hpp); views and payload references obtained from it
   /// are valid only until on_round returns.
@@ -108,6 +111,19 @@ class NodeProgram {
   /// state must not be mutated from outside the simulation while a run
   /// may still continue.
   virtual bool done() const = 0;
+
+  /// Reactive contract: a program that returns true promises that
+  /// on_round with an empty inbox, on a round that is not
+  /// Context::network_silent(), is a no-op — no send, no RNG draw, no
+  /// state change, so done() cannot change either. The engine reads the
+  /// flag once per node, right after on_start, and from then on skips
+  /// such calls: outside the start round and silent rounds (which step
+  /// every node), a round steps only the nodes with mail plus every
+  /// non-reactive node. A skipped node is untouched that round, so its
+  /// on_round must not count rounds (Context::round() still reads the
+  /// true round number whenever it is stepped). The default, false, steps
+  /// the node every round.
+  virtual bool reactive() const { return false; }
 };
 
 }  // namespace fl::sim

@@ -70,7 +70,7 @@ TEST(Barrier, BitIdenticalAcrossThreadsBudgetsAndFamilies) {
          {std::uint64_t{2}, std::uint64_t{8}, std::uint64_t{1000000000}}) {
       const auto cfg = barrier_cfg(budget);
       core::DistributedSpannerRun base;
-      for (const unsigned threads : {1u, 2u, 8u}) {
+      for (const unsigned threads : {1u, 2u, 4u, 8u}) {
         const EnvGuard env("FL_SIM_THREADS", std::to_string(threads));
         const auto run = core::run_distributed_sampler(g, cfg);
         ASSERT_TRUE(run.stats.terminated)
@@ -90,6 +90,7 @@ TEST(Barrier, BitIdenticalAcrossThreadsBudgetsAndFamilies) {
             << at;
         EXPECT_EQ(run.metrics.deferrals_total, base.metrics.deferrals_total)
             << at;
+        EXPECT_EQ(run.metrics.words_total, base.metrics.words_total) << at;
       }
     }
   }

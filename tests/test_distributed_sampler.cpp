@@ -18,6 +18,7 @@
 #include "graph/spanner_check.hpp"
 #include "sim/congest.hpp"
 #include "trace_hash.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace fl {
@@ -222,6 +223,27 @@ TEST(DistributedSampler, WorksOnTinyGraphs) {
   const Graph tri = graph::ring(3);
   const auto run3 = core::run_distributed_sampler(tri, cfg);
   EXPECT_GE(run3.edges.size(), 2u);
+}
+
+TEST(DistributedSampler, RejectsUnimplementedConfigFields) {
+  // Both fields are centralized-only ablations (build_spanner); the
+  // protocol must refuse them rather than silently run the default.
+  const Graph g = graph::ring(8);
+  auto expect_rejected = [&](const SamplerConfig& cfg, const char* field) {
+    try {
+      (void)core::run_distributed_sampler(g, cfg);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const util::ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  auto no_peel = SamplerConfig::paper_faithful(1, 1, 3);
+  no_peel.peel_parallel_edges = false;
+  expect_rejected(no_peel, "peel_parallel_edges");
+  auto force_light = SamplerConfig::paper_faithful(1, 1, 3);
+  force_light.force_light_completion = true;
+  expect_rejected(force_light, "force_light_completion");
 }
 
 // ------------------------------------------------ output goldens (pinned)

@@ -1,10 +1,13 @@
 // Tests for the synchronous LOCAL simulator: lockstep delivery, metering,
-// incidence enforcement, termination semantics, and the quiesce
-// phase's done-counter contract (done() is re-read only at step time; the
-// per-round check is an O(S) counter sum, never a per-node scan).
+// incidence enforcement, termination semantics, the quiesce phase's
+// done-counter contract (done() is re-read only at step time; the
+// per-round check is an O(S) counter sum, never a per-node scan), and
+// reactive stepping (a reactive program runs only on mail or silence).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "sim/network.hpp"
 #include "trace_hash.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace fl::sim {
 namespace {
@@ -438,6 +442,168 @@ TEST(NetworkQuiesce, SingleNodeNetwork) {
   EXPECT_TRUE(stats.terminated);
   EXPECT_EQ(stats.rounds, 3u);
   EXPECT_EQ(stats.messages, 0u);
+}
+
+// ------------------------------------------------- reactive stepping
+
+/// Hop-limited flood waves. On every silent round each node advances its
+/// wave counter and the wave's starter floods (wave, hop 0); a receiver
+/// seeing a wave for the first time forwards it over its other edges
+/// until kHops. Everything it does is a reaction to mail or to silence,
+/// so it honours the reactive contract whatever reactive() reports; the
+/// flag only decides whether the engine may skip its idle rounds. Logs
+/// every step so tests can compare the rounds it ran with the rounds it
+/// had mail or silence.
+class Waves final : public NodeProgram {
+ public:
+  static constexpr unsigned kHops = 3;
+
+  Waves(NodeId self, unsigned waves, NodeId n, bool reactive)
+      : self_(self), waves_(waves), n_(n), reactive_(reactive) {}
+
+  std::vector<std::size_t> stepped_rounds;  ///< every on_round call
+  std::vector<std::size_t> mail_rounds;     ///< on_round with mail
+  std::vector<std::size_t> silent_rounds;   ///< on_round on silence
+  std::vector<std::tuple<std::size_t, EdgeId, std::uint64_t>> heard;
+
+  void on_start(Context&) override {}
+
+  void on_round(Context& ctx, InboxView inbox) override {
+    stepped_rounds.push_back(ctx.round());
+    if (!inbox.empty()) mail_rounds.push_back(ctx.round());
+    for (const auto& m : inbox) {
+      const auto word = payload_as<std::uint64_t>(m);
+      heard.emplace_back(ctx.round(), m.edge(), word);
+      const std::uint64_t wave = word >> 8;
+      const std::uint64_t hop = word & 0xff;
+      if (seen_ == wave + 1 || hop >= kHops) continue;
+      seen_ = wave + 1;
+      for (const EdgeId e : ctx.incident_edges())
+        if (e != m.edge()) ctx.send(e, (wave << 8) | (hop + 1));
+    }
+    if (!ctx.network_silent()) return;
+    silent_rounds.push_back(ctx.round());
+    if (wave_ >= waves_) return;
+    if (self_ == (wave_ * 7 + 3) % n_) {
+      seen_ = wave_ + 1;
+      for (const EdgeId e : ctx.incident_edges())
+        ctx.send(e, std::uint64_t{wave_} << 8);
+    }
+    ++wave_;
+  }
+
+  bool done() const override { return wave_ >= waves_; }
+  bool reactive() const override { return reactive_; }
+
+ private:
+  NodeId self_;
+  unsigned waves_;
+  NodeId n_;
+  bool reactive_;
+  unsigned wave_ = 0;
+  std::uint64_t seen_ = 0;  ///< last wave seen + 1 (0 = none)
+};
+
+struct WavesRun {
+  RunStats stats;
+  Metrics metrics;
+  std::vector<std::vector<std::size_t>> stepped, mail, silent;
+  std::vector<std::vector<std::tuple<std::size_t, EdgeId, std::uint64_t>>>
+      heard;
+};
+
+/// `reactive(v)` picks each node's flag.
+template <typename Pick>
+WavesRun run_waves(const Graph& g, unsigned threads, bool check,
+                   Pick reactive) {
+  Network net(g, 3);
+  net.set_parallelism(threads);
+  net.set_check(check);
+  net.install([&](NodeId v) {
+    return std::make_unique<Waves>(v, 5u, g.num_nodes(), reactive(v));
+  });
+  WavesRun out;
+  out.stats = net.run(500);
+  out.metrics = net.metrics();
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    auto& p = net.program_as<Waves>(v);
+    out.stepped.push_back(p.stepped_rounds);
+    out.mail.push_back(p.mail_rounds);
+    out.silent.push_back(p.silent_rounds);
+    out.heard.push_back(p.heard);
+  }
+  return out;
+}
+
+Graph waves_graph() {
+  util::Xoshiro256 rng(41);
+  return graph::erdos_renyi_gnm(60, 110, rng);
+}
+
+TEST(Network, ReactiveProgramSteppedOnlyOnMailOrSilence) {
+  const Graph g = waves_graph();
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    for (const bool check : {false, true}) {
+      const std::string at = "threads=" + std::to_string(threads) +
+                             " check=" + std::to_string(check);
+      const auto eager = run_waves(g, threads, check, [](NodeId) {
+        return false;
+      });
+      const auto lazy = run_waves(g, threads, check, [](NodeId) {
+        return true;
+      });
+      ASSERT_TRUE(eager.stats.terminated) << at;
+      ASSERT_TRUE(lazy.stats.terminated) << at;
+      // The non-reactive twin runs on_round in every round after the
+      // start round.
+      std::vector<std::size_t> every;
+      for (std::size_t r = 1; r < eager.stats.rounds; ++r) every.push_back(r);
+      std::size_t skipped = 0;
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        EXPECT_EQ(eager.stepped[v], every) << at << " node " << v;
+        // The reactive one exactly in its mail rounds and the silent
+        // rounds (disjoint: a silent round delivered nothing).
+        std::vector<std::size_t> want = lazy.mail[v];
+        want.insert(want.end(), lazy.silent[v].begin(), lazy.silent[v].end());
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(lazy.stepped[v], want) << at << " node " << v;
+        // Skipping changes nothing the node sees.
+        EXPECT_EQ(lazy.mail[v], eager.mail[v]) << at << " node " << v;
+        EXPECT_EQ(lazy.silent[v], eager.silent[v]) << at << " node " << v;
+        EXPECT_EQ(lazy.heard[v], eager.heard[v]) << at << " node " << v;
+        skipped += eager.stepped[v].size() - lazy.stepped[v].size();
+      }
+      EXPECT_GT(skipped, 0u) << at << ": the waves must leave idle rounds";
+      EXPECT_EQ(lazy.stats.rounds, eager.stats.rounds) << at;
+      EXPECT_EQ(lazy.metrics.messages_per_round,
+                eager.metrics.messages_per_round)
+          << at;
+      EXPECT_EQ(lazy.metrics.messages_per_node, eager.metrics.messages_per_node)
+          << at;
+    }
+  }
+}
+
+TEST(Network, MixedReactiveNetworkDeliversLikeAllNonReactive) {
+  // Alternate nodes reactive: each shard's step list interleaves its
+  // recipients with its non-reactive nodes, and delivery (contents and
+  // per-inbox order) must match the run that steps everyone.
+  const Graph g = waves_graph();
+  const auto base = run_waves(g, 1, false, [](NodeId) { return false; });
+  ASSERT_TRUE(base.stats.terminated);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    const auto mixed = run_waves(g, threads, false, [](NodeId v) {
+      return v % 2 == 0;
+    });
+    EXPECT_EQ(mixed.heard, base.heard) << "threads=" << threads;
+    EXPECT_EQ(mixed.stats.rounds, base.stats.rounds) << "threads=" << threads;
+    EXPECT_EQ(mixed.metrics.messages_per_round,
+              base.metrics.messages_per_round)
+        << "threads=" << threads;
+    for (NodeId v = 1; v < g.num_nodes(); v += 2)
+      EXPECT_EQ(mixed.stepped[v], base.stepped[v])
+          << "threads=" << threads << " node " << v;
+  }
 }
 
 }  // namespace

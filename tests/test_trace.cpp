@@ -3,13 +3,15 @@
 // golden delivery hash from test_sim.cpp is recomputed here with span
 // recording live — any value drift means a timing readback leaked into
 // the model. Also covered: RoundProfile model fields across thread counts
-// and congest modes, SpanRing overflow, LogHistogram bucket geometry, the
+// and congest modes (including the count of nodes a round stepped),
+// SpanRing overflow, LogHistogram bucket geometry, the
 // FL_SIM_TRACE probe, and both export formats.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -146,7 +148,7 @@ TEST(TraceNeutrality, ProfileModelFieldsThreadInvariant) {
   const Graph g = golden_graph();
   using ModelRow =
       std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
-                 std::uint64_t>;
+                 std::uint64_t, std::uint64_t>;
   auto run_model = [&](unsigned threads, TraceLevel level,
                        bool congest) -> std::vector<ModelRow> {
     Network net(g, 5);
@@ -159,7 +161,7 @@ TEST(TraceNeutrality, ProfileModelFieldsThreadInvariant) {
     std::vector<ModelRow> rows;
     for (const RoundProfile& p : net.profile())
       rows.emplace_back(p.round, p.messages, p.words, p.deferrals,
-                        p.carry_depth);
+                        p.carry_depth, p.stepped);
     return rows;
   };
   for (const bool congest : {false, true}) {
@@ -209,6 +211,63 @@ TEST(TraceProfile, DeferralsEqualCarryDepthEveryRound) {
     for (const RoundProfile& p : net.profile())
       EXPECT_EQ(p.deferrals, p.carry_depth)
           << "round " << p.round << " at " << threads << " lanes";
+  }
+}
+
+/// A token relayed `hops` times along a ring; only the holder acts, so
+/// as a reactive program it is the one node a round wakes.
+class RingRelay final : public NodeProgram {
+ public:
+  RingRelay(NodeId self, unsigned hops, bool reactive)
+      : self_(self), hops_(hops), reactive_(reactive) {}
+
+  void on_start(Context& ctx) override {
+    if (self_ == 0) ctx.send(ctx.incident_edges()[0], unsigned{1});
+  }
+
+  void on_round(Context& ctx, InboxView inbox) override {
+    for (const auto& m : inbox) {
+      const auto hop = sim::payload_as<unsigned>(m);
+      if (hop >= hops_) continue;
+      for (const EdgeId e : ctx.incident_edges())
+        if (e != m.edge()) {
+          ctx.send(e, hop + 1);
+          break;
+        }
+    }
+  }
+
+  bool done() const override { return true; }
+  bool reactive() const override { return reactive_; }
+
+ private:
+  NodeId self_;
+  unsigned hops_;
+  bool reactive_;
+};
+
+TEST(TraceProfile, SteppedCountsTheNodesEachRoundRan) {
+  // The start round steps every node; after it a reactive relay steps
+  // only the token's holder, a non-reactive one every node. The count is
+  // a model field: the same at 1 and 8 lanes.
+  const Graph g = graph::ring(16);
+  constexpr unsigned kHops = 10;
+  for (const bool reactive : {false, true}) {
+    for (const unsigned threads : {1u, 8u}) {
+      Network net(g, 3);
+      net.set_parallelism(threads);
+      net.set_trace(collect_only(TraceLevel::Profile));
+      net.install([&](NodeId v) {
+        return std::make_unique<RingRelay>(v, kHops, reactive);
+      });
+      ASSERT_TRUE(net.run(100).terminated);
+      std::vector<std::uint64_t> stepped;
+      for (const RoundProfile& p : net.profile()) stepped.push_back(p.stepped);
+      std::vector<std::uint64_t> want(kHops + 1, reactive ? 1 : 16);
+      want[0] = 16;
+      EXPECT_EQ(stepped, want)
+          << "reactive=" << reactive << " at " << threads << " lanes";
+    }
   }
 }
 
