@@ -24,9 +24,7 @@ int main(int argc, char** argv) {
   const auto g = graph::erdos_renyi_gnm(n, 32ull * n, rng);
 
   // Stage 1: Sampler spanner H1.
-  auto cfg = core::SamplerConfig::bench_profile(1, 3, env.seed);
-  // The setup table records LOCAL construction rounds — pin them env-immune.
-  cfg.congest = sim::CongestConfig{};
+  const auto cfg = core::SamplerConfig::bench_profile(1, 3, env.seed);
   const auto h1 = core::run_distributed_sampler(g, cfg);
 
   // Stage 2: the (2r+1)-stretch Voronoi spanner H2, built by a (r+1)-round

@@ -21,10 +21,7 @@ int main(int argc, char** argv) {
   const auto g = graph::erdos_renyi_gnm(n, 8ull * n, rng);
   for (unsigned k = 1; k <= 3; ++k) {
     for (unsigned h = 1; h <= (env.quick ? 3u : 4u); ++h) {
-      auto cfg = core::SamplerConfig::paper_faithful(k, h, env.seed);
-      // E5 measures the LOCAL timetable — pin it so an FL_SIM_CONGEST env
-      // probe cannot swap in event-driven barriers and shrink the rounds.
-      cfg.congest = sim::CongestConfig{};
+      const auto cfg = core::SamplerConfig::paper_faithful(k, h, env.seed);
       const auto sched = core::Schedule::build(cfg);
       const auto run = core::run_distributed_sampler(g, cfg);
       const double scale = core::SamplerConfig::pow3(k) * h;
@@ -36,8 +33,7 @@ int main(int argc, char** argv) {
 
   // Graph independence at fixed parameters.
   util::Table indep({"family", "n", "m", "measured rounds"});
-  auto cfg = core::SamplerConfig::paper_faithful(2, 2, env.seed);
-  cfg.congest = sim::CongestConfig{};  // LOCAL pin, as above
+  const auto cfg = core::SamplerConfig::paper_faithful(2, 2, env.seed);
   for (const auto family :
        {graph::Family::Ring, graph::Family::ErdosRenyi,
         graph::Family::Complete, graph::Family::Grid,

@@ -150,9 +150,6 @@ int main(int argc, char** argv) {
       const auto m = static_cast<std::size_t>(deg * n / 2);
       const auto g = graph::erdos_renyi_gnm(n, m, rng);
       auto cfg = core::SamplerConfig::bench_profile(2, 2, env.seed);
-      // Pin the baseline LOCAL explicitly so an FL_SIM_CONGEST env probe
-      // cannot budget it out from under the comparison.
-      cfg.congest = sim::CongestConfig{};
       const auto local = core::run_distributed_sampler(g, cfg);
 
       cfg.congest = sim::CongestConfig{budget};

@@ -26,10 +26,7 @@ int main(int argc, char** argv) {
                      "collect msgs", "sampler rounds", "bs rounds",
                      "collect rounds", "sampler/bs", "sampler/collect"});
 
-  auto cfg = core::SamplerConfig::bench_profile(2, 3, env.seed);
-  // The rounds columns record the LOCAL timetable — pin it so an
-  // FL_SIM_CONGEST env probe cannot swap in event-driven barriers.
-  cfg.congest = sim::CongestConfig{};
+  const auto cfg = core::SamplerConfig::bench_profile(2, 3, env.seed);
   // The crossover sits where m exceeds the Sampler's Õ(n^{1+δ+ε}) bill,
   // i.e. deg ≳ n^{δ+ε}·polylog — the sweep must run into that regime.
   std::vector<double> degs{8, 32, 128, 256};

@@ -245,12 +245,10 @@ int run_congest_bench(const bench::Env& env) {
   }
   // The sampler row is exempt from the stretch check: its event-driven
   // barriers can finish in *fewer* rounds than the LOCAL timetable when the
-  // phases drain early, so an unchanged spanner is its bind check. LOCAL
-  // baseline pinned env-immune.
+  // phases drain early, so an unchanged spanner is its bind check.
   util::Xoshiro256 rng(env.seed + 7);
   const graph::Graph g = graph::erdos_renyi_gnm(256, 1024, rng);
   auto cfg = core::SamplerConfig::bench_profile(2, 2, env.seed);
-  cfg.congest = sim::CongestConfig{};
   const auto local = core::run_distributed_sampler(g, cfg);
   cfg.congest = sim::CongestConfig{8};
   util::Timer timer;

@@ -175,9 +175,6 @@ TopologyCollectRun run_topology_collect(const Graph& g, unsigned k,
   FL_REQUIRE(g.num_nodes() >= 1, "empty graph");
   FL_REQUIRE(graph::is_connected(g), "topology collect needs a connected graph");
   sim::Network net(g, seed);
-  // A LOCAL baseline: its round cap below assumes unbounded messages, so
-  // ignore any budget FL_SIM_CONGEST would otherwise impose.
-  net.set_congest(sim::CongestConfig{});
   net.install([&](NodeId v) {
     return std::make_unique<CollectNode>(v, g, k, seed);
   });

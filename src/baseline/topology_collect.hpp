@@ -26,9 +26,9 @@ struct TopologyCollectRun {
   double stretch_bound() const { return 2.0 * k - 1.0; }
 };
 
-/// Run the collect-at-leader pipeline on the LOCAL simulator: messages are
-/// unbounded whatever FL_SIM_CONGEST says. `k` is the parameter of the
-/// centrally computed Baswana–Sen spanner.
+/// Run the collect-at-leader pipeline on the LOCAL simulator (messages are
+/// unbounded). `k` is the parameter of the centrally computed Baswana–Sen
+/// spanner.
 TopologyCollectRun run_topology_collect(const graph::Graph& g, unsigned k,
                                         std::uint64_t seed);
 

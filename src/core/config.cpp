@@ -91,25 +91,24 @@ void SamplerConfig::validate(std::size_t n) const {
   FL_REQUIRE(static_cast<double>(k) <=
                  std::max(1.0, std::log2(std::max(2.0, logn)) + 1.0),
              "Sampler needs k <= log log n (+1 slack)");
-  FL_REQUIRE(!congest.has_value() ||
-                 congest->words_per_edge_per_round >= 1,
+  FL_REQUIRE(congest.words_per_edge_per_round >= 1,
              "Sampler congest budget must be >= 1 word");
 }
 
 std::string SamplerConfig::describe() const {
   char buf[320];
   char congest_buf[64] = "";
-  if (congest.has_value() && congest->enforced()) {
+  if (congest.enforced()) {
     std::snprintf(congest_buf, sizeof(congest_buf), " congest=%llu",
                   static_cast<unsigned long long>(
-                      congest->words_per_edge_per_round));
+                      congest.words_per_edge_per_round));
   }
   std::snprintf(buf, sizeof(buf),
                 "Sampler(k=%u h=%u c=%.2f delta=%.4f eps=%.4f stretch<=%.0f "
-                "log_exp=[%.1f,%.1f]%s%s%s)",
+                "log_exp=[%.1f,%.1f]%s%s)",
                 k, h, c, delta(), epsilon(), stretch_bound(), log_exp_budget,
-                log_exp_trial, force_light_completion ? " +force_light" : "",
-                peel_parallel_edges ? "" : " -peeling", congest_buf);
+                log_exp_trial, peel_parallel_edges ? "" : " -peeling",
+                congest_buf);
   return buf;
 }
 

@@ -8,21 +8,15 @@
 //   trial_size_j = c² · n^{2^j δ + ε} · log³ n      (samples per trial)
 //   trials per level = 2h
 //
-// Two reproduction knobs deviate *transparently* from the paper:
-//   * log_exp_budget / log_exp_trial scale the log-power. The paper's log³n
-//     is an analysis artifact: at laptop-scale n it dwarfs the polynomial
-//     part and hides the growth exponents the theorems predict. The
-//     bench_profile() lowers the powers; the paper_faithful() profile keeps
-//     them. Both are exercised by tests.
-//   * force_light_completion patches the 1/poly(n) failure event (a node
-//     finishing neither light nor heavy) by exhaustively querying its
-//     leftover edges. Off by default — the benches *measure* the failure
-//     rate instead of hiding it; the flag exists for downstream users who
-//     need a certified spanner, and as ablation bench material.
+// One reproduction knob deviates *transparently* from the paper:
+// log_exp_budget / log_exp_trial scale the log-power. The paper's log³n is
+// an analysis artifact: at laptop-scale n it dwarfs the polynomial part and
+// hides the growth exponents the theorems predict. The bench_profile()
+// lowers the powers; the paper_faithful() profile keeps them. Both are
+// exercised by tests.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "sim/congest.hpp"
@@ -37,17 +31,15 @@ struct SamplerConfig {
   double log_exp_budget = 1.0;  ///< power of log n in budget_j
   double log_exp_trial = 3.0;   ///< power of log n in trial_size_j
 
-  bool force_light_completion = false;  ///< patch the whp failure event
-  bool peel_parallel_edges = true;      ///< ablation: key idea of Sec. 1.3
+  bool peel_parallel_edges = true;  ///< ablation: key idea of Sec. 1.3
 
   /// CONGEST bandwidth budget for the distributed run's network (see
-  /// sim/congest.hpp). nullopt = the network's own default (FL_SIM_CONGEST
-  /// probe, else unlimited). The effective budget alone picks the phase
-  /// barrier: in plain LOCAL the sampler runs the paper's fixed timetable;
-  /// under an enforced budget it runs event-driven barriers, so every
-  /// session completes regardless of how far the budget stretches it
-  /// (distributed_sampler.hpp, contract C13).
-  std::optional<sim::CongestConfig> congest;
+  /// sim/congest.hpp; default: unlimited, plain LOCAL). The budget alone
+  /// picks the phase barrier: in plain LOCAL the sampler runs the paper's
+  /// fixed timetable; under an enforced budget it runs event-driven
+  /// barriers, so every session completes regardless of how far the budget
+  /// stretches it (distributed_sampler.hpp, contract C13).
+  sim::CongestConfig congest;
 
   std::uint64_t seed = 1;
 

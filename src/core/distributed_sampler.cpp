@@ -153,7 +153,7 @@ struct RootLevelRecord {
 class SamplerNode final : public sim::NodeProgram {
  public:
   /// `adaptive` selects the phase barrier (the driver derives it from the
-  /// network's effective CONGEST config): false = the fixed
+  /// run's CONGEST config): false = the fixed
   /// PhaseSpec::start/length timetable, true = event-driven barriers
   /// (advance on Context::network_silent()).
   SamplerNode(NodeId self, std::shared_ptr<const Schedule> schedule,
@@ -941,25 +941,21 @@ Schedule Schedule::build(const SamplerConfig& cfg) {
 DistributedSpannerRun run_distributed_sampler(const graph::Graph& g,
                                               const SamplerConfig& cfg) {
   cfg.validate(g.num_nodes());
-  // Only the centralized build_spanner implements these two fields; the
-  // protocol always peels and never patches a Neither node, so a run that
-  // asked otherwise would silently measure something else.
+  // Only the centralized build_spanner implements the no-peeling ablation;
+  // the protocol always peels, so a run that asked otherwise would silently
+  // measure something else.
   FL_REQUIRE(cfg.peel_parallel_edges,
              "SamplerConfig::peel_parallel_edges = false is not implemented "
              "by the distributed sampler (build_spanner only)");
-  FL_REQUIRE(!cfg.force_light_completion,
-             "SamplerConfig::force_light_completion = true is not "
-             "implemented by the distributed sampler (build_spanner only)");
   const auto schedule = std::make_shared<const Schedule>(Schedule::build(cfg));
   const double n0 = g.num_nodes();
 
   sim::Network net(g, cfg.seed);
-  if (cfg.congest.has_value()) net.set_congest(*cfg.congest);
-  // The network's *effective* CONGEST config — cfg.congest when set, else
-  // the FL_SIM_CONGEST env probe — picks the barrier, so the sampler is
-  // correct at any budget the environment imposes while plain LOCAL runs
-  // keep the paper's timetable (and their golden round counts) byte-stable.
-  const bool adaptive = net.congest().enforced();
+  net.set_congest(cfg.congest);
+  // The budget picks the barrier, so the sampler is correct at any budget
+  // while plain LOCAL runs keep the paper's timetable (and their golden
+  // round counts) byte-stable.
+  const bool adaptive = cfg.congest.enforced();
   net.install([&](NodeId v) {
     return std::make_unique<SamplerNode>(v, schedule, cfg, n0, adaptive);
   });

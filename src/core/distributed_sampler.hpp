@@ -113,8 +113,8 @@ struct DistributedSpannerRun {
 
 /// Build and run the distributed Sampler on `g` on an internally created
 /// network (the paper's model: unique edge IDs known at both endpoints).
-/// Rejects (ContractViolation) the centralized-only ablation fields
-/// peel_parallel_edges = false and force_light_completion = true.
+/// Rejects (ContractViolation) the centralized-only ablation
+/// peel_parallel_edges = false.
 DistributedSpannerRun run_distributed_sampler(
     const graph::Graph& g, const SamplerConfig& cfg);
 

@@ -126,19 +126,6 @@ class NodeSampler {
     return distinct_queries;
   }
 
-  /// force_light_completion: query every remaining block exhaustively.
-  /// Returns distinct query edges spent.
-  std::uint64_t complete_exhaustively(NodeOutcome& outcome) {
-    std::uint64_t queries = active_.size();
-    for (std::size_t b = 0; b < block_neighbor_.size(); ++b) {
-      if (block_queried_[b]) continue;
-      const std::size_t e = first_active_in_block(b);
-      if (e == kRemoved) continue;
-      query_block(b, e, outcome);
-    }
-    return queries;
-  }
-
  private:
   std::size_t first_active_in_block(std::size_t b) const {
     for (std::size_t i = block_begin_[b]; i < block_begin_[b + 1]; ++i)
@@ -223,9 +210,6 @@ std::vector<NodeOutcome> run_sampling_step(
       out.status = NodeStatus::Light;
     } else if (out.f_edges.size() >= budget) {
       out.status = NodeStatus::Heavy;
-    } else if (cfg.force_light_completion) {
-      out.distinct_query_edges += sampler.complete_exhaustively(out);
-      out.status = NodeStatus::Light;
     } else {
       out.status = NodeStatus::Neither;
     }

@@ -168,7 +168,7 @@ std::vector<EdgeId> all_edges(const Graph& g) {
 BroadcastRun run_tlocal_broadcast(const Graph& g,
                                   const std::vector<EdgeId>& edges,
                                   unsigned rounds, std::uint64_t seed,
-                                  std::optional<sim::CongestConfig> congest,
+                                  sim::CongestConfig congest,
                                   bool dedup_reforward) {
   auto edge_in = std::make_shared<std::vector<bool>>(g.num_edges(), false);
   for (const EdgeId e : edges) {
@@ -176,8 +176,7 @@ BroadcastRun run_tlocal_broadcast(const Graph& g,
     (*edge_in)[e] = true;
   }
   sim::Network net(g, seed);
-  // No override: keep the constructor's default (the FL_SIM_CONGEST probe).
-  if (congest.has_value()) net.set_congest(*congest);
+  net.set_congest(congest);
   net.install([&](NodeId v) {
     return std::make_unique<FloodNode>(v, edge_in, rounds, g.num_nodes(),
                                        dedup_reforward);

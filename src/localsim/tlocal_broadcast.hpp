@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -37,10 +36,9 @@ struct BroadcastRun {
 };
 
 /// Flood origin ids for `rounds` rounds over the subgraph given by `edges`
-/// (pass all edge ids for G itself). Every node is an origin. `congest`
-/// overrides the network's bandwidth budget (default: the FL_SIM_CONGEST
-/// environment probe, else unlimited); with a finite budget the run
-/// takes more rounds but reaches the same sets.
+/// (pass all edge ids for G itself). Every node is an origin. `congest` is
+/// the network's bandwidth budget (default: unlimited, plain LOCAL); with a
+/// finite budget the run takes more rounds but reaches the same sets.
 ///
 /// `dedup_reforward` controls the budget-improvement optimisation: a batch
 /// re-forwarded because a binding budget delivered a better hop count is
@@ -54,7 +52,7 @@ struct BroadcastRun {
 BroadcastRun run_tlocal_broadcast(
     const graph::Graph& g, const std::vector<graph::EdgeId>& edges,
     unsigned rounds, std::uint64_t seed,
-    std::optional<sim::CongestConfig> congest = std::nullopt,
+    sim::CongestConfig congest = {},
     bool dedup_reforward = true);
 
 /// Convenience: all edges of g (the native Θ(t·m) variant).

@@ -83,7 +83,7 @@ std::vector<std::uint64_t> evaluate_from_collections(
 
 ExecutionReport run_native(const Graph& g, const LocalAlgorithm& alg,
                            std::uint64_t seed,
-                           std::optional<sim::CongestConfig> congest) {
+                           sim::CongestConfig congest) {
   // G is its own 1-spanner: radius ceil(1.0 * t) = t.
   return run_over_spanner(g, alg, all_edges(g), 1.0, seed, congest);
 }
@@ -91,7 +91,7 @@ ExecutionReport run_native(const Graph& g, const LocalAlgorithm& alg,
 ExecutionReport run_over_spanner(const Graph& g, const LocalAlgorithm& alg,
                                  const std::vector<graph::EdgeId>& spanner,
                                  double alpha, std::uint64_t seed,
-                                 std::optional<sim::CongestConfig> congest) {
+                                 sim::CongestConfig congest) {
   FL_REQUIRE(alpha >= 1.0, "stretch must be >= 1");
   const unsigned t = alg.radius(g);
   const auto radius = static_cast<unsigned>(
@@ -111,7 +111,7 @@ ExecutionReport run_over_spanner(const Graph& g, const LocalAlgorithm& alg,
 
 ExecutionReport run_simulated(const Graph& g, const LocalAlgorithm& alg,
                               const core::SamplerConfig& sampler,
-                              std::optional<sim::CongestConfig> congest) {
+                              sim::CongestConfig congest) {
   const auto spanner_run = core::run_distributed_sampler(g, sampler);
   ExecutionReport rep = run_over_spanner(
       g, alg, spanner_run.edges, spanner_run.stretch_bound, sampler.seed,

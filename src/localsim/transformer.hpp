@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/config.hpp"
@@ -40,14 +39,13 @@ struct ExecutionReport {
 };
 
 /// Native LOCAL execution: t rounds of bundled flooding over G, then local
-/// evaluation. Θ(t·m) messages — the baseline being improved. `congest`
-/// overrides the broadcast network's bandwidth budget (default: the
-/// FL_SIM_CONGEST probe, else unlimited); a finite budget stretches
-/// the reported rounds without changing the outputs.
+/// evaluation. Θ(t·m) messages — the baseline being improved. `congest` is
+/// the broadcast network's bandwidth budget (default: unlimited, plain
+/// LOCAL); a finite budget stretches the reported rounds without changing
+/// the outputs.
 ExecutionReport run_native(const graph::Graph& g, const LocalAlgorithm& alg,
                            std::uint64_t seed,
-                           std::optional<sim::CongestConfig> congest =
-                               std::nullopt);
+                           sim::CongestConfig congest = {});
 
 /// Message-reduced execution via the distributed Sampler spanner.
 /// `sampler` supplies (k=γ, h, constants); the broadcast radius is
@@ -55,8 +53,7 @@ ExecutionReport run_native(const graph::Graph& g, const LocalAlgorithm& alg,
 /// sampler stage takes its budget from `sampler.congest`, see config.hpp).
 ExecutionReport run_simulated(const graph::Graph& g, const LocalAlgorithm& alg,
                               const core::SamplerConfig& sampler,
-                              std::optional<sim::CongestConfig> congest =
-                                  std::nullopt);
+                              sim::CongestConfig congest = {});
 
 /// Like run_simulated but over a caller-provided spanner (used by the
 /// two-stage scheme of Theorem 3's second branch, where stage 1's output
@@ -65,7 +62,6 @@ ExecutionReport run_over_spanner(const graph::Graph& g,
                                  const LocalAlgorithm& alg,
                                  const std::vector<graph::EdgeId>& spanner,
                                  double alpha, std::uint64_t seed,
-                                 std::optional<sim::CongestConfig> congest =
-                                     std::nullopt);
+                                 sim::CongestConfig congest = {});
 
 }  // namespace fl::localsim

@@ -71,7 +71,7 @@ struct TraceConfig {
 /// TraceConfig{} (disabled) unless FL_SIM_TRACE is set. Accepted forms:
 /// "<path>" or "<path>:<level>" with level in {spans, profile} (colons in
 /// the path itself are not supported — the last ':' is reserved for the
-/// level suffix). Mirrors default_congest_config(): the environment seeds
+/// level suffix). Mirrors default_parallel_config(): the environment seeds
 /// every Network's default, callers may still override via set_trace.
 TraceConfig default_trace_config();
 

@@ -42,10 +42,4 @@ struct CongestConfig {
   bool enforced() const { return words_per_edge_per_round != kUnlimited; }
 };
 
-/// CongestConfig{} unless FL_SIM_CONGEST is set, in which case it must be
-/// "<words>", a positive integer budget. Mirrors default_parallel_config():
-/// the environment seeds every Network's default, callers may still
-/// override per run.
-CongestConfig default_congest_config();
-
 }  // namespace fl::sim

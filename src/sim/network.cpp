@@ -46,8 +46,7 @@ util::Xoshiro256& Context::rng() {
 
 Network::Network(const graph::Graph& graph, std::uint64_t seed)
     : graph_(&graph), streams_(seed),
-      threads_(default_parallel_config()),
-      congest_(default_congest_config()) {
+      threads_(default_parallel_config()) {
   if (default_check_enabled()) check_ = std::make_unique<OwnershipChecker>();
   {
     obs::TraceConfig tcfg = obs::default_trace_config();

@@ -114,8 +114,8 @@ class Network {
   void set_parallelism(unsigned threads);
   unsigned parallelism() const { return threads_; }
 
-  /// CONGEST bandwidth budget (defaults to FL_SIM_CONGEST, else unlimited
-  /// = plain LOCAL); only legal before the first round. With a finite
+  /// CONGEST bandwidth budget (defaults to unlimited = plain LOCAL); only
+  /// legal before the first round. With a finite
   /// budget the round schedule stretches (deferred messages wait in a
   /// calendar at the merge barrier). Results stay bit-identical across
   /// thread counts for any fixed config.
@@ -131,7 +131,7 @@ class Network {
   /// calendar — i.e. every message sent so far has been fully delivered
   /// *and* handled (any reaction it provoked would itself be in flight). Both
   /// facts are merge-barrier outputs, so the predicate is bit-identical at
-  /// every FL_SIM_THREADS and any FL_SIM_CONGEST value, and is stable for
+  /// every FL_SIM_THREADS and any congest budget, and is stable for
   /// the whole step phase (it only mutates at the next merge). Programs
   /// read it through Context::network_silent().
   ///

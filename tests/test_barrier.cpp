@@ -1,5 +1,5 @@
 // Event-driven phase barriers — what the sampler runs whenever its
-// network's effective CONGEST budget is enforced.
+// CONGEST budget (SamplerConfig::congest) is enforced.
 //
 // The barrier is the merge-barrier silence predicate
 // (Network::round_silent, surfaced as Context::network_silent): a phase
@@ -10,8 +10,6 @@
 //     never-binding budgets, across graph families;
 //   * spanner output and message counts identical to the LOCAL timetable
 //     (the barrier changes *when* phases start, never what they do);
-//   * the budget alone picks the barrier, whether it arrives through the
-//     FL_SIM_CONGEST probe or through SamplerConfig::congest;
 //   * the predicate survives stop/resume mid-phase with live carry queues;
 //   * observational tooling (FL_SIM_CHECK, FL_SIM_TRACE / contract C12)
 //     stays neutral with the barrier active.
@@ -105,8 +103,7 @@ TEST(Barrier, AdaptiveMatchesFixedTimetableOutputs) {
   util::Xoshiro256 rng(31);
   const Graph g = graph::erdos_renyi_gnm(96, 700, rng);
 
-  auto fixed_local = SamplerConfig::bench_profile(2, 2, 11);
-  fixed_local.congest = sim::CongestConfig{};
+  const auto fixed_local = SamplerConfig::bench_profile(2, 2, 11);
   const auto want = core::run_distributed_sampler(g, fixed_local);
 
   for (const std::uint64_t budget :
@@ -246,27 +243,6 @@ TEST(Barrier, TracingNeutralWithBarrierActive) {
   EXPECT_EQ(traced.stats.messages, plain.stats.messages);
   EXPECT_EQ(traced.metrics.messages_per_round,
             plain.metrics.messages_per_round);
-}
-
-TEST(Barrier, EnvBudgetPicksTheSameBarrierAsConfigBudget) {
-  // The effective budget alone picks the barrier: a budget inherited from
-  // the FL_SIM_CONGEST probe (cfg.congest unset) and the same budget set
-  // on the config must run the same event-driven sampler.
-  util::Xoshiro256 rng(43);
-  const Graph g = graph::erdos_renyi_gnm(64, 256, rng);
-  auto cfg = SamplerConfig::bench_profile(2, 2, 7);
-  core::DistributedSpannerRun from_env;
-  {
-    const EnvGuard env("FL_SIM_CONGEST", "8");
-    from_env = core::run_distributed_sampler(g, cfg);
-  }
-  cfg.congest = sim::CongestConfig{8};
-  const auto from_cfg = core::run_distributed_sampler(g, cfg);
-  ASSERT_TRUE(from_env.stats.terminated);
-  ASSERT_TRUE(from_cfg.stats.terminated);
-  EXPECT_EQ(from_env.edges, from_cfg.edges);
-  EXPECT_EQ(from_env.stats.rounds, from_cfg.stats.rounds);
-  EXPECT_EQ(from_env.stats.messages, from_cfg.stats.messages);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
 #include "baseline/baswana_sen.hpp"
 #include "baseline/nearly_additive.hpp"
@@ -11,6 +13,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/spanner_check.hpp"
+#include "sim/network.hpp"
 #include "util/rng.hpp"
 
 namespace fl {
@@ -59,6 +62,32 @@ TEST(BaswanaSen, DistributedMatchesCentralized) {
   // Same keyed coins => identical decisions => identical spanners.
   util::Xoshiro256 rng(11);
   const Graph g = graph::erdos_renyi_gnm(250, 2500, rng);
+  for (unsigned k : {2u, 3u}) {
+    const auto central = baseline::build_baswana_sen(g, k, 31);
+    const auto dist = baseline::run_distributed_baswana_sen(g, k, 31);
+    EXPECT_EQ(central.edges, dist.result.edges) << "k=" << k;
+  }
+}
+
+TEST(BaswanaSen, DistributedIgnoresAStrayCongestVariable) {
+  // The CONGEST budget is a run argument only: an exported FL_SIM_CONGEST
+  // must neither budget a fresh network nor stretch this LOCAL-timed
+  // protocol past its fixed round count.
+  struct EnvGuard {
+    const char* saved = std::getenv("FL_SIM_CONGEST");
+    std::string value = saved != nullptr ? saved : "";
+    EnvGuard() { setenv("FL_SIM_CONGEST", "1", 1); }
+    ~EnvGuard() {
+      if (saved != nullptr) {
+        setenv("FL_SIM_CONGEST", value.c_str(), 1);
+      } else {
+        unsetenv("FL_SIM_CONGEST");
+      }
+    }
+  } guard;
+  util::Xoshiro256 rng(11);
+  const Graph g = graph::erdos_renyi_gnm(250, 2500, rng);
+  EXPECT_FALSE(sim::Network(g, 1).congest().enforced());
   for (unsigned k : {2u, 3u}) {
     const auto central = baseline::build_baswana_sen(g, k, 31);
     const auto dist = baseline::run_distributed_baswana_sen(g, k, 31);

@@ -1,7 +1,7 @@
-// Tests for the CONGEST bandwidth-budget engine (sim/congest.hpp): the
-// FL_SIM_CONGEST probe, budget validation, the deferral semantics (FIFO
-// per directed edge, ceil(K/B)-round crossings, stretched-but-complete
-// schedules), the closed-form calendar admission checked round by round
+// Tests for the CONGEST bandwidth-budget engine (sim/congest.hpp): budget
+// validation, the deferral semantics (FIFO per directed edge,
+// ceil(K/B)-round crossings, stretched-but-complete schedules), the
+// closed-form calendar admission checked round by round
 // against a per-round FIFO reference model, bit-determinism of budgeted
 // runs across thread counts, and the words-accounting fixes the budget
 // engine depends on (minimum one word per message, pre-run sends).
@@ -28,47 +28,10 @@ using graph::NodeId;
 
 // ------------------------------------------------------- config plumbing
 
-TEST(CongestConfig, EnvProbeParsesBudget) {
-  struct EnvGuard {
-    ~EnvGuard() { unsetenv("FL_SIM_CONGEST"); }
-  } guard;
-
-  unsetenv("FL_SIM_CONGEST");
-  EXPECT_FALSE(default_congest_config().enforced());
-
-  setenv("FL_SIM_CONGEST", "64", 1);
-  CongestConfig cfg = default_congest_config();
-  EXPECT_TRUE(cfg.enforced());
-  EXPECT_EQ(cfg.words_per_edge_per_round, 64u);
-
-  // The format is the bare word count; a policy suffix is rejected.
-  setenv("FL_SIM_CONGEST", "8:strict", 1);
-  EXPECT_THROW(default_congest_config(), util::ContractViolation);
-  setenv("FL_SIM_CONGEST", "8:defer", 1);
-  EXPECT_THROW(default_congest_config(), util::ContractViolation);
-
-  setenv("FL_SIM_CONGEST", "0", 1);
-  EXPECT_THROW(default_congest_config(), util::ContractViolation);
-  setenv("FL_SIM_CONGEST", "-5", 1);  // must not wrap into a huge budget
-  EXPECT_THROW(default_congest_config(), util::ContractViolation);
-  setenv("FL_SIM_CONGEST", "8:fast", 1);
-  EXPECT_THROW(default_congest_config(), util::ContractViolation);
-  setenv("FL_SIM_CONGEST", "words", 1);
-  EXPECT_THROW(default_congest_config(), util::ContractViolation);
-}
-
-TEST(CongestConfig, NetworkPicksUpTheEnvironmentDefault) {
-  const Graph g = graph::path(2);
-  setenv("FL_SIM_CONGEST", "16", 1);
-  Network net(g, 1);
-  unsetenv("FL_SIM_CONGEST");
-  EXPECT_TRUE(net.congest().enforced());
-  EXPECT_EQ(net.congest().words_per_edge_per_round, 16u);
-}
-
 TEST(CongestConfig, SetCongestValidation) {
   const Graph g = graph::ring(4);
   Network net(g, 1);
+  EXPECT_FALSE(net.congest().enforced());  // a Network starts LOCAL
   EXPECT_THROW(net.set_congest(CongestConfig{0}), util::ContractViolation);
   net.set_congest(CongestConfig{4});
   EXPECT_EQ(net.congest().words_per_edge_per_round, 4u);
@@ -120,9 +83,6 @@ TEST(CongestWords, PreRunSendsLandInWordsTotal) {
   for (const unsigned threads : {1u, 8u}) {
     Network net(g, 1);
     net.set_parallelism(threads);
-    // LOCAL: a binding FL_SIM_CONGEST would hold the 7-word message past
-    // the round cap.
-    net.set_congest(CongestConfig{});
     net.install([](NodeId) {
       class P final : public NodeProgram {
        public:
@@ -672,12 +632,10 @@ TEST(CongestProtocols, BroadcastReforwardDedupSavesWordsKeepsCoverage) {
 
   // In LOCAL mode improvements never occur (the first arrival rides the
   // BFS-shortest path, hence the maximal budget), so the knob must be
-  // bit-invisible: same trace-relevant stats, messages, and words. Pin the
-  // LOCAL runs explicitly so an FL_SIM_CONGEST env probe cannot budget them.
-  const auto local_dedup =
-      localsim::run_tlocal_broadcast(g, edges, 4, 9, sim::CongestConfig{});
+  // bit-invisible: same trace-relevant stats, messages, and words.
+  const auto local_dedup = localsim::run_tlocal_broadcast(g, edges, 4, 9);
   const auto local_full = localsim::run_tlocal_broadcast(
-      g, edges, 4, 9, sim::CongestConfig{}, /*dedup_reforward=*/false);
+      g, edges, 4, 9, CongestConfig{}, /*dedup_reforward=*/false);
   EXPECT_EQ(local_dedup.reached, local_full.reached);
   EXPECT_EQ(local_dedup.stats.rounds, local_full.stats.rounds);
   EXPECT_EQ(local_dedup.stats.messages, local_full.stats.messages);

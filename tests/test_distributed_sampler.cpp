@@ -53,11 +53,9 @@ TEST(Schedule, RoundBoundMatchesTheorem11) {
 TEST(DistributedSampler, TerminatesWithinSchedule) {
   util::Xoshiro256 rng(3);
   const Graph g = graph::erdos_renyi_gnm(200, 1200, rng);
-  auto cfg = SamplerConfig::paper_faithful(2, 2, 17);
-  // This test is about the *fixed timetable's* round bound; pin plain
-  // LOCAL delivery so an ambient FL_SIM_CONGEST cannot flip the run to
-  // event-driven barriers (whose round count is graph-dependent).
-  cfg.congest = sim::CongestConfig{};
+  // The default budget is plain LOCAL, so this checks the *fixed
+  // timetable's* round bound.
+  const auto cfg = SamplerConfig::paper_faithful(2, 2, 17);
   const auto run = core::run_distributed_sampler(g, cfg);
   EXPECT_TRUE(run.stats.terminated);
   const auto sched = Schedule::build(cfg);
@@ -145,10 +143,9 @@ TEST(DistributedSampler, MessageCountSublinearInDensity) {
 TEST(DistributedSampler, RoundsIndependentOfGraph) {
   // Round complexity depends only on (k, h) — identical schedules, so
   // near-identical round counts across very different graphs. A fixed-
-  // timetable property: pin LOCAL delivery (under a budget the adaptive
-  // barrier makes rounds a function of actual traffic, hence the graph).
-  auto cfg = SamplerConfig::paper_faithful(2, 2, 73);
-  cfg.congest = sim::CongestConfig{};
+  // timetable (LOCAL) property: under a budget the adaptive barrier makes
+  // rounds a function of actual traffic, hence the graph.
+  const auto cfg = SamplerConfig::paper_faithful(2, 2, 73);
   util::Xoshiro256 rng(19);
   const auto r1 = core::run_distributed_sampler(graph::ring(100), cfg);
   const auto r2 = core::run_distributed_sampler(graph::complete(100), cfg);
@@ -226,8 +223,8 @@ TEST(DistributedSampler, WorksOnTinyGraphs) {
 }
 
 TEST(DistributedSampler, RejectsUnimplementedConfigFields) {
-  // Both fields are centralized-only ablations (build_spanner); the
-  // protocol must refuse them rather than silently run the default.
+  // No peeling is a centralized-only ablation (build_spanner); the
+  // protocol must refuse it rather than silently run the default.
   const Graph g = graph::ring(8);
   auto expect_rejected = [&](const SamplerConfig& cfg, const char* field) {
     try {
@@ -241,17 +238,12 @@ TEST(DistributedSampler, RejectsUnimplementedConfigFields) {
   auto no_peel = SamplerConfig::paper_faithful(1, 1, 3);
   no_peel.peel_parallel_edges = false;
   expect_rejected(no_peel, "peel_parallel_edges");
-  auto force_light = SamplerConfig::paper_faithful(1, 1, 3);
-  force_light.force_light_completion = true;
-  expect_rejected(force_light, "force_light_completion");
 }
 
 // ------------------------------------------------ output goldens (pinned)
 
 /// One pinned Sampler run: graph family, size and parameter, generator
 /// seed, (k, h), sampler seed, the delivery budget and the config preset.
-/// `congest` is always explicit, so an ambient FL_SIM_CONGEST cannot switch
-/// a LOCAL point to event-driven barriers and move its round count.
 struct SamplerGoldenPoint {
   graph::Family family;
   graph::NodeId n;

@@ -287,9 +287,11 @@ struct ChatterResult {
                                      std::uint64_t>>> logs;
 };
 
-ChatterResult run_chatter(const Graph& g, unsigned threads) {
+ChatterResult run_chatter(const Graph& g, unsigned threads,
+                          CongestConfig congest = {}) {
   Network net(g, 7);
   net.set_parallelism(threads);
+  net.set_congest(congest);
   net.install_all<ChatterProbe>(8u);
   ChatterResult res;
   res.stats = net.run(60);
@@ -333,22 +335,27 @@ TEST(ParallelNetwork, ChatterMatchesPinnedGoldenTrace) {
   // chatter run on the dense graph, hashed event by event. The thread-
   // count matrix above proves every configuration equals the sequential
   // run; this hash pins the sequential run itself to the behaviour the
-  // deleted legacy engine certified.
+  // deleted legacy engine certified. A never-binding budget runs the
+  // admission pass but defers nothing, so it must hash the same.
   util::Xoshiro256 rng(123);
   const Graph g = graph::erdos_renyi_gnm(97, 400, rng);
-  const auto seq = run_chatter(g, 1);
-  testing::TraceHash h;
-  h.u64(seq.stats.rounds).u64(seq.stats.messages);
-  h.u64(seq.metrics.words_total);
-  for (const auto c : seq.metrics.messages_per_round) h.u64(c);
-  for (const auto c : seq.metrics.messages_per_node) h.u64(c);
-  for (const auto& log : seq.logs) {
-    h.u64(log.size());
-    for (const auto& [round, from, edge, payload] : log)
-      h.u64(round).u64(from).u64(edge).u64(payload);
+  for (const CongestConfig congest :
+       {CongestConfig{}, CongestConfig{std::uint64_t{1} << 40}}) {
+    SCOPED_TRACE(congest.enforced() ? "budget 2^40" : "LOCAL");
+    const auto seq = run_chatter(g, 1, congest);
+    testing::TraceHash h;
+    h.u64(seq.stats.rounds).u64(seq.stats.messages);
+    h.u64(seq.metrics.words_total);
+    for (const auto c : seq.metrics.messages_per_round) h.u64(c);
+    for (const auto c : seq.metrics.messages_per_node) h.u64(c);
+    for (const auto& log : seq.logs) {
+      h.u64(log.size());
+      for (const auto& [round, from, edge, payload] : log)
+        h.u64(round).u64(from).u64(edge).u64(payload);
+    }
+    EXPECT_EQ(h.value(), 0xb76783e3caeb7eb4ull)
+        << "chatter golden trace moved: 0x" << std::hex << h.value();
   }
-  EXPECT_EQ(h.value(), 0xb76783e3caeb7eb4ull)
-      << "chatter golden trace moved: 0x" << std::hex << h.value();
 }
 
 TEST(ParallelNetwork, MoreThreadsThanNodes) {
@@ -538,7 +545,7 @@ TEST(ParallelProtocols, TransformerOutputsInvariantUnderThreads) {
     } else {
       setenv("FL_SIM_THREADS", std::to_string(threads).c_str(), 1);
     }
-    auto rep = localsim::run_native(g, alg, 13, CongestConfig{});
+    auto rep = localsim::run_native(g, alg, 13);
     unsetenv("FL_SIM_THREADS");
     return rep;
   };

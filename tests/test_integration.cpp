@@ -10,7 +10,6 @@
 #include "core/config.hpp"
 #include "core/distributed_sampler.hpp"
 #include "core/sampler.hpp"
-#include "sim/congest.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/spanner_check.hpp"
@@ -155,11 +154,7 @@ TEST(Integration, RoundPreservationHeadline) {
   // sampler preprocessing must not depend on t at all.
   util::Xoshiro256 rng(67);
   const Graph g = graph::erdos_renyi_gnm(200, 2000, rng);
-  auto cfg = SamplerConfig::paper_faithful(1, 2, 71);
-  // Spanner-round equality across t is a fixed-timetable fact; pin LOCAL
-  // delivery so an ambient FL_SIM_CONGEST (adaptive barriers) cannot make
-  // the preprocessing rounds traffic-dependent.
-  cfg.congest = sim::CongestConfig{};
+  const auto cfg = SamplerConfig::paper_faithful(1, 2, 71);
   const localsim::BfsLayers small_t(2);
   const localsim::BfsLayers big_t(6);
   const auto run_small = localsim::run_simulated(g, small_t, cfg);

@@ -253,31 +253,37 @@ class MixedPayloadProbe final : public NodeProgram {
 /// A/B over every storage class (the legacy engine certified the flat
 /// arena bit-identical before it was deleted); the pinned hash freezes
 /// that certified behaviour — per-node logs of (round, from, decoded
-/// payload tag) in delivery order, plus RunStats/Metrics.
+/// payload tag) in delivery order, plus RunStats/Metrics — in LOCAL and
+/// under a never-binding budget (admission runs, defers nothing).
 TEST(PayloadGoldenTrace, AllStorageClassesMatchPinnedTrace) {
   util::Xoshiro256 rng(7);
   const Graph g = graph::erdos_renyi_gnm(32, 96, rng);
 
-  Network net(g, 3);
-  net.install_all<MixedPayloadProbe>(4u);
-  const RunStats stats = net.run(40);
-  EXPECT_TRUE(stats.terminated);
-  EXPECT_EQ(stats.rounds, 5u);
-  EXPECT_EQ(stats.messages, 768u);
+  for (const CongestConfig congest :
+       {CongestConfig{}, CongestConfig{std::uint64_t{1} << 40}}) {
+    SCOPED_TRACE(congest.enforced() ? "budget 2^40" : "LOCAL");
+    Network net(g, 3);
+    net.set_congest(congest);
+    net.install_all<MixedPayloadProbe>(4u);
+    const RunStats stats = net.run(40);
+    EXPECT_TRUE(stats.terminated);
+    EXPECT_EQ(stats.rounds, 5u);
+    EXPECT_EQ(stats.messages, 768u);
 
-  const Metrics& m = net.metrics();
-  testing::TraceHash h;
-  h.u64(stats.rounds).u64(stats.messages).u64(m.words_total);
-  for (const auto c : m.messages_per_round) h.u64(c);
-  for (const auto c : m.messages_per_node) h.u64(c);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto& heard = net.program_as<MixedPayloadProbe>(v).heard;
-    h.u64(heard.size());
-    for (const auto& [round, from, tag] : heard)
-      h.u64(round).u64(from).str(tag);
+    const Metrics& m = net.metrics();
+    testing::TraceHash h;
+    h.u64(stats.rounds).u64(stats.messages).u64(m.words_total);
+    for (const auto c : m.messages_per_round) h.u64(c);
+    for (const auto c : m.messages_per_node) h.u64(c);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const auto& heard = net.program_as<MixedPayloadProbe>(v).heard;
+      h.u64(heard.size());
+      for (const auto& [round, from, tag] : heard)
+        h.u64(round).u64(from).str(tag);
+    }
+    EXPECT_EQ(h.value(), 0x013a6c5fba1fb3e4ull)
+        << "payload golden trace moved: 0x" << std::hex << h.value();
   }
-  EXPECT_EQ(h.value(), 0x013a6c5fba1fb3e4ull)
-      << "payload golden trace moved: 0x" << std::hex << h.value();
 }
 
 /// Regression: a payload that outlives its round (the arena recycles slots

@@ -222,28 +222,6 @@ TEST(Sampler, QueryVolumeSublinearInDensity) {
   EXPECT_LT(qd / qs, 0.5 * density_ratio) << "queries scaled with density";
 }
 
-TEST(Sampler, ForceLightCompletionRemovesNeitherNodes) {
-  // Under deliberately starved constants some nodes finish neither light
-  // nor heavy; the completion flag must patch all of them.
-  util::Xoshiro256 rng(53);
-  const Graph g = graph::erdos_renyi_gnm(600, 12000, rng);
-  SamplerConfig starved = SamplerConfig::bench_profile(2, 2, 5);
-  starved.c = 0.05;  // far below "sufficiently large"
-  const auto raw = core::build_spanner(g, starved);
-  starved.force_light_completion = true;
-  const auto fixed = core::build_spanner(g, starved);
-  std::size_t raw_neither = 0;
-  for (const auto& lt : raw.trace.levels) raw_neither += lt.neither;
-  std::size_t fixed_neither = 0;
-  for (const auto& lt : fixed.trace.levels) fixed_neither += lt.neither;
-  EXPECT_EQ(fixed_neither, 0u);
-  // And with completion the stretch guarantee is restored unconditionally.
-  const auto rep =
-      graph::check_spanner_exact(g, fixed.edges, starved.stretch_bound());
-  EXPECT_EQ(rep.violations, 0u);
-  (void)raw_neither;  // may or may not be zero; informational
-}
-
 TEST(Sampler, PeelingAblationStillCoversSimpleGraphs) {
   // On a *simple* graph level 0 has no parallel edges, so disabling peeling
   // only slows discovery; correctness-critical coverage happens because

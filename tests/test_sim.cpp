@@ -216,29 +216,36 @@ TEST(NetworkGoldenTrace, DeliveryMatchesPinnedTrace) {
   util::Xoshiro256 rng(99);
   const Graph g = graph::erdos_renyi_gnm(40, 120, rng);
 
-  Network net(g, 5);
-  net.install_all<PartitionProbe>(6u);
-  const RunStats stats = net.run(50);
-  EXPECT_TRUE(stats.terminated);
-  EXPECT_EQ(stats.rounds, 7u);
-  EXPECT_EQ(stats.messages, 480u);
+  // LOCAL, and a never-binding budget: the admission pass runs but defers
+  // nothing, so it must reproduce the same pinned trace.
+  for (const CongestConfig congest :
+       {CongestConfig{}, CongestConfig{std::uint64_t{1} << 40}}) {
+    SCOPED_TRACE(congest.enforced() ? "budget 2^40" : "LOCAL");
+    Network net(g, 5);
+    net.set_congest(congest);
+    net.install_all<PartitionProbe>(6u);
+    const RunStats stats = net.run(50);
+    EXPECT_TRUE(stats.terminated);
+    EXPECT_EQ(stats.rounds, 7u);
+    EXPECT_EQ(stats.messages, 480u);
 
-  const Metrics& m = net.metrics();
-  EXPECT_EQ(m.messages_total, 480u);
-  EXPECT_EQ(m.words_total, 480u);
+    const Metrics& m = net.metrics();
+    EXPECT_EQ(m.messages_total, 480u);
+    EXPECT_EQ(m.words_total, 480u);
 
-  testing::TraceHash h;
-  h.u64(stats.rounds).u64(stats.messages).u64(m.words_total);
-  for (const auto c : m.messages_per_round) h.u64(c);
-  for (const auto c : m.messages_per_node) h.u64(c);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto& heard = net.program_as<PartitionProbe>(v).heard;
-    h.u64(heard.size());
-    for (const auto& [round, from, edge] : heard)
-      h.u64(round).u64(from).u64(edge);
+    testing::TraceHash h;
+    h.u64(stats.rounds).u64(stats.messages).u64(m.words_total);
+    for (const auto c : m.messages_per_round) h.u64(c);
+    for (const auto c : m.messages_per_node) h.u64(c);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const auto& heard = net.program_as<PartitionProbe>(v).heard;
+      h.u64(heard.size());
+      for (const auto& [round, from, edge] : heard)
+        h.u64(round).u64(from).u64(edge);
+    }
+    EXPECT_EQ(h.value(), 0x6e95c71d1844b722ull)
+        << "delivery golden trace moved: 0x" << std::hex << h.value();
   }
-  EXPECT_EQ(h.value(), 0x6e95c71d1844b722ull)
-      << "delivery golden trace moved: 0x" << std::hex << h.value();
 }
 
 TEST(Network, FlatArenaHandlesZeroMessageNodesAndTermination) {

@@ -59,9 +59,8 @@ TEST(TLocalBroadcast, MessageCountBoundedByEdgesTimesRounds) {
   util::Xoshiro256 rng(7);
   const Graph g = graph::erdos_renyi_gnm(200, 1500, rng);
   const unsigned t = 4;
-  // A LOCAL-model claim: pin the budget so FL_SIM_CONGEST cannot stretch it.
-  const auto run = localsim::run_tlocal_broadcast(g, localsim::all_edges(g),
-                                                  t, 13, sim::CongestConfig{});
+  const auto run =
+      localsim::run_tlocal_broadcast(g, localsim::all_edges(g), t, 13);
   EXPECT_LE(run.stats.messages, 2ull * g.num_edges() * t);
 }
 
@@ -89,13 +88,11 @@ TEST(TLocalBroadcast, SpannerBroadcastCheaperThanNativeOnDenseGraphs) {
   const auto cfg = core::SamplerConfig::bench_profile(2, 3, 23);
   const auto spanner = core::build_spanner(g, cfg);
   const unsigned t = 3;
-  // Both arms are LOCAL runs: pin the budget so FL_SIM_CONGEST cannot
-  // re-forward bundles on one side only.
-  const auto native = localsim::run_tlocal_broadcast(
-      g, localsim::all_edges(g), t, 29, sim::CongestConfig{});
+  const auto native =
+      localsim::run_tlocal_broadcast(g, localsim::all_edges(g), t, 29);
   const auto radius = static_cast<unsigned>(cfg.stretch_bound()) * t;
-  const auto reduced = localsim::run_tlocal_broadcast(g, spanner.edges, radius,
-                                                      29, sim::CongestConfig{});
+  const auto reduced =
+      localsim::run_tlocal_broadcast(g, spanner.edges, radius, 29);
   EXPECT_LT(reduced.stats.messages, native.stats.messages);
 }
 

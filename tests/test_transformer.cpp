@@ -78,11 +78,8 @@ TEST(Transformer, MessageSavingsOnDenseGraph) {
   // two regimes the theorem actually promises at this scale:
   //   (a) steady state: per-payload flooding beats native flooding;
   //   (b) amortized over a few payloads the total wins too.
-  // Every arm is a LOCAL run: pin the budget so FL_SIM_CONGEST cannot
-  // stretch the sampler or re-forward broadcast bundles.
   const Graph g = graph::complete(300);
-  auto cfg = SamplerConfig::bench_profile(2, 3, 17);
-  cfg.congest = sim::CongestConfig{};
+  const auto cfg = SamplerConfig::bench_profile(2, 3, 17);
   const auto spanner_run = core::build_spanner(g, cfg);
 
   std::uint64_t native_total = 0;
@@ -90,12 +87,9 @@ TEST(Transformer, MessageSavingsOnDenseGraph) {
   const unsigned payload_count = 3;
   for (unsigned i = 0; i < payload_count; ++i) {
     const localsim::LocalMin alg(4 + i);
-    const auto native =
-        localsim::run_native(g, alg, 17 + i, sim::CongestConfig{});
-    const auto reduced =
-        localsim::run_over_spanner(g, alg, spanner_run.edges,
-                                   cfg.stretch_bound(), 17 + i,
-                                   sim::CongestConfig{});
+    const auto native = localsim::run_native(g, alg, 17 + i);
+    const auto reduced = localsim::run_over_spanner(
+        g, alg, spanner_run.edges, cfg.stretch_bound(), 17 + i);
     EXPECT_EQ(reduced.outputs, native.outputs) << "payload " << i;
     EXPECT_LT(reduced.messages, native.messages) << "payload " << i;  // (a)
     native_total += native.messages;
@@ -176,8 +170,7 @@ std::vector<std::unique_ptr<localsim::LocalAlgorithm>> golden_algorithms() {
 
 /// One pinned transformer point: graph family, size and parameter,
 /// generator seed, the Baswana–Sen parameter k of the spanner the broadcast
-/// runs over, its delivery budget (always explicit, so an ambient
-/// FL_SIM_CONGEST cannot move it), and one hash per algorithm of
+/// runs over, its delivery budget, and one hash per algorithm of
 /// golden_algorithms(), in order.
 struct LocalGoldenPoint {
   graph::Family family;
