@@ -37,7 +37,6 @@
 
 #include "core/config.hpp"
 #include "core/hierarchy.hpp"
-#include "core/sampler.hpp"
 #include "graph/graph.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"

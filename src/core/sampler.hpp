@@ -4,9 +4,10 @@
 // levels, each running Procedure Cluster_j (2h edge-sampling trials with
 // parallel-edge peeling, then center marking and cluster contraction).
 // The distributed implementation (distributed_sampler.hpp) produces a
-// spanner with the same guarantees by exchanging real messages; this one is
-// the oracle used for correctness tests, the transformer's preprocessing
-// shortcut, and the E1–E4 benches.
+// spanner with the same guarantees by exchanging real messages (the
+// transformer runs that one); this one is the oracle used for correctness
+// tests, the E1–E4 benches and two examples (cluster_trace,
+// distance_oracle).
 //
 // Guarantees (whp over the seed, for paper-faithful constants):
 //   * H = (V, S) is a (2·3^k − 1)-spanner of G          (Theorem 9)

@@ -5,9 +5,8 @@
 // (hopeless on a single-core box):
 //
 //   * ownership — every node's mutable state (program, RNG stream, send
-//     cursor, edge→slot cache, done-state byte, messages_per_node slot) is
-//     touched only by the lane whose shard owns the node, and only during
-//     the step phase;
+//     cursor, done-state byte, messages_per_node slot) is touched only by
+//     the lane whose shard owns the node, and only during the step phase;
 //   * phasing — the merge-barrier structures are mutated only in their
 //     designated phase: SendLane counts/cursors and the arena in the merge
 //     phase, per-directed-edge budget state and the congest calendars in
@@ -21,10 +20,10 @@
 // deterministically on the first wrong touch, on one core as reliably as
 // on sixty-four, because no data race needs to manifest.
 //
-// Touches outside any bound scope (pre-run sends through a two-argument
-// Context, post-run result extraction via program_as) are deliberately
-// unchecked: the engine is not running, so there is no stepping lane to
-// mismatch.
+// Post-run result extraction via program_as touches node state outside any
+// bound scope and is deliberately unchecked: the engine is not running, so
+// there is no stepping lane to mismatch. Sends and RNG draws have no such
+// window — only the engine makes a Context (node.hpp), inside a step.
 //
 // Opt-in and zero-cost when off: Network holds a null checker unless
 // FL_SIM_CHECK=1 (or set_check(true)) — every instrumentation site is one
@@ -126,8 +125,8 @@ class OwnershipChecker {
   static void pop(Binding* b);
 
   /// The innermost binding of *this* checker on the calling thread, or
-  /// null when the engine is not running a phase here (pre-run sends,
-  /// post-run extraction, a different network's scope).
+  /// null when the engine is not running a phase here (post-run
+  /// extraction, a different network's scope).
   const Binding* current() const;
 
   [[noreturn]] void fail(const std::string& what, graph::NodeId node,

@@ -14,7 +14,9 @@
 //     relocation pass into the shared flat arena — no extra message pass
 //     (a two-pass bucketed scatter measured ~25% slower on the bench box);
 //   * per-node state (RNG stream, send cursor, program) is only ever
-//     touched by the lane whose shard owns the node.
+//     touched by the lane whose shard owns the node: the engine hands each
+//     stepped node a Context bound to that lane (node.hpp), and no other
+//     Context exists.
 //
 // Determinism contract: delivery order is bit-identical to sequential
 // execution. Sequential order is "node 0's sends, then node 1's, ...";

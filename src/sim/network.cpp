@@ -20,8 +20,7 @@ std::span<const EdgeId> Context::incident_edges() const {
 
 void Context::send(EdgeId edge, Payload payload,
                    std::uint32_t size_hint_words) {
-  net_->enqueue(lane_ != nullptr ? *lane_ : net_->lanes_.front(), self_,
-                edge, std::move(payload), size_hint_words);
+  net_->enqueue(*lane_, self_, edge, std::move(payload), size_hint_words);
 }
 
 std::size_t Context::round() const { return net_->round(); }
@@ -59,13 +58,7 @@ Network::Network(const graph::Graph& graph, std::uint64_t seed)
 
   incident_edges_.resize(n);
   send_cursor_.assign(n, 0);
-  slot_cache_.resize(n);
   done_state_.assign(n, 0);
-  // Lane 0 exists (fully sized) from construction so sends through a
-  // pre-run Context land correctly; begin_if_needed may add more lanes.
-  lanes_.resize(1);
-  lanes_[0].dest_counts.assign(n, 0);
-  lanes_[0].cursors.assign(n, 0);
   node_rngs_.reserve(n);
   for (NodeId v = 0; v < n; ++v) {
     const auto inc = graph.incident(v);
@@ -101,6 +94,7 @@ void Network::set_trace(obs::TraceConfig cfg) {
 void Network::set_log_n_bound(double bound) {
   FL_REQUIRE(bound >= std::log2(std::max<double>(2.0, graph_->num_nodes())),
              "log n bound must be an upper bound");
+  FL_REQUIRE(!started_, "cannot change the log n bound after the run started");
   log_n_bound_ = bound;
 }
 
@@ -157,63 +151,12 @@ void Network::install(
   }
 }
 
-NodeId Network::resolve_slow(NodeId from, EdgeId edge,
-                             std::span<const graph::Incidence> inc) {
-  // Private-edge-order senders (distributed_sampler sorts its incident
-  // edges by id) miss the incidence cursor on every send; resolving them
-  // through the global endpoints array is a random access across the whole
-  // graph per message. Instead, build an edge-id-sorted index of the
-  // node's own incidence slots and keep a cursor into it: an ascending-
-  // edge-id sweep then costs one sequential, node-local read per send,
-  // like the incidence fast path. The O(deg log deg) build is deferred
-  // until the node has missed a few times — a one-shot reply (the other
-  // common miss) keeps the seed's single O(1) endpoints lookup instead of
-  // paying for an index it will never reuse.
-  EdgeSlotCache& cache = slot_cache_[from];
-  if (cache.sorted.empty()) {
-    if (++cache.misses >= EdgeSlotCache::kBuildAfterMisses && !inc.empty()) {
-      cache.sorted.reserve(inc.size());
-      for (std::uint32_t s = 0; s < inc.size(); ++s)
-        cache.sorted.emplace_back(inc[s].edge, s);
-      std::sort(cache.sorted.begin(), cache.sorted.end());
-    } else {
-      FL_REQUIRE(edge < graph_->num_edges(), "send over unknown edge");
-      const auto ep = graph_->endpoints(edge);
-      FL_REQUIRE(ep.u == from || ep.v == from,
-                 "a node may only send over its incident edges");
-      return (ep.u == from) ? ep.v : ep.u;
-    }
-  }
-  if (cache.cursor < cache.sorted.size() &&
-      cache.sorted[cache.cursor].first == edge) {
-    const std::uint32_t slot = cache.sorted[cache.cursor].second;
-    cache.cursor =
-        (cache.cursor + 1 == cache.sorted.size()) ? 0 : cache.cursor + 1;
-    return inc[slot].to;
-  }
-  const auto it =
-      std::lower_bound(cache.sorted.begin(), cache.sorted.end(),
-                       std::pair<EdgeId, std::uint32_t>{edge, 0});
-  if (it != cache.sorted.end() && it->first == edge) {
-    const auto pos = static_cast<std::uint32_t>(it - cache.sorted.begin());
-    cache.cursor = (pos + 1 == cache.sorted.size()) ? 0 : pos + 1;
-    return inc[it->second].to;
-  }
-  // Not one of the sender's edges: fail with the seed's diagnostics.
-  FL_REQUIRE(edge < graph_->num_edges(), "send over unknown edge");
-  const auto ep = graph_->endpoints(edge);
-  FL_REQUIRE(ep.u == from || ep.v == from,
-             "a node may only send over its incident edges");
-  return (ep.u == from) ? ep.v : ep.u;
-}
-
 void Network::enqueue(SendLane& lane, NodeId from, EdgeId edge,
                       Payload payload, std::uint32_t size_hint_words) {
   if (check_) {
-    // The send path mutates sender-owned state (send cursor, edge→slot
-    // cache, messages_per_node) and the lane's private outbox/counts: both
-    // must belong to the stepping lane. Pre-run sends (no bound scope) are
-    // legal and unchecked by design.
+    // The send path mutates sender-owned state (send cursor,
+    // messages_per_node) and the lane's private outbox/counts: both must
+    // belong to the stepping lane.
     check_->touch_node(from, "send-path state");
     check_->touch_lane(static_cast<unsigned>(&lane - lanes_.data()),
                        EnginePhase::Step, "send outbox");
@@ -223,8 +166,8 @@ void Network::enqueue(SendLane& lane, NodeId from, EdgeId edge,
   // incidence order, so the expected entry (or the next one, after a
   // skipped edge such as a tree parent) matches with a sequential read of
   // the sender's own incidence list. Anything else (reply over the inbound
-  // edge, protocol-sorted edge order, ...) goes through the per-node
-  // edge→slot cache in resolve_slow.
+  // edge, protocol-sorted edge order, ...) reads the edge's endpoints,
+  // which is also the incidence check.
   const std::span<const graph::Incidence> inc = graph_->incident(from);
   std::uint32_t& cur = send_cursor_[from];
   NodeId to;
@@ -235,7 +178,11 @@ void Network::enqueue(SendLane& lane, NodeId from, EdgeId edge,
     to = inc[cur + 1].to;
     cur = (cur + 2 == inc.size()) ? 0 : cur + 2;
   } else {
-    to = resolve_slow(from, edge, inc);
+    FL_REQUIRE(edge < graph_->num_edges(), "send over unknown edge");
+    const auto ep = graph_->endpoints(edge);
+    FL_REQUIRE(ep.u == from || ep.v == from,
+               "a node may only send over its incident edges");
+    to = (ep.u == from) ? ep.v : ep.u;
   }
   MessageHeader h;
   h.edge = edge;
@@ -281,12 +228,8 @@ void Network::begin_if_needed() {
   const std::size_t flood = 2 * static_cast<std::size_t>(graph_->num_edges());
   for (auto& lane : lanes_) {
     lane.outbox.reserve(flood / lanes_.size() + 16);
-    // Lane 0 is already sized — and may hold counts from pre-run sends,
-    // which must survive into the first merge.
-    if (lane.dest_counts.size() != n) {
-      lane.dest_counts.assign(n, 0);
-      lane.cursors.assign(n, 0);
-    }
+    lane.dest_counts.assign(n, 0);
+    lane.cursors.assign(n, 0);
   }
   plan_delivery();
   pool_ = std::make_unique<ExecPool>(static_cast<unsigned>(lanes_.size()));
@@ -299,8 +242,8 @@ void Network::begin_if_needed() {
 void Network::phase_step(bool starting) {
   // Phase 1 — step shards. Each lane steps its shard's nodes in ascending
   // id order against its private SendLane. Everything a step touches is
-  // either shard-owned (program, RNG stream, send cursor, edge→slot
-  // cache, messages_per_node[self], done_state_[self]) or read-only this
+  // either shard-owned (program, RNG stream, send cursor,
+  // messages_per_node[self], done_state_[self]) or read-only this
   // phase (graph, arena + offsets), so lanes run concurrently without
   // locks. The done() re-read happens here, immediately after the step —
   // the only place done-state can change — keeping the quiesce phase free
@@ -416,44 +359,28 @@ bool Network::quiescent() const {
 }
 
 RunStats Network::run(std::size_t max_rounds) {
+  return run_rounds(max_rounds, std::numeric_limits<std::size_t>::max());
+}
+
+RunStats Network::run_until_drained(std::size_t stall_cap) {
+  return run_rounds(std::numeric_limits<std::size_t>::max(), stall_cap);
+}
+
+RunStats Network::run_rounds(std::size_t max_rounds, std::size_t stall_cap) {
   FL_REQUIRE(!programs_.empty(), "install programs before running");
   begin_if_needed();
   RunStats stats;
   // The round pipeline: quiesce check -> step shards -> merge lanes.
-  while (round_ <= max_rounds) {
-    bool quiet;
-    {
-      const obs::SpanScope span(trace_.get(), obs::SpanKind::Quiesce, 0,
-                                round_);
-      quiet = quiescent();
-    }
-    if (quiet) {
-      stats.terminated = true;
-      break;
-    }
-    phase_step(/*starting=*/false);
-    phase_merge();
-  }
-  stats.rounds = round_;
-  stats.messages = metrics_.messages_total;
-  return stats;
-}
-
-RunStats Network::run_until_drained(std::size_t stall_cap) {
-  FL_REQUIRE(!programs_.empty(), "install programs before running");
-  begin_if_needed();
-  RunStats stats;
-  // Delivery rounds are uncapped: for a terminating protocol each one
-  // retires pending traffic (a merge delivered messages, or a parked
-  // message waits for the admission round it was filed under — finite by
-  // the banking bound the admission pass checks per message), so only
-  // stall rounds need a cap: round_silent() yet some program not done. A
-  // live protocol must advance at least one logical step per silent round
-  // (the event-driven barrier contract), so the cumulative count is
-  // bounded by the protocol's own step count, independent of any CONGEST
-  // stretch.
+  // Stall rounds — round_silent() yet some program not done — count
+  // against stall_cap; every other round retires pending traffic (a merge
+  // delivered messages, or a parked message waits for the admission round
+  // it was filed under, finite by the banking bound the admission pass
+  // checks per message). A live protocol advances at least one logical
+  // step per silent round (the event-driven barrier contract), so the
+  // cumulative stall count is bounded by the protocol's own step count,
+  // independent of any CONGEST stretch.
   std::size_t stalls = 0;
-  while (true) {
+  while (round_ <= max_rounds) {
     bool quiet;
     {
       const obs::SpanScope span(trace_.get(), obs::SpanKind::Quiesce, 0,

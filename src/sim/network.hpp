@@ -7,7 +7,7 @@
 // the two complexities the paper's theorems bound — in the paper's one
 // knowledge model: unique edge IDs, known at both endpoints (node.hpp).
 //
-// Each round is an explicit three-phase pipeline (see Network::run):
+// Each round is an explicit three-phase pipeline (see Network::run_rounds):
 //
 //   quiesce check -> step shards -> merge lanes
 //
@@ -76,7 +76,8 @@ class Network {
     });
   }
 
-  /// Run until global termination or `max_rounds`, whichever first.
+  /// Run until global termination or `max_rounds`, whichever first. The
+  /// same round loop as run_until_drained, with no stall cap.
   RunStats run(std::size_t max_rounds);
 
   /// Run exactly `rounds` more rounds (no termination check) — used by
@@ -94,7 +95,8 @@ class Network {
   /// count (a wedged protocol). A parked message cannot wedge: the
   /// admission pass files it under a computed round, at most
   /// ceil(words / budget) rounds past its FIFO predecessor's (the banking
-  /// bound), and asserts it pops in exactly that round.
+  /// bound), and asserts it pops in exactly that round. The same round
+  /// loop as run, with no round cap.
   RunStats run_until_drained(std::size_t stall_cap);
 
   const graph::Graph& graph() const { return *graph_; }
@@ -221,9 +223,9 @@ class Network {
 
   void enqueue(SendLane& lane, graph::NodeId from, graph::EdgeId edge,
                Payload payload, std::uint32_t size_hint_words);
-  graph::NodeId resolve_slow(graph::NodeId from, graph::EdgeId edge,
-                             std::span<const graph::Incidence> inc);
   void begin_if_needed();
+  // The one round loop behind run() and run_until_drained().
+  RunStats run_rounds(std::size_t max_rounds, std::size_t stall_cap);
   // The per-round phases, in execution order. phase_merge wraps the merge
   // barrier with the pipeline bookkeeping (metrics, trace round record,
   // round_).
@@ -252,33 +254,14 @@ class Network {
   // Send-side cursor per node: protocols overwhelmingly send over their
   // incident edges in incidence order (flood loops), so enqueue resolves
   // `to` from the node's own incidence list — a sequential, cache-warm
-  // read — instead of a random lookup into the global endpoints array.
-  // Arbitrary-edge sends fall back to the edge→slot cache below, and only
-  // truly foreign edges reach the endpoints array (to fail the incidence
-  // check with the original diagnostic).
+  // read. Any other send (a reply over the inbound edge, a private edge
+  // order) reads the global endpoints array, which also proves incidence.
   std::vector<std::uint32_t> send_cursor_;
 
-  // Fallback for senders with a private edge order (distributed_sampler
-  // sorts its incident edges by id): a lazily built per-node index of
-  // (edge id → incidence slot) sorted by edge id, plus a cursor so a
-  // sender sweeping its edges in ascending-id order hits sequentially
-  // after one binary search. Built only for nodes that miss the incidence
-  // cursor repeatedly (isolated misses — one-shot replies — keep the
-  // seed's direct endpoints lookup); node-local, so shard-parallel
-  // stepping never shares an entry.
-  struct EdgeSlotCache {
-    static constexpr std::uint32_t kBuildAfterMisses = 4;
-    std::vector<std::pair<graph::EdgeId, std::uint32_t>> sorted;
-    std::uint32_t cursor = 0;
-    std::uint32_t misses = 0;
-  };
-  std::vector<EdgeSlotCache> slot_cache_;
-
   // Parallel execution (exec.hpp): nodes are split into contiguous,
-  // degree-weighted shards, one SendLane per shard; lane 0 also takes
-  // pre-run sends. Shards, lanes and the pool (one per run, inline when
-  // there is a single lane) are finalized by begin_if_needed() from
-  // threads_.
+  // degree-weighted shards, one SendLane per shard. Shards, lanes and the
+  // pool (one per run, inline when there is a single lane) are finalized
+  // by begin_if_needed() from threads_.
   unsigned threads_;
   std::vector<ShardRange> shards_;
   std::vector<SendLane> lanes_;

@@ -27,17 +27,15 @@ struct SendLane;
 
 /// Per-node view of the network handed to programs each round.
 ///
-/// A Context is bound to the execution lane stepping the node this round:
-/// sends land in that lane's private outbox, so parallel shard stepping
-/// (see exec.hpp) never contends on shared send state. The two-argument
-/// form resolves the network's lane 0 at each send (never caching the
-/// lane), so it stays valid across the lane re-partition at run start.
+/// Only the engine makes a Context: it binds one to the execution lane
+/// stepping the node, for the duration of that step, so a node acts only
+/// inside its own round (the model of Section 1.1). Sends land in that
+/// lane's private outbox, so parallel shard stepping (see exec.hpp) never
+/// contends on shared send state.
 class Context {
  public:
-  Context(Network& net, graph::NodeId self)
-      : net_(&net), self_(self), lane_(nullptr) {}
-  Context(Network& net, graph::NodeId self, SendLane& lane)
-      : net_(&net), self_(self), lane_(&lane) {}
+  Context(const Context&) = delete;
+  Context& operator=(const Context&) = delete;
 
   graph::NodeId self() const { return self_; }
 
@@ -47,11 +45,13 @@ class Context {
   /// Send `payload` over `edge` this round; delivered next round — unless
   /// the network enforces a CONGEST budget (sim/congest.hpp), in which
   /// case delivery may slip to a later round once the edge's words-per-
-  /// round limit fills (order per edge stays FIFO). `size_hint_words` is
-  /// the message's logical size against that budget and the words metric;
-  /// it is clamped to at least 1 (a message is never free). Any value that
-  /// fits Payload's 24-byte inline buffer converts to Payload; a larger,
-  /// over-aligned or throwing-move struct does not compile (payload.hpp).
+  /// round limit fills (order per edge stays FIFO). `edge` must be one of
+  /// incident_edges(); any other id throws ContractViolation.
+  /// `size_hint_words` is the message's logical size against that budget
+  /// and the words metric; it is clamped to at least 1 (a message is never
+  /// free). Any value that fits Payload's 24-byte inline buffer converts to
+  /// Payload; a larger, over-aligned or throwing-move struct does not
+  /// compile (payload.hpp).
   void send(graph::EdgeId edge, Payload payload,
             std::uint32_t size_hint_words = 1);
 
@@ -79,9 +79,13 @@ class Context {
   bool network_silent() const;
 
  private:
+  friend class Network;
+  Context(Network& net, graph::NodeId self, SendLane& lane)
+      : net_(&net), self_(self), lane_(&lane) {}
+
   Network* net_;
   graph::NodeId self_;
-  SendLane* lane_;  ///< stepping lane; null = resolve lane 0 per send
+  SendLane* lane_;  ///< the lane stepping this node
 };
 
 /// Base class for protocols. One instance per node.

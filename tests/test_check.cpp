@@ -7,8 +7,7 @@
 //     (no data race needs to manifest), with a diagnostic naming the node,
 //     the owning lane, the touching lane, the phase and the round;
 //   * a seeded out-of-phase carry-queue mutation is caught the same way;
-//   * the deliberately unchecked windows (pre-run sends, post-run
-//     extraction) stay legal.
+//   * the deliberately unchecked window (post-run extraction) stays legal.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -111,76 +110,20 @@ TEST(CheckClean, SetCheckOnlyBeforeStart) {
   EXPECT_THROW(net.set_check(false), util::ContractViolation);
 }
 
-TEST(CheckClean, PreRunSendAndPostRunExtractionUnchecked) {
-  // The two deliberate windows outside any lane scope: sends through a
-  // pre-run two-argument Context, and post-run mutating extraction.
+TEST(CheckClean, PostRunExtractionUnchecked) {
+  // The one deliberate window outside any lane scope: post-run mutating
+  // extraction.
   const Graph g = test_graph(8);
   Network net(g, 1);
   net.set_parallelism(8);
   net.set_check(true);
   net.install_all<Chatter>(1u);
-  Context pre(net, /*self=*/5);
-  pre.send(g.incident(5).front().edge, std::uint64_t{42});  // must not throw
   net.run(16);
   for (NodeId v = 0; v < g.num_nodes(); ++v)
     net.program_as<Chatter>(v).digest = 0;  // foreign-thread write: legal
 }
 
 // ------------------------------------------------- seeded violations
-
-// The checker's raison d'être: catch a cross-shard touch logically, on one
-// core, at the first occurrence. The probe runs inside lane 0's step scope
-// and reaches into the last shard's state through the real accessor paths.
-TEST(CheckViolations, CrossShardRngTouchCaughtFromRunningLane) {
-  const Graph g = test_graph(64);
-  Network net(g, 7);
-  net.set_parallelism(8);
-  net.set_check(true);
-  net.install_all<Chatter>(4u);
-  // 64 nodes cut into 8 non-empty shards: node 63 is owned by lane 7.
-  net.set_check_probe([](Network& n, unsigned lane) {
-    if (lane != 0) return;
-    Context foreign(n, /*self=*/63);
-    foreign.rng();  // cross-shard touch of node 63's RNG stream
-  });
-  try {
-    net.run(16);
-    FAIL() << "cross-shard rng touch was not caught";
-  } catch (const CheckViolation& v) {
-    EXPECT_EQ(v.node, 63u);
-    EXPECT_EQ(v.owner_lane, 7u);
-    EXPECT_EQ(v.touch_lane, 0u);
-    EXPECT_EQ(v.phase, EnginePhase::Step);
-    EXPECT_EQ(v.round, 0u);  // seeded in the very first step phase
-    EXPECT_NE(std::string(v.what()).find("rng stream"), std::string::npos);
-  }
-}
-
-TEST(CheckViolations, CrossShardSendCaughtFromRunningLane) {
-  // Same shape through the send path: lane 0 sending *as* node 63 mutates
-  // node 63's send cursor / slot cache — caught before the message exists.
-  const Graph g = test_graph(64);
-  Network net(g, 7);
-  net.set_parallelism(8);
-  net.set_check(true);
-  net.install_all<Chatter>(4u);
-  net.set_check_probe([&](Network& n, unsigned lane) {
-    if (lane != 0) return;
-    Context foreign(n, /*self=*/63);
-    foreign.send(g.incident(63).front().edge, std::uint64_t{1});
-  });
-  try {
-    net.run(16);
-    FAIL() << "cross-shard send was not caught";
-  } catch (const CheckViolation& v) {
-    EXPECT_EQ(v.node, 63u);
-    EXPECT_EQ(v.owner_lane, 7u);
-    EXPECT_EQ(v.touch_lane, 0u);
-    EXPECT_EQ(v.phase, EnginePhase::Step);
-    EXPECT_NE(std::string(v.what()).find("send-path state"),
-              std::string::npos);
-  }
-}
 
 TEST(CheckViolations, CrossShardWriteCaughtAtOneAndEightLanes) {
   // The debug hook binds a synthetic step-phase scope to a chosen lane, so

@@ -4,7 +4,7 @@
 // closed-form calendar admission checked round by round
 // against a per-round FIFO reference model, bit-determinism of budgeted
 // runs across thread counts, and the words-accounting fixes the budget
-// engine depends on (minimum one word per message, pre-run sends).
+// engine depends on (minimum one word per message).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -73,34 +73,6 @@ TEST(CongestWords, ZeroWordHintClampsToOneWord) {
   net.run(5);
   EXPECT_EQ(net.metrics().messages_total, 1u);
   EXPECT_EQ(net.metrics().words_total, 1u);
-}
-
-TEST(CongestWords, PreRunSendsLandInWordsTotal) {
-  // Regression for the two-argument pre-run Context path: words sent
-  // before run() must be flushed into words_total by the first merge,
-  // under any thread count.
-  const Graph g = graph::path(2);
-  for (const unsigned threads : {1u, 8u}) {
-    Network net(g, 1);
-    net.set_parallelism(threads);
-    net.install([](NodeId) {
-      class P final : public NodeProgram {
-       public:
-        void on_start(Context&) override {}
-        void on_round(Context&, InboxView) override {}
-        bool done() const override { return true; }
-      };
-      return std::make_unique<P>();
-    });
-    Context pre(net, 1);
-    pre.send(pre.incident_edges()[0], unsigned{42}, /*words=*/7);
-    pre.send(pre.incident_edges()[0], unsigned{43}, /*words=*/0);  // clamps
-    const RunStats stats = net.run(5);
-    EXPECT_TRUE(stats.terminated);
-    EXPECT_EQ(stats.messages, 2u);
-    EXPECT_EQ(net.metrics().words_total, 8u) << "threads=" << threads;
-    EXPECT_EQ(net.metrics().messages_per_node[1], 2u);
-  }
 }
 
 // ---------------------------------------------------------- FIFO deferral

@@ -6,6 +6,7 @@
 // golden trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -388,45 +389,6 @@ TEST(ParallelNetwork, EmptyRoundsTerminateUnderEveryThreadCount) {
   }
 }
 
-/// Node 0 sends four numbered payloads over the single edge in round 0.
-class Burst final : public NodeProgram {
- public:
-  explicit Burst(NodeId self) : self_(self) {}
-  std::vector<unsigned> got;
-
-  void on_start(Context& ctx) override {
-    if (self_ == 0)
-      for (unsigned i = 1; i <= 4; ++i) ctx.send(ctx.incident_edges()[0], i);
-  }
-  void on_round(Context&, InboxView inbox) override {
-    for (const auto& m : inbox) got.push_back(payload_as<unsigned>(m));
-  }
-  bool done() const override { return true; }
-
- private:
-  NodeId self_;
-};
-
-TEST(ParallelNetwork, PreRunSendsSurviveLaneRepartition) {
-  // A Context constructed before the run (two-argument form) must keep
-  // working: its sends land in lane 0 and are delivered in the first
-  // round together with the on_start sends, under any thread count.
-  const Graph g = graph::path(2);
-  for (const unsigned threads : {1u, 8u}) {
-    Network net(g, 1);
-    net.set_parallelism(threads);
-    net.install_all<Burst>();  // node 0 sends 1..4 in on_start
-    Context pre(net, 1);
-    pre.send(pre.incident_edges()[0], unsigned{99});
-    const RunStats stats = net.run(5);
-    EXPECT_TRUE(stats.terminated);
-    EXPECT_EQ(stats.messages, 5u);
-    EXPECT_EQ(net.program_as<Burst>(0).got, (std::vector<unsigned>{99}));
-    EXPECT_EQ(net.program_as<Burst>(1).got,
-              (std::vector<unsigned>{1, 2, 3, 4}));
-  }
-}
-
 TEST(ParallelNetwork, ParallelismLockedOnceStarted) {
   const Graph g = graph::ring(4);
   Network net(g, 1);
@@ -462,6 +424,91 @@ TEST(ParallelNetwork, ContractViolationsSurfaceFromWorkerLanes) {
     return std::make_unique<P>(v, far);
   });
   EXPECT_THROW(net.run(5), util::ContractViolation);
+}
+
+/// The hub of hub_graph() first sends over each of its own edges in
+/// descending id order — a private edge order, as the distributed Sampler
+/// keeps — then over `last`. Every other node stays silent and records
+/// what it hears.
+class DescendingSweep final : public NodeProgram {
+ public:
+  static constexpr NodeId kHub = 7;
+
+  DescendingSweep(NodeId self, EdgeId last) : self_(self), last_(last) {}
+  std::vector<std::pair<NodeId, EdgeId>> heard;
+
+  void on_start(Context& ctx) override {
+    if (self_ != kHub) return;
+    std::vector<EdgeId> mine(ctx.incident_edges().begin(),
+                             ctx.incident_edges().end());
+    std::sort(mine.rbegin(), mine.rend());
+    for (const EdgeId e : mine) ctx.send(e, unsigned{1});
+    ctx.send(last_, unsigned{2});
+  }
+  void on_round(Context&, InboxView inbox) override {
+    for (const auto& m : inbox) heard.emplace_back(m.from(), m.edge());
+  }
+  bool done() const override { return true; }
+
+ private:
+  NodeId self_;
+  EdgeId last_;
+};
+
+/// 8 nodes: hub 7 joined to node k by edge k (k < 7), so the hub's
+/// incidence list (ascending neighbour) is in ascending edge id, plus the
+/// path 0-1-...-6 on edges 7..12. A descending-id sweep from the hub
+/// misses its incidence cursor on every send but one (edge 1, the
+/// cursor's look-ahead slot), so almost every send resolves through the
+/// endpoints fallback. One node per shard at 8 lanes: the hub is stepped
+/// on worker lane 7.
+Graph hub_graph() {
+  Graph::Builder b(8);
+  for (NodeId k = 0; k < DescendingSweep::kHub; ++k)
+    b.add_edge(DescendingSweep::kHub, k);
+  for (NodeId k = 0; k + 1 < DescendingSweep::kHub; ++k) b.add_edge(k, k + 1);
+  return std::move(b).build();
+}
+
+TEST(ParallelNetwork, FallbackSendsResolveOrThrowFromWorkerLane) {
+  const Graph g = hub_graph();
+  ASSERT_EQ(g.num_edges(), 13u);
+  // The sweep ending on an unknown id (= m), on edge 7 (joins nodes 0 and
+  // 1, not the hub), and on the hub's own edge 3.
+  const std::pair<EdgeId, const char*> cases[] = {
+      {13, "send over unknown edge"},
+      {7, "a node may only send over its incident edges"},
+      {3, nullptr}};
+  for (const auto& [last, diagnostic] : cases) {
+    for (const unsigned threads : {1u, 8u}) {
+      Network net(g, 1);
+      net.set_parallelism(threads);
+      net.install([last](NodeId v) {
+        return std::make_unique<DescendingSweep>(v, last);
+      });
+      if (diagnostic != nullptr) {
+        try {
+          net.run(5);
+          FAIL() << "send over edge " << last << " not rejected at threads="
+                 << threads;
+        } catch (const util::ContractViolation& e) {
+          EXPECT_NE(std::string(e.what()).find(diagnostic), std::string::npos)
+              << e.what();
+        }
+        continue;
+      }
+      // Legal: node k hears the hub on edge k, twice for k = 3.
+      const RunStats stats = net.run(5);
+      EXPECT_TRUE(stats.terminated);
+      EXPECT_EQ(stats.messages, 8u);
+      for (NodeId k = 0; k < DescendingSweep::kHub; ++k) {
+        const std::vector<std::pair<NodeId, EdgeId>> want(
+            k == 3 ? 2 : 1, {DescendingSweep::kHub, EdgeId{k}});
+        EXPECT_EQ(net.program_as<DescendingSweep>(k).heard, want)
+            << "node " << k << " threads=" << threads;
+      }
+    }
+  }
 }
 
 // ------------------------------------- protocol outputs across threads

@@ -168,6 +168,20 @@ TEST(Network, LogNBoundIsUpperBound) {
   net.set_log_n_bound(7.5);  // the model allows slack upward
   EXPECT_DOUBLE_EQ(net.log_n_bound(), 7.5);
   EXPECT_THROW(net.set_log_n_bound(2.0), util::ContractViolation);
+  // Running programs were promised the bound: it is fixed once the run
+  // starts.
+  net.install([](NodeId) {
+    class P final : public NodeProgram {
+     public:
+      void on_start(Context&) override {}
+      void on_round(Context&, InboxView) override {}
+      bool done() const override { return true; }
+    };
+    return std::make_unique<P>();
+  });
+  net.run(3);
+  EXPECT_THROW(net.set_log_n_bound(8.0), util::ContractViolation);
+  EXPECT_DOUBLE_EQ(net.log_n_bound(), 7.5);
 }
 
 /// Sends its id over every incident edge in rounds where (round + id) % 3
@@ -438,6 +452,34 @@ TEST(NetworkQuiesce, PreRunDoneOnEdgelessGraphTerminatesImmediately) {
   EXPECT_EQ(stats.messages, 0u);
   for (NodeId v = 0; v < g.num_nodes(); ++v)
     EXPECT_TRUE(net.inbox_span(v).empty());
+}
+
+TEST(NetworkQuiesce, StallCapStopsAWedgedProtocol) {
+  // Never done, never sends: every round after the start round is a stall
+  // (silent, programs not done). run_until_drained counts them against
+  // its cap; run has no stall cap and stops at its round cap instead.
+  const Graph g = graph::ring(6);
+  const unsigned never = ~0u;
+  {
+    Network net(g, 1);
+    net.install_all<DoneProbe>(never);
+    try {
+      net.run_until_drained(3);
+      FAIL() << "a wedged protocol ran past the stall cap";
+    } catch (const util::ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("protocol wedged: 4 silent rounds"),
+                std::string::npos) << what;
+      EXPECT_NE(what.find("stall cap 3"), std::string::npos) << what;
+      EXPECT_NE(what.find("at round 4"), std::string::npos) << what;
+    }
+  }
+  Network net(g, 1);
+  net.install_all<DoneProbe>(never);
+  const RunStats stats = net.run(10);
+  EXPECT_FALSE(stats.terminated);
+  EXPECT_EQ(stats.rounds, 11u);
+  EXPECT_EQ(stats.messages, 0u);
 }
 
 TEST(NetworkQuiesce, SingleNodeNetwork) {
