@@ -24,8 +24,10 @@ linter, so this pass checks them directly over ``src/``:
   FL005 pointer-hash      std::hash over a pointer type, same failure mode.
   FL006 size-hint-zero    a literal 0 passed as size_hint_words to send():
                           words accounting treats the hint as the message's
-                          CONGEST width, and 0-word messages are banned by
-                          the admission pass (it would divide by the budget).
+                          CONGEST width, and no message is 0 words wide —
+                          Network::enqueue silently clamps a 0 hint to 1
+                          word, so a literal 0 states a width the run never
+                          bills.
   FL008 message-aos       a std::vector of MessageHeader / Payload declared
                           outside sim/message.hpp: bulk message storage must
                           be a MessagePlanes (the structure-of-arrays plane
@@ -220,7 +222,7 @@ def check_send_sites(path: str, code: str) -> list:
         findings.append(Finding(
             path, line_of(code, m.start()), "FL006",
             "literal 0 passed as size_hint_words (a message is never "
-            "0 CONGEST words; the admission pass rejects it)"))
+            "0 CONGEST words; Network::enqueue clamps the hint to 1)"))
     return findings
 
 

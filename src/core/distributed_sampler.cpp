@@ -5,6 +5,8 @@
 #include <limits>
 #include <memory>
 #include <unordered_set>
+#include <utility>
+#include <variant>
 
 #include "sim/wire.hpp"
 #include "util/assert.hpp"
@@ -26,31 +28,52 @@ constexpr std::size_t kExhaustiveFactor = 16;
 constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
 
 // ------------------------------------------------------------- payloads
+//
+// Each message type states, next to its fields, the MessageBreakdown role
+// it is billed to (kRole) and its CONGEST width in words (words()), so
+// SamplerNode::send meters every send from one formula per type.
 
 using EdgeList = std::shared_ptr<const std::vector<EdgeId>>;
+using Role = std::uint64_t MessageBreakdown::*;
+constexpr Role kQueries = &MessageBreakdown::queries;
+constexpr Role kTree = &MessageBreakdown::tree_sessions;
+constexpr Role kCenter = &MessageBreakdown::center;
+constexpr Role kControl = &MessageBreakdown::control;
 
-struct MsgSetup {};  // FloodSetup: establishes the per-level tree parent
-
-struct MsgGatherUp {  // echo: concatenated candidate lists of a subtree
-  std::shared_ptr<std::vector<EdgeId>> candidates;
+struct MsgSetup {  // flood: establishes the per-level tree parent
+  static constexpr Role kRole = kTree;
+  static std::uint32_t words() { return 1; }
 };
 
 struct MsgBoundary {  // flood: the final E_j(v) list
   EdgeList boundary;
+  static constexpr Role kRole = kTree;
+  std::uint32_t words() const {
+    return static_cast<std::uint32_t>(boundary->size() + 1);
+  }
 };
 
 struct MsgTrialRate {  // flood: per-trial sampling directive
   std::uint64_t trial_size = 0;
   std::uint64_t pool_total = 0;
   bool skip = false;
+  static constexpr Role kRole = kTree;
+  static std::uint32_t words() { return 3; }
 };
 
-struct MsgQuery {};  // over a sampled boundary edge
+struct MsgQuery {  // over a sampled boundary edge
+  static constexpr Role kRole = kQueries;
+  static std::uint32_t words() { return 1; }
+};
 
 struct MsgQueryReply {
   bool alive = true;
   NodeId cluster = kInvalidNode;
   EdgeList boundary;  ///< responder cluster's full incident edge-ID list
+  static constexpr Role kRole = kQueries;
+  std::uint32_t words() const {
+    return static_cast<std::uint32_t>((boundary ? boundary->size() : 0) + 2);
+  }
 };
 
 struct Found {  // one discovered neighbour cluster
@@ -60,23 +83,33 @@ struct Found {  // one discovered neighbour cluster
   EdgeList list;
 };
 
-struct MsgCollectUp {  // echo: discovered neighbours of a subtree
-  std::shared_ptr<std::vector<Found>> found;
-};
-
 struct MsgApply {  // flood: root's dedup'd decisions for the trial
   std::shared_ptr<const std::vector<Found>> entries;
+  static constexpr Role kRole = kTree;
+  std::uint32_t words() const {
+    std::uint32_t w = 1;
+    for (const Found& f : *entries)
+      w += static_cast<std::uint32_t>(f.list ? f.list->size() + 2 : 2);
+    return w;
+  }
 };
 
-struct MsgCenterFlood {
+struct MsgCenterFlood {  // flood: the root's p_j coin
   bool is_center = false;
+  static constexpr Role kRole = kTree;
+  static std::uint32_t words() { return 1; }
 };
 
-struct MsgCenterQuery {};
+struct MsgCenterQuery {
+  static constexpr Role kRole = kCenter;
+  static std::uint32_t words() { return 1; }
+};
 
 struct MsgCenterReply {
   bool is_center = false;
   NodeId cluster = kInvalidNode;
+  static constexpr Role kRole = kCenter;
+  static std::uint32_t words() { return 2; }
 };
 
 struct CenterFound {
@@ -84,38 +117,54 @@ struct CenterFound {
   EdgeId via = kInvalidEdge;
 };
 
-struct MsgCenterUp {
-  std::shared_ptr<std::vector<CenterFound>> found;
+/// Echo: a subtree's concatenated reports — candidate edges (gather),
+/// discovered neighbours (collect) or center neighbours (center).
+template <typename T>
+struct MsgUp {
+  std::shared_ptr<std::vector<T>> items;
+  static constexpr Role kRole = kTree;
+  std::uint32_t words() const {
+    return static_cast<std::uint32_t>(items->size() + 1);
+  }
 };
 
 enum class JoinDecision : std::uint8_t { Stay, Join, Die };
 
-struct MsgJoin {
+struct MsgJoin {  // flood: Stay / Join(u*, e*) / Die
   JoinDecision decision = JoinDecision::Die;
   NodeId new_cluster = kInvalidNode;
   EdgeId attach_edge = kInvalidEdge;
+  static constexpr Role kRole = kTree;
+  static std::uint32_t words() { return 3; }
 };
 
-struct MsgAttach {};  // marks the attach edge as a tree edge on the far side
+struct MsgAttach {  // marks the attach edge as a tree edge on the far side
+  static constexpr Role kRole = kControl;
+  static std::uint32_t words() { return 1; }
+};
 
 struct MsgDeath {  // dying cluster announces over its F_v edges
   EdgeList boundary;
+  static constexpr Role kRole = kControl;
+  std::uint32_t words() const {
+    return static_cast<std::uint32_t>(boundary->size() + 1);
+  }
 };
 
 // The content fields of every non-empty payload (the empty markers carry
 // nothing). Padded structs (MsgTrialRate, MsgQueryReply, Found,
 // MsgCenterReply, MsgJoin) list exactly their members, never the padding.
-FL_WIRE_FIELDS(MsgGatherUp, candidates);
 FL_WIRE_FIELDS(MsgBoundary, boundary);
 FL_WIRE_FIELDS(MsgTrialRate, trial_size, pool_total, skip);
 FL_WIRE_FIELDS(MsgQueryReply, alive, cluster, boundary);
 FL_WIRE_FIELDS(Found, cluster, alive, via, list);
-FL_WIRE_FIELDS(MsgCollectUp, found);
 FL_WIRE_FIELDS(MsgApply, entries);
 FL_WIRE_FIELDS(MsgCenterFlood, is_center);
 FL_WIRE_FIELDS(MsgCenterReply, is_center, cluster);
 FL_WIRE_FIELDS(CenterFound, cluster, via);
-FL_WIRE_FIELDS(MsgCenterUp, found);
+FL_WIRE_FIELDS(MsgUp<EdgeId>, items);
+FL_WIRE_FIELDS(MsgUp<Found>, items);
+FL_WIRE_FIELDS(MsgUp<CenterFound>, items);
 FL_WIRE_FIELDS(MsgJoin, decision, new_cluster, attach_edge);
 FL_WIRE_FIELDS(MsgDeath, boundary);
 
@@ -150,6 +199,20 @@ struct RootLevelRecord {
 
 // --------------------------------------------------------- the program
 
+/// One physical node. Its cluster's sessions are built from three
+/// primitives:
+///   * flood(m) — apply m's state update here (accept), then forward m to
+///     the tree children. The root builds m and calls flood; a relay calls
+///     the same routine from handle(), so each flood type has one
+///     forwarding site.
+///   * the echo over MsgUp<T> — echo_start opens it with this node's own
+///     items, echo_report appends each child's, and the last report
+///     (echo_done) sends the concatenation to the parent or, at the root,
+///     hands it to that session's root_reduce.
+///   * send(edge, m) — the one call of Context::send; it meters m at
+///     m.words() and credits m's MessageBreakdown role.
+/// Queries, center queries, the attach notice and death announcements are
+/// single sends outside the tree.
 class SamplerNode final : public sim::NodeProgram {
  public:
   /// `adaptive` selects the phase barrier (the driver derives it from the
@@ -177,6 +240,16 @@ class SamplerNode final : public sim::NodeProgram {
   }
   const std::vector<std::uint64_t>& queries_per_level() const {
     return queries_per_level_;
+  }
+  const MessageBreakdown& breakdown() const { return sent_; }
+
+  /// Record the final level's root status (level k has no JoinFlood).
+  void flush_final_records() {
+    if (alive_ && is_root_ && record_.level == cfg_.k &&
+        (root_records_.empty() || root_records_.back().level != cfg_.k)) {
+      finalize_level_record(JoinDecision::Die);
+      root_records_.back().died = false;  // level k nodes are "unclustered"
+    }
   }
 
   // -- NodeProgram -------------------------------------------------------
@@ -233,13 +306,15 @@ class SamplerNode final : public sim::NodeProgram {
       }
       return;
     }
-    // Fixed timetable: phases start at their provisioned rounds.
+    // Fixed timetable: phases start at their provisioned rounds. The
+    // timetable's round 0 is the first on_round (the engine's round 1),
+    // and a non-reactive node is stepped every round.
+    const std::size_t now = ctx.round() - 1;
     while (phase_idx_ < schedule_->phases.size() &&
-           schedule_->phases[phase_idx_].start == logical_round_) {
+           schedule_->phases[phase_idx_].start == now) {
       start_phase(ctx, schedule_->phases[phase_idx_]);
       ++phase_idx_;
     }
-    ++logical_round_;
   }
 
   bool done() const override {
@@ -271,12 +346,20 @@ class SamplerNode final : public sim::NodeProgram {
 
   /// Remove every own pool edge that appears in `list` (a cluster's
   /// sorted boundary). Slots are removed in ascending order, which is the
-  /// order phase_query_send's draws against the swap-removed pool depend on.
+  /// order send_queries' draws against the swap-removed pool depend on.
   void peel_list(const std::vector<EdgeId>& list) {
     if (pool_.empty()) return;
     util::for_each_common(inc_, list, [&](std::size_t s, std::size_t) {
       pool_remove_slot(s);
     });
+  }
+
+  std::size_t children_count() const {
+    std::size_t deg = 0;
+    for (std::size_t s = 0; s < inc_.size(); ++s)
+      if (flag_tree_[s]) ++deg;
+    if (parent_edge_ != kInvalidEdge) --deg;
+    return deg;
   }
 
   // ---------------------------------------------------- root pool model
@@ -306,39 +389,112 @@ class SamplerNode final : public sim::NodeProgram {
     });
   }
 
-  // --------------------------------------------------------- messaging
-  /// Payloads are move-only, so flooding sends one copy of the (cheaply
-  /// copyable) payload struct per child edge.
+  // ---------------------------------------------------- the primitives
   template <typename Msg>
-  void flood_to_children(sim::Context& ctx, const Msg& payload,
-                         std::uint32_t words) {
+  void send(sim::Context& ctx, EdgeId edge, const Msg& m) {
+    ctx.send(edge, m, m.words());
+    ++(sent_.*Msg::kRole);
+  }
+
+  /// `arrival` is the edge m came in on; the root passes none.
+  template <typename Msg>
+  void flood(sim::Context& ctx, const Msg& m, EdgeId arrival = kInvalidEdge) {
+    if (!alive_) return;
+    accept(m, arrival);
     for (std::size_t s = 0; s < inc_.size(); ++s)
-      if (flag_tree_[s] && inc_[s] != parent_edge_) {
-        ctx.send(inc_[s], payload, words);
-        ++sent_.tree_sessions;
-      }
+      if (flag_tree_[s] && inc_[s] != parent_edge_) send(ctx, inc_[s], m);
   }
 
-  void send_up_or_finalize(sim::Context& ctx) {
-    switch (echo_kind_) {
-      case EchoKind::Gather: finish_gather(ctx); break;
-      case EchoKind::Collect: finish_collect(ctx); break;
-      case EchoKind::Center: finish_center(ctx); break;
-      case EchoKind::None: FL_ENSURE(false, "echo finalize without session");
+  template <typename T>
+  void echo_start(sim::Context& ctx, std::vector<T> own) {
+    echo_ = std::move(own);
+    echo_waiting_ = children_count();
+    if (echo_waiting_ == 0) echo_done<T>(ctx);
+  }
+
+  /// True iff `msg` is a MsgUp<T>. A report for a session this node has
+  /// not opened (or already closed) is dropped.
+  template <typename T>
+  bool echo_report(sim::Context& ctx, sim::MessageView msg) {
+    const auto* up = sim::payload_if<MsgUp<T>>(msg);
+    if (up == nullptr) return false;
+    if (auto* acc = std::get_if<std::vector<T>>(&echo_)) {
+      acc->insert(acc->end(), up->items->begin(), up->items->end());
+      FL_ENSURE(echo_waiting_ > 0, "unexpected echo report");
+      if (--echo_waiting_ == 0) echo_done<T>(ctx);
     }
+    return true;
   }
 
-  void finish_gather(sim::Context& ctx) {
-    if (!is_root_) {
-      ctx.send(parent_edge_, MsgGatherUp{gather_acc_},
-               static_cast<std::uint32_t>(gather_acc_->size() + 1));
-      ++sent_.tree_sessions;
-      gather_acc_.reset();
-      echo_kind_ = EchoKind::None;
+  template <typename T>
+  void echo_done(sim::Context& ctx) {
+    auto items = std::get<std::vector<T>>(std::move(echo_));
+    echo_ = std::monostate{};
+    if (is_root_) {
+      root_reduce(items);
       return;
     }
-    // Root: edges reported twice are intra-cluster; keep the once-reported.
-    auto& all = *gather_acc_;
+    send(ctx, parent_edge_,
+         MsgUp<T>{std::make_shared<std::vector<T>>(std::move(items))});
+  }
+
+  // ------------------------------------------- flood state updates
+  void accept(const MsgSetup&, EdgeId arrival) { parent_edge_ = arrival; }
+
+  void accept(const MsgBoundary& m, EdgeId) {
+    boundary_ = m.boundary;
+    // Drop own candidates that are not in the cluster's boundary (they are
+    // intra-cluster edges discovered by the duplicate count at the root).
+    const auto& boundary = *m.boundary;
+    for (std::size_t i = 0; i < pool_.size();) {
+      const std::size_t s = pool_[i];
+      if (!std::binary_search(boundary.begin(), boundary.end(), inc_[s])) {
+        pool_remove_slot(s);  // swap-removes; re-examine index i
+      } else {
+        ++i;
+      }
+    }
+  }
+
+  void accept(const MsgTrialRate& m, EdgeId) { current_rate_ = m; }
+
+  void accept(const MsgApply& m, EdgeId) {
+    for (const Found& f : *m.entries) {
+      if (f.via != kInvalidEdge) {
+        const std::size_t s = slot_of(f.via);
+        if (s != kNoSlot) {
+          flag_spanner_[s] = true;
+          flag_f_edge_[s] = true;
+        }
+      }
+      if (f.list) peel_list(*f.list);
+    }
+  }
+
+  void accept(const MsgCenterFlood& m, EdgeId) {
+    is_center_cluster_ = m.is_center;
+  }
+
+  void accept(const MsgJoin& m, EdgeId) {
+    switch (m.decision) {
+      case JoinDecision::Stay:
+        break;
+      case JoinDecision::Join:
+        cluster_id_ = m.new_cluster;
+        is_root_ = false;
+        if (slot_of(m.attach_edge) != kNoSlot) attach_to_send_ = m.attach_edge;
+        break;
+      case JoinDecision::Die:
+        dying_ = true;  // effective at DeathAnnounce
+        is_root_ = false;
+        break;
+    }
+  }
+
+  // -------------------------------------------- root echo reductions
+  /// Gather: edges reported twice are intra-cluster; the once-reported
+  /// ones are E_j(v).
+  void root_reduce(std::vector<EdgeId>& all) {
     std::sort(all.begin(), all.end());
     auto out = std::make_shared<std::vector<EdgeId>>();
     for (std::size_t i = 0; i < all.size();) {
@@ -349,39 +505,28 @@ class SamplerNode final : public sim::NodeProgram {
       i = j;
     }
     boundary_ = std::move(out);
-    gather_acc_.reset();
-    echo_kind_ = EchoKind::None;
     rebuild_root_pool();
   }
 
-  void finish_collect(sim::Context& ctx) {
-    if (!is_root_) {
-      ctx.send(parent_edge_, MsgCollectUp{collect_acc_},
-               static_cast<std::uint32_t>(collect_acc_->size() + 1));
-      ++sent_.tree_sessions;
-      collect_acc_.reset();
-      echo_kind_ = EchoKind::None;
-      return;
-    }
-    // Root: process this trial's discoveries. F_v growth is capped at the
-    // budget (see sampler.cpp run_trial: Lemma 10's accounting requires it);
-    // blocks skipped by the cap stay unqueried and unpeeled.
-    //
-    // Canonical order first: the echo concatenates subtree reports in
-    // arrival order, which a bandwidth budget regroups across rounds. The
-    // first-seen-cluster F_v selection below (and its cap) must be a
-    // function of the report *set*, not of the delivery schedule, or a
-    // budgeted run would build a different spanner than the LOCAL run.
-    // (cluster, via) is unique per entry — one query per boundary edge per
-    // trial — so the sort is a total order and fully deterministic.
-    std::sort(collect_acc_->begin(), collect_acc_->end(),
-              [](const Found& a, const Found& b) {
-                return a.cluster != b.cluster ? a.cluster < b.cluster
-                                              : a.via < b.via;
-              });
+  /// Collect: this trial's discoveries become the next MsgApply. F_v
+  /// growth is capped at the budget (see sampler.cpp run_trial: Lemma 10's
+  /// accounting requires it); blocks skipped by the cap stay unqueried and
+  /// unpeeled.
+  ///
+  /// Canonical order first: the echo concatenates subtree reports in
+  /// arrival order, which a bandwidth budget regroups across rounds. The
+  /// first-seen-cluster F_v selection below (and its cap) must be a
+  /// function of the report *set*, not of the delivery schedule, or a
+  /// budgeted run would build a different spanner than the LOCAL run.
+  /// (cluster, via) is unique per entry — one query per boundary edge per
+  /// trial — so the sort is a total order and fully deterministic.
+  void root_reduce(std::vector<Found>& found) {
+    std::sort(found.begin(), found.end(), [](const Found& a, const Found& b) {
+      return a.cluster != b.cluster ? a.cluster < b.cluster : a.via < b.via;
+    });
     const std::size_t budget = cfg_.budget(n0_, level_);
     auto apply = std::make_shared<std::vector<Found>>();
-    for (const Found& f : *collect_acc_) {
+    for (const Found& f : found) {
       if (known_neighbors_.count(f.cluster)) continue;
       Found decision = f;
       if (f.alive) {
@@ -396,37 +541,20 @@ class SamplerNode final : public sim::NodeProgram {
       if (decision.list) root_peel(*decision.list);
       apply->push_back(std::move(decision));
     }
-    collect_acc_.reset();
-    echo_kind_ = EchoKind::None;
     pending_apply_ = std::move(apply);
   }
 
-  void finish_center(sim::Context& ctx) {
-    if (!is_root_) {
-      ctx.send(parent_edge_, MsgCenterUp{center_acc_},
-               static_cast<std::uint32_t>(center_acc_->size() + 1));
-      ++sent_.tree_sessions;
-      center_acc_.reset();
-      echo_kind_ = EchoKind::None;
-      return;
-    }
-    // Root: pick the smallest-id center neighbour (deterministic arbitrary).
+  /// Center: pick the smallest-id center neighbour (deterministic
+  /// arbitrary).
+  void root_reduce(const std::vector<CenterFound>& found) {
     chosen_center_ = kInvalidNode;
     chosen_attach_ = kInvalidEdge;
-    for (const CenterFound& cf : *center_acc_) {
+    for (const CenterFound& cf : found) {
       if (chosen_center_ == kInvalidNode || cf.cluster < chosen_center_) {
         chosen_center_ = cf.cluster;
         chosen_attach_ = cf.via;
       }
     }
-    center_acc_.reset();
-    echo_kind_ = EchoKind::None;
-  }
-
-  void child_report_received(sim::Context& ctx) {
-    FL_ENSURE(echo_waiting_ > 0, "unexpected echo report");
-    --echo_waiting_;
-    if (echo_waiting_ == 0) send_up_or_finalize(ctx);
   }
 
   // ------------------------------------------------------ phase starts
@@ -441,243 +569,129 @@ class SamplerNode final : public sim::NodeProgram {
 
   void start_phase(sim::Context& ctx, const PhaseSpec& spec) {
     using K = PhaseSpec::Kind;
+    if (spec.kind == K::FloodSetup) begin_level(spec.level);
+    if (!alive_) return;
     switch (spec.kind) {
-      case K::FloodSetup: phase_flood_setup(ctx, spec); break;
-      case K::GatherEcho: phase_gather(ctx, spec); break;
-      case K::FloodBoundary: phase_flood_boundary(ctx, spec); break;
-      case K::TrialRateFlood: phase_trial_rate(ctx, spec); break;
-      case K::QuerySend: phase_query_send(ctx, spec); break;
-      case K::QueryRespond: /* reactive only */ break;
-      case K::TrialCollectEcho: phase_collect(ctx, spec); break;
-      case K::TrialApplyFlood: phase_apply(ctx, spec); break;
-      case K::CenterFlood: phase_center_flood(ctx, spec); break;
-      case K::CenterQuery: phase_center_query(ctx, spec); break;
-      case K::CenterRespond: /* reactive only */ break;
-      case K::CenterCollectEcho: phase_center_collect(ctx, spec); break;
-      case K::JoinFlood: phase_join(ctx, spec); break;
-      case K::AttachNotify: phase_attach(ctx, spec); break;
-      case K::DeathAnnounce: phase_death(ctx, spec); break;
+      case K::FloodSetup:
+        if (is_root_) flood(ctx, MsgSetup{});
+        break;
+      case K::GatherEcho: {
+        std::vector<EdgeId> own;
+        own.reserve(pool_.size());
+        for (const std::size_t s : pool_) own.push_back(inc_[s]);
+        echo_start(ctx, std::move(own));
+        break;
+      }
+      case K::FloodBoundary:
+        if (!is_root_) break;
+        record_.boundary_size = boundary_->size();
+        flood(ctx, MsgBoundary{boundary_});
+        break;
+      case K::TrialRateFlood:
+        if (is_root_) flood(ctx, root_trial_rate());
+        break;
+      case K::QuerySend:
+        send_queries(ctx, static_cast<std::uint64_t>(spec.trial));
+        break;
+      case K::TrialCollectEcho:
+        echo_start(ctx, std::exchange(found_buffer_, {}));
+        break;
+      case K::TrialApplyFlood:
+        if (is_root_ && pending_apply_)
+          flood(ctx, MsgApply{std::exchange(pending_apply_, nullptr)});
+        break;
+      case K::CenterFlood: {
+        if (!is_root_) break;
+        auto coin = streams_.trial_stream(self_, level_, kCenterCoinLabel);
+        record_.was_center = coin.bernoulli(cfg_.center_prob(n0_, level_));
+        flood(ctx, MsgCenterFlood{record_.was_center});
+        break;
+      }
+      case K::CenterQuery:
+        for (std::size_t s = 0; s < inc_.size(); ++s)
+          if (flag_f_edge_[s]) send(ctx, inc_[s], MsgCenterQuery{});
+        break;
+      case K::CenterCollectEcho:
+        echo_start(ctx, std::exchange(center_buffer_, {}));
+        break;
+      case K::JoinFlood:
+        if (is_root_) flood(ctx, root_join());
+        break;
+      case K::AttachNotify:
+        send_attach(ctx);
+        break;
+      case K::DeathAnnounce:
+        announce_death(ctx);
+        break;
+      case K::QueryRespond:
+      case K::CenterRespond:
+        break;  // reactive only
     }
   }
 
-  void phase_flood_setup(sim::Context& ctx, const PhaseSpec& spec) {
-    level_ = spec.level;
-    // Reset per-level state (alive and dead alike keep answering queries).
+  /// FloodSetup's local part, run by every node (alive and dead alike keep
+  /// answering queries): forget the previous level's tree parent and F_v
+  /// edges; a live root also resets its per-level bookkeeping.
+  void begin_level(unsigned level) {
+    level_ = level;
     parent_edge_ = kInvalidEdge;
     std::fill(flag_f_edge_.begin(), flag_f_edge_.end(), false);
-    if (!alive_) return;
-    if (is_root_) {
-      known_neighbors_.clear();
-      f_entries_.clear();
-      record_ = RootLevelRecord{};
-      record_.level = level_;
-      chosen_center_ = kInvalidNode;
-      chosen_attach_ = kInvalidEdge;
-      is_center_cluster_ = false;
-      if (spec.length > 0) flood_to_children(ctx, MsgSetup{}, 1);
-    }
-  }
-
-  void phase_gather(sim::Context& ctx, const PhaseSpec& spec) {
-    if (!alive_) return;
-    (void)spec;
-    echo_kind_ = EchoKind::Gather;
-    gather_acc_ = std::make_shared<std::vector<EdgeId>>();
-    for (const std::size_t s : pool_) gather_acc_->push_back(inc_[s]);
-    echo_waiting_ = children_count();
-    if (echo_waiting_ == 0) send_up_or_finalize(ctx);
-  }
-
-  void phase_flood_boundary(sim::Context& ctx, const PhaseSpec& spec) {
     if (!alive_ || !is_root_) return;
-    record_.boundary_size = boundary_->size();
-    if (spec.length > 0)
-      flood_to_children(
-          ctx, MsgBoundary{boundary_},
-          static_cast<std::uint32_t>(boundary_->size() + 1));
-    apply_boundary(*boundary_);
+    known_neighbors_.clear();
+    f_entries_.clear();
+    record_ = RootLevelRecord{};
+    record_.level = level_;
+    chosen_center_ = kInvalidNode;
+    chosen_attach_ = kInvalidEdge;
+    is_center_cluster_ = false;
   }
 
-  void phase_trial_rate(sim::Context& ctx, const PhaseSpec& spec) {
-    if (!alive_) return;
-    if (is_root_) {
-      MsgTrialRate rate;
-      rate.trial_size = cfg_.trial_size(n0_, level_);
-      rate.pool_total = root_live_count_;
-      const std::size_t budget = cfg_.budget(n0_, level_);
-      rate.skip = root_live_count_ == 0 || f_entries_.size() >= budget;
-      current_rate_ = rate;
-      if (spec.length > 0) flood_to_children(ctx, rate, 3);
-    }
-  }
-
-  void phase_query_send(sim::Context& ctx, const PhaseSpec& spec) {
-    if (!alive_ || current_rate_.skip || current_rate_.pool_total == 0 ||
-        pool_.empty())
+  /// One trial's QUERY sends: a binomial share of the cluster's trial
+  /// size, proportional to this member's part of the cluster's pool.
+  void send_queries(sim::Context& ctx, std::uint64_t trial) {
+    if (current_rate_.skip || current_rate_.pool_total == 0 || pool_.empty())
       return;
-    auto rng = streams_.trial_stream(self_, level_,
-                                     static_cast<std::uint64_t>(spec.trial));
+    auto rng = streams_.trial_stream(self_, level_, trial);
     const double share = static_cast<double>(pool_.size()) /
                          static_cast<double>(current_rate_.pool_total);
     const std::uint64_t count =
         binomial_draw(current_rate_.trial_size, share, rng);
-    if (count == 0) return;
-
-    std::uint64_t sent = 0;
+    auto query = [&](std::size_t s) {
+      send(ctx, inc_[s], MsgQuery{});
+      ++queries_per_level_[level_];
+    };
     if (count >= kExhaustiveFactor * pool_.size()) {
-      for (const std::size_t s : pool_) {
-        ctx.send(inc_[s], MsgQuery{}, 1);
-        ++sent;
-        ++sent_.queries;
-      }
-    } else {
-      // Draw with replacement against the frozen pool; dedupe the sends.
-      query_mark_.resize(inc_.size(), 0);
-      ++query_epoch_;
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const std::size_t s = pool_[rng.index(pool_.size())];
-        if (query_mark_[s] == query_epoch_) continue;
-        query_mark_[s] = query_epoch_;
-        ctx.send(inc_[s], MsgQuery{}, 1);
-        ++sent;
-        ++sent_.queries;
-      }
+      for (const std::size_t s : pool_) query(s);
+      return;
     }
-    queries_per_level_[level_] += sent;
-  }
-
-  void phase_collect(sim::Context& ctx, const PhaseSpec& spec) {
-    if (!alive_) return;
-    (void)spec;
-    echo_kind_ = EchoKind::Collect;
-    collect_acc_ = std::make_shared<std::vector<Found>>(std::move(found_buffer_));
-    found_buffer_.clear();
-    echo_waiting_ = children_count();
-    if (echo_waiting_ == 0) send_up_or_finalize(ctx);
-  }
-
-  void phase_apply(sim::Context& ctx, const PhaseSpec& spec) {
-    if (!alive_ || !is_root_) return;
-    if (!pending_apply_) return;
-    auto entries = std::shared_ptr<const std::vector<Found>>(pending_apply_);
-    pending_apply_.reset();
-    if (spec.length > 0) {
-      std::uint32_t words = 1;
-      for (const auto& f : *entries)
-        words += static_cast<std::uint32_t>(f.list ? f.list->size() + 2 : 2);
-      flood_to_children(ctx, MsgApply{entries}, words);
-    }
-    apply_trial_entries(*entries);
-  }
-
-  void phase_center_flood(sim::Context& ctx, const PhaseSpec& spec) {
-    if (!alive_) return;
-    if (is_root_) {
-      auto coin = streams_.trial_stream(self_, level_, kCenterCoinLabel);
-      is_center_cluster_ = coin.bernoulli(cfg_.center_prob(n0_, level_));
-      record_.was_center = is_center_cluster_;
-      if (spec.length > 0)
-        flood_to_children(ctx, MsgCenterFlood{is_center_cluster_}, 1);
+    // Draw with replacement against the frozen pool; dedupe the sends.
+    query_mark_.resize(inc_.size(), 0);
+    ++query_epoch_;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::size_t s = pool_[rng.index(pool_.size())];
+      if (query_mark_[s] == query_epoch_) continue;
+      query_mark_[s] = query_epoch_;
+      query(s);
     }
   }
 
-  void phase_center_query(sim::Context& ctx, const PhaseSpec& spec) {
-    (void)spec;
-    if (!alive_) return;
-    for (std::size_t s = 0; s < inc_.size(); ++s)
-      if (flag_f_edge_[s]) {
-        ctx.send(inc_[s], MsgCenterQuery{}, 1);
-        ++sent_.center;
-      }
+  MsgTrialRate root_trial_rate() const {
+    const bool skip = root_live_count_ == 0 ||
+                      f_entries_.size() >= cfg_.budget(n0_, level_);
+    return {cfg_.trial_size(n0_, level_), root_live_count_, skip};
   }
 
-  void phase_center_collect(sim::Context& ctx, const PhaseSpec& spec) {
-    if (!alive_) return;
-    (void)spec;
-    echo_kind_ = EchoKind::Center;
-    center_acc_ =
-        std::make_shared<std::vector<CenterFound>>(std::move(center_buffer_));
-    center_buffer_.clear();
-    echo_waiting_ = children_count();
-    if (echo_waiting_ == 0) send_up_or_finalize(ctx);
-  }
-
-  void phase_join(sim::Context& ctx, const PhaseSpec& spec) {
-    if (!alive_ || !is_root_) return;
+  MsgJoin root_join() {
     MsgJoin join;
     if (is_center_cluster_) {
       join.decision = JoinDecision::Stay;
     } else if (chosen_center_ != kInvalidNode) {
-      join.decision = JoinDecision::Join;
-      join.new_cluster = chosen_center_;
-      join.attach_edge = chosen_attach_;
+      join = {JoinDecision::Join, chosen_center_, chosen_attach_};
     } else {
       join.decision = JoinDecision::Die;
     }
     finalize_level_record(join.decision);
-    if (spec.length > 0) flood_to_children(ctx, join, 3);
-    apply_join(join);
-  }
-
-  void phase_attach(sim::Context& ctx, const PhaseSpec& spec) {
-    (void)spec;
-    if (!alive_ || attach_to_send_ == kInvalidEdge) return;
-    const std::size_t s = slot_of(attach_to_send_);
-    FL_ENSURE(s != kNoSlot, "attach edge must be incident");
-    flag_tree_[s] = true;
-    ctx.send(attach_to_send_, MsgAttach{}, 1);
-    ++sent_.control;
-    attach_to_send_ = kInvalidEdge;
-  }
-
-  void phase_death(sim::Context& ctx, const PhaseSpec& spec) {
-    (void)spec;
-    if (!dying_) return;
-    dying_ = false;
-    alive_ = false;
-    // Light whp => F_v covers every neighbour; announce over those edges.
-    for (std::size_t s = 0; s < inc_.size(); ++s) {
-      if (flag_f_edge_[s]) {
-        ctx.send(inc_[s], MsgDeath{boundary_},
-                 static_cast<std::uint32_t>(boundary_->size() + 1));
-        ++sent_.control;
-      }
-    }
-  }
-
-  // ----------------------------------------------------- phase helpers
-  std::size_t children_count() const {
-    std::size_t deg = 0;
-    for (std::size_t s = 0; s < inc_.size(); ++s)
-      if (flag_tree_[s]) ++deg;
-    if (parent_edge_ != kInvalidEdge) --deg;
-    return deg;
-  }
-
-  void apply_boundary(const std::vector<EdgeId>& boundary) {
-    // Drop own candidates that are not in the cluster's boundary (they are
-    // intra-cluster edges discovered by the duplicate count at the root).
-    for (std::size_t i = 0; i < pool_.size();) {
-      const std::size_t s = pool_[i];
-      if (!std::binary_search(boundary.begin(), boundary.end(), inc_[s])) {
-        pool_remove_slot(s);  // swap-removes; re-examine index i
-      } else {
-        ++i;
-      }
-    }
-  }
-
-  void apply_trial_entries(const std::vector<Found>& entries) {
-    for (const Found& f : entries) {
-      if (f.via != kInvalidEdge) {
-        const std::size_t s = slot_of(f.via);
-        if (s != kNoSlot) {
-          flag_spanner_[s] = true;
-          flag_f_edge_[s] = true;
-        }
-      }
-      if (f.list) peel_list(*f.list);
-    }
+    return join;
   }
 
   void finalize_level_record(JoinDecision decision) {
@@ -694,108 +708,41 @@ class SamplerNode final : public sim::NodeProgram {
     root_records_.push_back(record_);
   }
 
-  void apply_join(const MsgJoin& join) {
-    switch (join.decision) {
-      case JoinDecision::Stay:
-        break;
-      case JoinDecision::Join:
-        cluster_id_ = join.new_cluster;
-        if (is_root_) is_root_ = false;
-        if (slot_of(join.attach_edge) != kNoSlot)
-          attach_to_send_ = join.attach_edge;
-        break;
-      case JoinDecision::Die:
-        dying_ = true;  // effective at DeathAnnounce
-        if (is_root_) is_root_ = false;
-        break;
-    }
+  void send_attach(sim::Context& ctx) {
+    if (attach_to_send_ == kInvalidEdge) return;
+    const std::size_t s = slot_of(attach_to_send_);
+    FL_ENSURE(s != kNoSlot, "attach edge must be incident");
+    flag_tree_[s] = true;
+    send(ctx, attach_to_send_, MsgAttach{});
+    attach_to_send_ = kInvalidEdge;
   }
 
-  /// Record the final level's root status (level k has no JoinFlood).
-  void finalize_last_level_if_needed() {
-    if (alive_ && is_root_ && record_.level == cfg_.k &&
-        (root_records_.empty() || root_records_.back().level != cfg_.k)) {
-      finalize_level_record(JoinDecision::Die);
-      root_records_.back().died = false;  // level k nodes are "unclustered"
-    }
+  void announce_death(sim::Context& ctx) {
+    if (!dying_) return;
+    dying_ = false;
+    alive_ = false;
+    // Light whp => F_v covers every neighbour; announce over those edges.
+    for (std::size_t s = 0; s < inc_.size(); ++s)
+      if (flag_f_edge_[s]) send(ctx, inc_[s], MsgDeath{boundary_});
   }
 
- public:
-  /// Called by the driver after the run to flush level-k root records.
-  void flush_final_records() { finalize_last_level_if_needed(); }
-
- private:
   // ------------------------------------------------------- msg handler
   void handle(sim::Context& ctx, sim::MessageView msg) {
-    if (const auto* q = sim::payload_if<MsgQuery>(msg)) {
-      (void)q;
-      MsgQueryReply reply;
-      reply.alive = alive_ && !dying_;
-      reply.cluster = cluster_id_;
-      reply.boundary = boundary_;
-      ctx.send(msg.edge(), reply,
-               static_cast<std::uint32_t>(
-                   (boundary_ ? boundary_->size() : 0) + 2));
-      ++sent_.queries;
+    if (sim::payload_if<MsgQuery>(msg) != nullptr) {
+      send(ctx, msg.edge(),
+           MsgQueryReply{alive_ && !dying_, cluster_id_, boundary_});
       return;
     }
     if (const auto* r = sim::payload_if<MsgQueryReply>(msg)) {
-      Found f;
-      f.cluster = r->cluster;
-      f.alive = r->alive;
-      f.via = msg.edge();
-      f.list = r->boundary;
-      found_buffer_.push_back(std::move(f));
+      found_buffer_.push_back({r->cluster, r->alive, msg.edge(), r->boundary});
       return;
     }
     if (sim::payload_if<MsgCenterQuery>(msg) != nullptr) {
-      ctx.send(msg.edge(), MsgCenterReply{is_center_cluster_, cluster_id_}, 2);
-      ++sent_.center;
+      send(ctx, msg.edge(), MsgCenterReply{is_center_cluster_, cluster_id_});
       return;
     }
     if (const auto* r = sim::payload_if<MsgCenterReply>(msg)) {
       if (r->is_center) center_buffer_.push_back({r->cluster, msg.edge()});
-      return;
-    }
-    if (sim::payload_if<MsgSetup>(msg) != nullptr) {
-      if (!alive_) return;
-      parent_edge_ = msg.edge();
-      flood_to_children(ctx, MsgSetup{}, 1);
-      return;
-    }
-    if (const auto* b = sim::payload_if<MsgBoundary>(msg)) {
-      if (!alive_) return;
-      boundary_ = b->boundary;
-      flood_to_children(ctx, *b,
-                        static_cast<std::uint32_t>(b->boundary->size() + 1));
-      apply_boundary(*b->boundary);
-      return;
-    }
-    if (const auto* t = sim::payload_if<MsgTrialRate>(msg)) {
-      if (!alive_) return;
-      current_rate_ = *t;
-      flood_to_children(ctx, *t, 3);
-      return;
-    }
-    if (const auto* a = sim::payload_if<MsgApply>(msg)) {
-      if (!alive_) return;
-      std::uint32_t words = 1;
-      for (const auto& f : *a->entries)
-        words += static_cast<std::uint32_t>(f.list ? f.list->size() + 2 : 2);
-      flood_to_children(ctx, *a, words);
-      apply_trial_entries(*a->entries);
-      return;
-    }
-    if (const auto* cf = sim::payload_if<MsgCenterFlood>(msg)) {
-      if (!alive_) return;
-      is_center_cluster_ = cf->is_center;
-      flood_to_children(ctx, *cf, 1);
-      return;
-    }
-    if (const auto* j = sim::payload_if<MsgJoin>(msg)) {
-      if (!alive_) return;
-      flood_to_children(ctx, *j, 3);
-      apply_join(*j);
       return;
     }
     if (sim::payload_if<MsgAttach>(msg) != nullptr) {
@@ -805,32 +752,24 @@ class SamplerNode final : public sim::NodeProgram {
       return;
     }
     if (const auto* d = sim::payload_if<MsgDeath>(msg)) {
-      if (!alive_) return;
-      if (d->boundary) peel_list(*d->boundary);
+      if (alive_ && d->boundary) peel_list(*d->boundary);
       return;
     }
-    if (const auto* g = sim::payload_if<MsgGatherUp>(msg)) {
-      if (!alive_ || echo_kind_ != EchoKind::Gather) return;
-      gather_acc_->insert(gather_acc_->end(), g->candidates->begin(),
-                          g->candidates->end());
-      child_report_received(ctx);
+    if (relay<MsgSetup>(ctx, msg) || relay<MsgBoundary>(ctx, msg) ||
+        relay<MsgTrialRate>(ctx, msg) || relay<MsgApply>(ctx, msg) ||
+        relay<MsgCenterFlood>(ctx, msg) || relay<MsgJoin>(ctx, msg) ||
+        echo_report<EdgeId>(ctx, msg) || echo_report<Found>(ctx, msg) ||
+        echo_report<CenterFound>(ctx, msg))
       return;
-    }
-    if (const auto* c = sim::payload_if<MsgCollectUp>(msg)) {
-      if (!alive_ || echo_kind_ != EchoKind::Collect) return;
-      collect_acc_->insert(collect_acc_->end(), c->found->begin(),
-                           c->found->end());
-      child_report_received(ctx);
-      return;
-    }
-    if (const auto* c = sim::payload_if<MsgCenterUp>(msg)) {
-      if (!alive_ || echo_kind_ != EchoKind::Center) return;
-      center_acc_->insert(center_acc_->end(), c->found->begin(),
-                          c->found->end());
-      child_report_received(ctx);
-      return;
-    }
     FL_ENSURE(false, "unknown message payload");
+  }
+
+  /// True iff `msg` is a Msg, which a relay hands to the flood routine.
+  template <typename Msg>
+  bool relay(sim::Context& ctx, sim::MessageView msg) {
+    const auto* m = sim::payload_if<Msg>(msg);
+    if (m != nullptr) flood(ctx, *m, msg.edge());
+    return m != nullptr;
   }
 
   // ----------------------------------------------------------- members
@@ -841,7 +780,6 @@ class SamplerNode final : public sim::NodeProgram {
   bool adaptive_ = false;  ///< event-driven barriers vs fixed timetable
   util::StreamFactory streams_;
 
-  std::size_t logical_round_ = 0;  ///< fixed timetable only
   std::size_t phase_idx_ = 0;
   unsigned level_ = 0;
 
@@ -868,18 +806,16 @@ class SamplerNode final : public sim::NodeProgram {
   EdgeList boundary_;
   MsgTrialRate current_rate_;
 
-  // echo sessions
-  enum class EchoKind : std::uint8_t { None, Gather, Collect, Center };
-  EchoKind echo_kind_ = EchoKind::None;
+  // the open echo session: this subtree's items so far (monostate: none)
+  std::variant<std::monostate, std::vector<EdgeId>, std::vector<Found>,
+               std::vector<CenterFound>>
+      echo_;
   std::size_t echo_waiting_ = 0;
-  std::shared_ptr<std::vector<EdgeId>> gather_acc_;
-  std::shared_ptr<std::vector<Found>> collect_acc_;
-  std::shared_ptr<std::vector<CenterFound>> center_acc_;
 
   // trial buffers
   std::vector<Found> found_buffer_;
   std::vector<CenterFound> center_buffer_;
-  std::shared_ptr<std::vector<Found>> pending_apply_;
+  std::shared_ptr<const std::vector<Found>> pending_apply_;
 
   // root bookkeeping
   std::vector<bool> root_live_;  ///< over boundary_; see rebuild_root_pool
@@ -892,9 +828,6 @@ class SamplerNode final : public sim::NodeProgram {
   std::vector<RootLevelRecord> root_records_;
   std::vector<std::uint64_t> queries_per_level_;
   MessageBreakdown sent_;
-
- public:
-  const MessageBreakdown& breakdown() const { return sent_; }
 };
 
 }  // namespace

@@ -10,6 +10,15 @@
 //     spanning tree of height ≤ 3^j − 1 (Lemma 8); its local actions are
 //     simulated by flood (broadcast) and echo (convergecast) sessions over
 //     the tree, each allotted a window of W_j = 3^j − 1 rounds.
+//   * Each node program (SamplerNode) is built from three primitives. One
+//     flood routine serves the root and every relay: apply the message's
+//     state update, then forward it to the tree children. One echo,
+//     generic over the reported item type, concatenates a member's own
+//     items with its children's and sends them up as one message; only
+//     the root's reduction differs per session (gather: drop intra-cluster
+//     edges; collect: canonical sort, capped F_v selection and peel;
+//     center: smallest-id pick). One send helper meters every message at
+//     its type's word count and bills its MessageBreakdown role.
 //   * E_j(v) is computed *without* talking to non-members: members report
 //     their candidate incident edges up the tree; an edge reported twice
 //     has both endpoints inside (intra-cluster) and is discarded. This is
@@ -67,7 +76,7 @@ struct PhaseSpec {
   unsigned level = 0;
   int trial = -1;          ///< trial index for trial phases, else -1
   std::size_t start = 0;   ///< first round of the phase
-  std::size_t length = 0;  ///< in rounds; 0-length phases run locally
+  std::size_t length = 0;  ///< in rounds; level-0 tree windows are 0
 };
 
 /// The full timetable for a (k, h) configuration. Identical at every node.

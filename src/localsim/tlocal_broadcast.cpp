@@ -40,9 +40,8 @@ FL_WIRE_FIELDS(MsgOrigins, origins, hops_left);
 class FloodNode final : public sim::NodeProgram {
  public:
   FloodNode(NodeId self, std::shared_ptr<const std::vector<bool>> edge_in,
-            unsigned rounds, NodeId n, bool dedup_reforward)
-      : self_(self), edge_in_(std::move(edge_in)), rounds_(rounds), n_(n),
-        dedup_reforward_(dedup_reforward) {}
+            unsigned rounds, NodeId n)
+      : self_(self), edge_in_(std::move(edge_in)), rounds_(rounds), n_(n) {}
 
   /// The known set is exactly {u : best_hops_[u] >= 0}, so one ascending
   /// scan extracts it already sorted.
@@ -102,11 +101,9 @@ class FloodNode final : public sim::NodeProgram {
         const bool improvement = best_hops_[id] >= 0;
         if (!improvement) ++known_count_;
         best_hops_[id] = hops;
+        const EdgeId skip = improvement ? m.edge() : graph::kInvalidEdge;
         if (hops >= 1)
-          bucket(static_cast<std::uint32_t>(hops - 1),
-                 improvement && dedup_reforward_ ? m.edge()
-                                                 : graph::kInvalidEdge)
-              .push_back(id);
+          bucket(static_cast<std::uint32_t>(hops - 1), skip).push_back(id);
       }
     }
     // The done-state schedule is untouched by congestion: after `rounds_`
@@ -148,7 +145,6 @@ class FloodNode final : public sim::NodeProgram {
   std::shared_ptr<const std::vector<bool>> edge_in_;
   unsigned rounds_;
   NodeId n_;
-  bool dedup_reforward_;
   unsigned send_round_ = 0;
   bool finished_ = false;
   std::size_t known_count_ = 0;  // |{u : best_hops_[u] >= 0}|
@@ -168,8 +164,7 @@ std::vector<EdgeId> all_edges(const Graph& g) {
 BroadcastRun run_tlocal_broadcast(const Graph& g,
                                   const std::vector<EdgeId>& edges,
                                   unsigned rounds, std::uint64_t seed,
-                                  sim::CongestConfig congest,
-                                  bool dedup_reforward) {
+                                  sim::CongestConfig congest) {
   auto edge_in = std::make_shared<std::vector<bool>>(g.num_edges(), false);
   for (const EdgeId e : edges) {
     FL_REQUIRE(e < g.num_edges(), "broadcast edge id out of range");
@@ -178,8 +173,7 @@ BroadcastRun run_tlocal_broadcast(const Graph& g,
   sim::Network net(g, seed);
   net.set_congest(congest);
   net.install([&](NodeId v) {
-    return std::make_unique<FloodNode>(v, edge_in, rounds, g.num_nodes(),
-                                       dedup_reforward);
+    return std::make_unique<FloodNode>(v, edge_in, rounds, g.num_nodes());
   });
 
   BroadcastRun run;

@@ -39,21 +39,9 @@ struct BroadcastRun {
 /// (pass all edge ids for G itself). Every node is an origin. `congest` is
 /// the network's bandwidth budget (default: unlimited, plain LOCAL); with a
 /// finite budget the run takes more rounds but reaches the same sets.
-///
-/// `dedup_reforward` controls the budget-improvement optimisation: a batch
-/// re-forwarded because a binding budget delivered a better hop count is
-/// not sent back over its arrival edge (the sender provably already holds
-/// those origins with a larger budget). Improvements never happen in LOCAL
-/// mode or under a non-binding budget — first arrival takes the BFS
-/// shortest path, so it already carries the maximal budget — hence LOCAL
-/// words, traces and reached sets are identical in both modes; under a
-/// binding budget the reached sets stay the same while words_total drops.
-/// The opt-out exists for A/B accounting, not for production use.
 BroadcastRun run_tlocal_broadcast(
     const graph::Graph& g, const std::vector<graph::EdgeId>& edges,
-    unsigned rounds, std::uint64_t seed,
-    sim::CongestConfig congest = {},
-    bool dedup_reforward = true);
+    unsigned rounds, std::uint64_t seed, sim::CongestConfig congest = {});
 
 /// Convenience: all edges of g (the native Θ(t·m) variant).
 std::vector<graph::EdgeId> all_edges(const graph::Graph& g);

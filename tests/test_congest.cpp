@@ -585,34 +585,28 @@ TEST(CongestProtocols, BroadcastReachesSameSetsWithMoreRounds) {
 }
 
 TEST(CongestProtocols, BroadcastReforwardDedupSavesWordsKeepsCoverage) {
-  // A/B over the re-forward dedup knob. A binding budget delays some
-  // bundles past the BFS-shortest arrival, so origins arrive again with a
-  // *larger* remaining hop budget and get re-forwarded; with dedup the
-  // improvement batch skips its arrival edge (the sender provably already
-  // holds those origins at a higher budget). Coverage is untouched; the
-  // words bill strictly shrinks.
+  // A binding budget delays some bundles past the BFS-shortest arrival,
+  // so origins arrive again with a *larger* remaining hop budget and get
+  // re-forwarded; such an improvement batch skips its arrival edge (the
+  // sender provably already holds those origins at a higher budget).
+  // Pinned: the budgeted run's messages and words with that dedup.
+  // Coverage is untouched.
   util::Xoshiro256 rng(17);
   const Graph g = graph::erdos_renyi_gnm(60, 180, rng);
   const auto edges = localsim::all_edges(g);
-  const auto dedup =
+  const auto budgeted =
       localsim::run_tlocal_broadcast(g, edges, 4, 9, CongestConfig{1});
-  const auto full = localsim::run_tlocal_broadcast(
-      g, edges, 4, 9, CongestConfig{1}, /*dedup_reforward=*/false);
-  EXPECT_GT(full.metrics.deferrals_total, 0u);  // the budget binds
-  EXPECT_EQ(dedup.reached, full.reached);
-  EXPECT_LT(dedup.metrics.words_total, full.metrics.words_total);
+  const auto local = localsim::run_tlocal_broadcast(g, edges, 4, 9);
+  EXPECT_GT(budgeted.metrics.deferrals_total, 0u);  // the budget binds
+  EXPECT_EQ(budgeted.reached, local.reached);
+  EXPECT_EQ(budgeted.stats.messages, 6998u);
+  EXPECT_EQ(budgeted.metrics.words_total, 21061u);
 
   // In LOCAL mode improvements never occur (the first arrival rides the
-  // BFS-shortest path, hence the maximal budget), so the knob must be
-  // bit-invisible: same trace-relevant stats, messages, and words.
-  const auto local_dedup = localsim::run_tlocal_broadcast(g, edges, 4, 9);
-  const auto local_full = localsim::run_tlocal_broadcast(
-      g, edges, 4, 9, CongestConfig{}, /*dedup_reforward=*/false);
-  EXPECT_EQ(local_dedup.reached, local_full.reached);
-  EXPECT_EQ(local_dedup.stats.rounds, local_full.stats.rounds);
-  EXPECT_EQ(local_dedup.stats.messages, local_full.stats.messages);
-  EXPECT_EQ(local_dedup.metrics.words_total, local_full.metrics.words_total);
-  EXPECT_EQ(local_dedup.metrics.deferrals_total, 0u);
+  // BFS-shortest path, hence the maximal budget), so each node sends one
+  // bundle per edge in each of its 4 sending rounds: 4 × 2 × 180.
+  EXPECT_EQ(local.stats.messages, 1440u);
+  EXPECT_EQ(local.metrics.deferrals_total, 0u);
 }
 
 TEST(CongestProtocols, BroadcastBudgetedRunIsThreadCountInvariant) {

@@ -158,13 +158,23 @@ TEST(DistributedSampler, RoundsIndependentOfGraph) {
 }
 
 TEST(DistributedSampler, BreakdownAccountsForEveryMessage) {
+  // Every message is billed to exactly one role, and every QUERY gets
+  // exactly one reply, so the query role is twice the queries sent — at
+  // LOCAL and under a binding budget alike.
   util::Xoshiro256 rng(101);
   const Graph g = graph::erdos_renyi_gnm(200, 1600, rng);
-  const auto cfg = SamplerConfig::paper_faithful(2, 2, 103);
-  const auto run = core::run_distributed_sampler(g, cfg);
-  EXPECT_EQ(run.breakdown.total(), run.stats.messages);
-  EXPECT_GT(run.breakdown.queries, 0u);
-  EXPECT_GT(run.breakdown.tree_sessions, 0u);
+  for (const sim::CongestConfig congest :
+       {sim::CongestConfig{}, sim::CongestConfig{8}}) {
+    auto cfg = SamplerConfig::paper_faithful(2, 2, 103);
+    cfg.congest = congest;
+    const auto run = core::run_distributed_sampler(g, cfg);
+    std::uint64_t queries = 0;
+    for (const auto& lt : run.levels) queries += lt.query_edges;
+    EXPECT_EQ(run.breakdown.total(), run.stats.messages);
+    EXPECT_EQ(run.breakdown.queries, 2 * queries);
+    EXPECT_GT(run.breakdown.queries, 0u);
+    EXPECT_GT(run.breakdown.tree_sessions, 0u);
+  }
 }
 
 TEST(DistributedSampler, LevelDiagnosticsConsistent) {
@@ -191,7 +201,8 @@ TEST(DistributedSampler, WorksOnTrees) {
   EXPECT_EQ(run.edges.size(), g.num_edges());
 }
 
-class DistributedFamilySweep : public ::testing::TestWithParam<graph::Family> {};
+class DistributedFamilySweep
+    : public ::testing::TestWithParam<graph::Family> {};
 
 TEST_P(DistributedFamilySweep, GuaranteesHoldPerFamily) {
   util::Xoshiro256 rng(733);

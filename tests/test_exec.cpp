@@ -398,34 +398,6 @@ TEST(ParallelNetwork, ParallelismLockedOnceStarted) {
   EXPECT_THROW(net.set_parallelism(2), util::ContractViolation);
 }
 
-TEST(ParallelNetwork, ContractViolationsSurfaceFromWorkerLanes) {
-  // A program that sends over a foreign edge must throw out of run() even
-  // when the offending node is stepped on a worker thread.
-  Graph::Builder b(8);
-  for (NodeId v = 0; v + 1 < 8; ++v) b.add_edge(v, v + 1);
-  const EdgeId far = 0;  // edge 0-1; node 7 is not an endpoint
-  const Graph g = std::move(b).build();
-  Network net(g, 1);
-  net.set_parallelism(8);
-  net.install([far](NodeId v) {
-    class P final : public NodeProgram {
-     public:
-      P(NodeId self, EdgeId e) : self_(self), e_(e) {}
-      void on_start(Context& ctx) override {
-        if (self_ == 7) ctx.send(e_, 1);
-      }
-      void on_round(Context&, InboxView) override {}
-      bool done() const override { return true; }
-
-     private:
-      NodeId self_;
-      EdgeId e_;
-    };
-    return std::make_unique<P>(v, far);
-  });
-  EXPECT_THROW(net.run(5), util::ContractViolation);
-}
-
 /// The hub of hub_graph() first sends over each of its own edges in
 /// descending id order — a private edge order, as the distributed Sampler
 /// keeps — then over `last`. Every other node stays silent and records

@@ -114,31 +114,6 @@ TEST(Network, MetricsPerRoundAndPerNode) {
   EXPECT_EQ(m.max_messages_in_a_round(), 8u);
 }
 
-TEST(Network, RejectsSendOverForeignEdge) {
-  Graph::Builder b(4);
-  b.add_edge(0, 1);
-  const EdgeId far = b.add_edge(2, 3);
-  const Graph g = std::move(b).build();
-  Network net(g, 1);
-  net.install([far](NodeId v) {
-    class P final : public NodeProgram {
-     public:
-      P(NodeId self, EdgeId e) : self_(self), e_(e) {}
-      void on_start(Context& ctx) override {
-        if (self_ == 0) ctx.send(e_, 1);  // 0 is not an endpoint of 2-3
-      }
-      void on_round(Context&, InboxView) override {}
-      bool done() const override { return true; }
-
-     private:
-      NodeId self_;
-      EdgeId e_;
-    };
-    return std::make_unique<P>(v, far);
-  });
-  EXPECT_THROW(net.run(5), util::ContractViolation);
-}
-
 TEST(Network, MaxRoundsStopsNonTerminatingRun) {
   const Graph g = graph::ring(4);
   // Ping-pong forever.
