@@ -87,12 +87,16 @@ int main(int argc, char** argv) {
   // ceil(words/B) rounds. Both paths must still compute the native
   // outputs (the hop-budgeted flood reaches exactly B_H(v, R) under any
   // delivery schedule); what the budget changes is the round bill, and
-  // the spanner path pays it on 2|S| edge-channels instead of 2m.
+  // the spanner path pays it on 2|S| edge-channels instead of 2m. The
+  // message columns are the budgeted broadcasts' bills: delayed shorter
+  // paths bring origins back with larger hop budgets, and their
+  // re-forwards add messages the LOCAL run never sends.
   if (congest_section) {
     const sim::CongestConfig budget{8};
     util::Table table({"payload", "t", "native rounds (LOCAL)",
                        "native rounds (budget)", "reduced rounds (LOCAL)",
-                       "reduced rounds (budget)", "native deferrals",
+                       "reduced rounds (budget)", "native msgs (budget)",
+                       "reduced msgs (budget)", "native deferrals",
                        "reduced deferrals", "outputs equal?"});
     for (std::size_t i = 0; i < payloads.size(); ++i) {
       const auto& alg = payloads[i];
@@ -102,7 +106,8 @@ int main(int argc, char** argv) {
           g, *alg, spanner.edges, spanner.stretch_bound, env.seed, budget);
       table.add(alg->name(), alg->radius(g), native_local[i].rounds,
                 native_budget.rounds, reduced_local[i].rounds,
-                reduced_budget.rounds, native_budget.deferrals,
+                reduced_budget.rounds, native_budget.messages,
+                reduced_budget.messages, native_budget.deferrals,
                 reduced_budget.deferrals,
                 native_budget.outputs == native_local[i].outputs &&
                     reduced_budget.outputs == native_local[i].outputs);

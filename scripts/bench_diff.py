@@ -8,22 +8,23 @@ traced round-profile timeline from bench_micro_perf --profile). Every
 snapshot is a stream of bench::Env::emit tables, {"table": title,
 "columns": [...], "rows": [{column: value, ...}, ...]}; this script
 compares each regenerated file against the version committed at HEAD
-(`git show HEAD:<file>`) and flags every numeric field that moved by more
-than --threshold (default 10%).
+(`git show HEAD:<file>`) and flags every model field that changed at all
+and every timing field that moved by more than --threshold (default 10%).
 
 Most E-bench fields are *model* quantities (rounds, messages, spanner sizes)
-that are bit-deterministic given the seed, so any drift there is a real
-behaviour change, not noise. Wall-clock fields (Mmsg/sec, ...) and
-resident-set readings (peak RSS MiB, RSS ceiling MiB — allocator- and
-kernel-dependent) are noisy on a busy box — they are still reported, clearly
-marked, but only model-field drift makes --strict fail; the capacity rows'
-"within ceiling?" verdict is a yes/no string, hence model-strict like every
-non-numeric field. Schema changes are model drift too: a row that
-gains or loses a column between snapshots (e.g. a bench grew a --congest
-column) is reported field by field, never silently skipped.
+that are bit-deterministic given the seed, so any change there, however
+small, is a real behaviour change, not noise: model fields are compared for
+equality. Wall-clock fields (Mmsg/sec, ...) and resident-set readings (peak
+RSS MiB, RSS ceiling MiB — allocator- and kernel-dependent) are noisy on a
+busy box — they are flagged only past the threshold, clearly marked, and
+never make --strict fail; the capacity rows' "within ceiling?" verdict is a
+yes/no string, hence model-strict like every non-numeric field. Schema
+changes are model drift too: a row that gains or loses a column between
+snapshots (e.g. a bench grew a --congest column) is reported field by
+field, never silently skipped.
 
 Exit status: 0 unless --strict is given and at least one non-timing field
-regressed. Usage:  scripts/bench_diff.py [--strict] [--threshold PCT] [files...]
+changed. Usage:  scripts/bench_diff.py [--strict] [--threshold PCT] [files...]
 """
 
 import argparse
@@ -166,12 +167,12 @@ def diff_snapshots(old_objs, new_objs, threshold):
                     continue
                 base = max(abs(old_val), abs(new_val))
                 delta = (new_val - old_val) / base if base > 0 else math.inf
-                if abs(delta) <= threshold:
+                timing = is_timing_field(field)
+                if timing and abs(delta) <= threshold:
                     continue
                 line = (f"  [{title}] {describe(key)} {field}: "
                         f"{old_val:g} -> {new_val:g} ({delta:+.1%})")
-                (timing_flags if is_timing_field(field)
-                 else model_flags).append(line)
+                (timing_flags if timing else model_flags).append(line)
             for field in old_row:
                 if field not in new_row:
                     model_flags.append(
@@ -267,7 +268,8 @@ def main() -> int:
     ap.add_argument("files", nargs="*",
                     help="snapshots to diff (default: BENCH_*.json at repo root)")
     ap.add_argument("--threshold", type=float, default=10.0,
-                    help="flag relative changes above this percentage")
+                    help="flag timing-field changes above this percentage "
+                         "(model fields must match exactly)")
     ap.add_argument("--strict", action="store_true",
                     help="exit 1 when a non-timing field drifted")
     ap.add_argument("--lint-schema", action="store_true",
@@ -314,7 +316,8 @@ def main() -> int:
         model_flags, timing_flags, notes = diff_snapshots(
             old_objs, new_objs, threshold)
         if not model_flags and not timing_flags and not notes:
-            print(f"bench_diff: {path.name}: OK (within {args.threshold:g}%)")
+            print(f"bench_diff: {path.name}: OK (model fields exact, timing "
+                  f"within {args.threshold:g}%)")
             continue
         print(f"bench_diff: {path.name}:")
         for line in notes:

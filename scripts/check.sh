@@ -75,12 +75,12 @@ fi
 
 # Trajectory snapshots: every experiment's --quick --json record lands in a
 # tracked BENCH_e<N>.json at the repo root, then bench_diff.py compares the
-# fresh snapshots against the committed ones and flags >10% drift. Model
-# quantities (rounds, messages, sizes) are deterministic per seed, so any
-# drift there is a genuine behaviour change; wall-clock fields are reported
-# but marked as noisy. The schema lint first checks every snapshot's shape
-# (and the profile table's model columns); the diff then warns by default
-# (pass --strict to fail).
+# fresh snapshots against the committed ones. Model quantities (rounds,
+# messages, sizes) are deterministic per seed, so they must match exactly
+# and any change is a genuine behaviour change; wall-clock fields are
+# flagged only past 10% drift and marked as noisy. The schema lint first
+# checks every snapshot's shape (and the profile table's model columns);
+# the diff then warns by default (pass --strict to fail).
 # E6 and E9 additionally run their --congest sections (the Sampler and the
 # payload broadcasts under an enforced per-edge word budget), so the
 # LOCAL-vs-budgeted round tables are part of the tracked trajectory.

@@ -193,12 +193,4 @@ std::vector<EdgeId> spanning_forest(const Graph& g) {
   return tree;
 }
 
-std::uint32_t eccentricity(const Graph& g, NodeId v) {
-  const auto dist = bfs_distances(g, v);
-  std::uint32_t best = 0;
-  for (const auto d : dist)
-    if (d != kUnreachable) best = std::max(best, d);
-  return best;
-}
-
 }  // namespace fl::graph

@@ -79,7 +79,4 @@ std::uint32_t diameter_double_sweep(const Graph& g);
 /// Edge ids of a BFS spanning forest (one tree per component).
 std::vector<EdgeId> spanning_forest(const Graph& g);
 
-/// Eccentricity of one node (max BFS distance within its component).
-std::uint32_t eccentricity(const Graph& g, NodeId v);
-
 }  // namespace fl::graph

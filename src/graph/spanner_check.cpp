@@ -87,30 +87,4 @@ StretchReport check_spanner_sampled(const Graph& g,
   return rep;
 }
 
-double sampled_pairwise_stretch(const Graph& g,
-                                std::span<const EdgeId> spanner,
-                                std::size_t sample_sources,
-                                util::Xoshiro256& rng) {
-  FL_REQUIRE(is_valid_edge_subset(g, spanner), "invalid spanner edge set");
-  const SubgraphView h(g, spanner);
-  const auto sources = util::sample_without_replacement(
-      g.num_nodes(), std::min<std::size_t>(sample_sources, g.num_nodes()),
-      rng);
-  double worst = 1.0;
-  for (const std::size_t sv : sources) {
-    const auto s = static_cast<NodeId>(sv);
-    const auto dg = bfs_distances(g, s);
-    const auto dh = h.bfs_distances(s);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (v == s || dg[v] == kUnreachable) continue;
-      const double ratio =
-          dh[v] == kUnreachable
-              ? static_cast<double>(g.num_nodes())
-              : static_cast<double>(dh[v]) / static_cast<double>(dg[v]);
-      worst = std::max(worst, ratio);
-    }
-  }
-  return worst;
-}
-
 }  // namespace fl::graph

@@ -42,12 +42,6 @@ StretchReport check_spanner_sampled(const Graph& g,
                                     util::Xoshiro256& rng,
                                     double alpha = 0.0);
 
-/// Max over sampled node pairs of dist_H(u,v)/dist_G(u,v) — the direct
-/// (pairwise) stretch definition; used by bench E4 for reporting.
-double sampled_pairwise_stretch(const Graph& g, std::span<const EdgeId> spanner,
-                                std::size_t sample_sources,
-                                util::Xoshiro256& rng);
-
 /// True iff `spanner` contains no duplicate edge ids and every id is valid.
 bool is_valid_edge_subset(const Graph& g, std::span<const EdgeId> spanner);
 

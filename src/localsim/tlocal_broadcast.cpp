@@ -28,15 +28,16 @@ struct MsgOrigins {
 // The bundle's content: the origin list and its remaining hop budget.
 FL_WIRE_FIELDS(MsgOrigins, origins, hops_left);
 
-/// Per-node flooding program over a fixed incident edge subset. Each round
-/// a node bundles everything it learned last round into one message per
-/// subset edge — the LOCAL-model accounting of Lemma 12. Forwarding is
-/// governed by per-origin hop budgets, which equals the seed's
-/// round-counter cutoff in LOCAL mode (first arrival is the BFS-shortest
-/// path, so it always carries the maximal budget) but stays correct when a
-/// CONGEST budget delays bundles: a copy arriving later with a *larger*
-/// remaining budget is re-forwarded, so coverage is exactly B_{H,R}(v)
-/// under any delivery schedule.
+/// Per-node flooding program over a fixed incident edge subset. One rule:
+/// each round a node groups everything it learned by remaining hop budget
+/// and sends each group as one bundle per subset edge — the LOCAL-model
+/// accounting of Lemma 12. An origin is learned when it arrives with a
+/// larger remaining budget than any copy seen before. In LOCAL mode that
+/// is only the first arrival (it rides the BFS-shortest path, so it
+/// carries the maximal budget), and hop budgets cut forwarding off exactly
+/// where a round counter would; under a CONGEST budget a delayed shorter
+/// path can bring a larger budget later, and forwarding it keeps coverage
+/// exactly B_{H,R}(v) under any delivery schedule.
 class FloodNode final : public sim::NodeProgram {
  public:
   FloodNode(NodeId self, std::shared_ptr<const std::vector<bool>> edge_in,
@@ -69,41 +70,29 @@ class FloodNode final : public sim::NodeProgram {
     // Record and regroup everything heard — even after the local send
     // schedule ended, because under a finite bandwidth budget bundles
     // straggle in late and must still be learned and forwarded. Groups
-    // live in a flat vector keyed by (remaining budget, skipped edge): in
-    // LOCAL mode every arrival of a round carries the same hop budget and
-    // no skip (exactly one group, found without a tree in the
-    // transformer's hot path), and under a budget the handful of distinct
-    // keys keeps the linear scan trivial.
-    //
-    // The skip key is the re-forward dedup: when an origin arrives as an
-    // *improvement* (already known, larger remaining budget — which only
-    // happens when a binding budget delayed the shorter path), the sender
-    // of that bundle provably holds the origin with budget >= hops + 1, so
-    // shipping it back over the arrival edge is pure waste. First arrivals
-    // keep the full subset fan-out: skipping their arrival edge too would
-    // change LOCAL-mode words, and every golden trace with it.
+    // live in a flat vector keyed by remaining budget: in LOCAL mode every
+    // arrival of a round carries the same budget (exactly one group, found
+    // without a tree in the transformer's hot path), and under a budget
+    // the handful of distinct keys keeps the linear scan trivial.
     struct Group {
       std::uint32_t hops;
-      EdgeId skip;
       std::vector<NodeId> ids;
     };
     std::vector<Group> fresh;
-    auto bucket = [&](std::uint32_t h, EdgeId skip) -> std::vector<NodeId>& {
+    auto bucket = [&](std::uint32_t h) -> std::vector<NodeId>& {
       for (auto& grp : fresh)
-        if (grp.hops == h && grp.skip == skip) return grp.ids;
-      return fresh.emplace_back(Group{h, skip, {}}).ids;
+        if (grp.hops == h) return grp.ids;
+      return fresh.emplace_back(Group{h, {}}).ids;
     };
     for (const auto& m : inbox) {
       const auto& o = sim::payload_as<MsgOrigins>(m);
       const auto hops = static_cast<std::int32_t>(o.hops_left);
       for (const NodeId id : *o.origins) {
         if (hops <= best_hops_[id]) continue;
-        const bool improvement = best_hops_[id] >= 0;
-        if (!improvement) ++known_count_;
+        if (best_hops_[id] < 0) ++known_count_;
         best_hops_[id] = hops;
-        const EdgeId skip = improvement ? m.edge() : graph::kInvalidEdge;
         if (hops >= 1)
-          bucket(static_cast<std::uint32_t>(hops - 1), skip).push_back(id);
+          bucket(static_cast<std::uint32_t>(hops - 1)).push_back(id);
       }
     }
     // The done-state schedule is untouched by congestion: after `rounds_`
@@ -114,16 +103,14 @@ class FloodNode final : public sim::NodeProgram {
       ++send_round_;
       if (send_round_ >= rounds_) finished_ = true;
     }
-    // Largest remaining budget first, ties broken by skipped-edge id — a
-    // fixed, lane-independent order ((hops, skip) keys are unique, so the
-    // sort is deterministic).
-    std::sort(fresh.begin(), fresh.end(), [](const Group& a, const Group& b) {
-      return a.hops != b.hops ? a.hops > b.hops : a.skip < b.skip;
-    });
+    // Largest remaining budget first: hop keys are unique, so the order is
+    // fixed and lane-independent.
+    std::sort(fresh.begin(), fresh.end(),
+              [](const Group& a, const Group& b) { return a.hops > b.hops; });
     for (auto& grp : fresh) {
       auto batch =
           std::make_shared<const std::vector<NodeId>>(std::move(grp.ids));
-      send_over_subset(ctx, batch, grp.hops, grp.skip);
+      send_over_subset(ctx, batch, grp.hops);
     }
   }
 
@@ -132,10 +119,9 @@ class FloodNode final : public sim::NodeProgram {
  private:
   void send_over_subset(sim::Context& ctx,
                         const std::shared_ptr<const std::vector<NodeId>>& batch,
-                        std::uint32_t hops_left,
-                        EdgeId skip = graph::kInvalidEdge) {
+                        std::uint32_t hops_left) {
     for (const EdgeId e : ctx.incident_edges()) {
-      if (e == skip || !(*edge_in_)[e]) continue;
+      if (!(*edge_in_)[e]) continue;
       ctx.send(e, MsgOrigins{batch, hops_left},
                static_cast<std::uint32_t>(batch->size()));
     }

@@ -1,21 +1,23 @@
 // t-local broadcast (paper Section 6, Lemma 12).
 //
 // Task: every node v must deliver its message M_v to all nodes of
-// B_{G,t}(v). Implementation: bundled flooding for R rounds over a subgraph
-// H = (V, S): each round, every node packs all origins it learned last
-// round into ONE message per incident H-edge. Because LOCAL does not bound
-// message size, the message count is at most 2|S| per round, i.e.
-// O(R · |S|) total — with H an α-spanner and R = αt this is the
-// Õ(t · n^{1+ε}) of Lemma 12; with H = G and R = t it is the Θ(t·m)
-// baseline.
+// B_{G,t}(v). Implementation: bundled flooding over a subgraph H = (V, S)
+// with one forwarding rule: each round, every node groups the origins it
+// learned by remaining hop budget and sends each group as ONE message per
+// incident H-edge. In LOCAL mode every origin learned in a round carries
+// the same budget, so a node sends one message per H-edge per round for R
+// rounds: at most 2|S| per round, i.e. O(R · |S|) total — with H an
+// α-spanner and R = αt this is the Õ(t · n^{1+ε}) of Lemma 12; with H = G
+// and R = t it is the Θ(t·m) baseline.
 //
-// Under an enforced CONGEST budget (sim/congest.hpp) the same protocol
-// runs with per-hop budgets instead of the round counter: every origin
-// travels at most R hops, bundles are grouped by remaining hop budget, and
-// stragglers keep being recorded and re-forwarded after the local send
-// schedule ends. Coverage is therefore still exactly B_{H,R}(v) — the
-// budget stretches RunStats.rounds (multi-word bundles crawl through
-// B-word edges) without shrinking what anyone learns.
+// Under an enforced CONGEST budget (sim/congest.hpp) the same rule runs on
+// per-hop budgets instead of the round counter: every origin travels at
+// most R hops, and an origin that arrives again later with a larger
+// remaining budget (a shorter path the budget delayed) is learned and
+// re-forwarded like any other. Coverage is therefore still exactly
+// B_{H,R}(v). The budget stretches RunStats.rounds (multi-word bundles
+// crawl through B-word edges) and adds the re-forwards to the message
+// count without shrinking what anyone learns.
 #pragma once
 
 #include <cstdint>

@@ -77,14 +77,4 @@ LineFit fit_loglog(const std::vector<double>& x,
   return fit_line(lx, ly);
 }
 
-double geometric_mean(const std::vector<double>& sample) {
-  FL_REQUIRE(!sample.empty(), "geometric_mean() of an empty sample");
-  double acc = 0.0;
-  for (double v : sample) {
-    FL_REQUIRE(v > 0.0, "geometric_mean() needs positive samples");
-    acc += std::log(v);
-  }
-  return std::exp(acc / static_cast<double>(sample.size()));
-}
-
 }  // namespace fl::util

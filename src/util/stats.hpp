@@ -57,7 +57,4 @@ LineFit fit_line(const std::vector<double>& x, const std::vector<double>& y);
 /// This is how the benches estimate growth exponents from size sweeps.
 LineFit fit_loglog(const std::vector<double>& x, const std::vector<double>& y);
 
-/// Geometric mean of positive samples.
-double geometric_mean(const std::vector<double>& sample);
-
 }  // namespace fl::util

@@ -63,12 +63,6 @@ TEST(Diameter, DoubleSweepLowerBoundsExact) {
   }
 }
 
-TEST(Eccentricity, MatchesBfs) {
-  const Graph g = path(9);
-  EXPECT_EQ(eccentricity(g, 0), 8u);
-  EXPECT_EQ(eccentricity(g, 4), 4u);
-}
-
 TEST(SpanningForest, SizeAndAcyclicity) {
   util::Xoshiro256 rng(5);
   const Graph g = erdos_renyi_gnm(100, 400, rng);

@@ -584,13 +584,12 @@ TEST(CongestProtocols, BroadcastReachesSameSetsWithMoreRounds) {
   EXPECT_GT(budgeted.metrics.deferrals_total, 0u);
 }
 
-TEST(CongestProtocols, BroadcastReforwardDedupSavesWordsKeepsCoverage) {
+TEST(CongestProtocols, BroadcastBudgetedReforwardsKeepCoverage) {
   // A binding budget delays some bundles past the BFS-shortest arrival,
   // so origins arrive again with a *larger* remaining hop budget and get
-  // re-forwarded; such an improvement batch skips its arrival edge (the
-  // sender provably already holds those origins at a higher budget).
-  // Pinned: the budgeted run's messages and words with that dedup.
-  // Coverage is untouched.
+  // re-forwarded, grouped by hop budget like every other arrival: one
+  // bundle per hop budget per subset edge. Pinned: the budgeted run's
+  // messages and words. Coverage is untouched.
   util::Xoshiro256 rng(17);
   const Graph g = graph::erdos_renyi_gnm(60, 180, rng);
   const auto edges = localsim::all_edges(g);
@@ -599,8 +598,8 @@ TEST(CongestProtocols, BroadcastReforwardDedupSavesWordsKeepsCoverage) {
   const auto local = localsim::run_tlocal_broadcast(g, edges, 4, 9);
   EXPECT_GT(budgeted.metrics.deferrals_total, 0u);  // the budget binds
   EXPECT_EQ(budgeted.reached, local.reached);
-  EXPECT_EQ(budgeted.stats.messages, 6998u);
-  EXPECT_EQ(budgeted.metrics.words_total, 21061u);
+  EXPECT_EQ(budgeted.stats.messages, 6576u);
+  EXPECT_EQ(budgeted.metrics.words_total, 21205u);
 
   // In LOCAL mode improvements never occur (the first arrival rides the
   // BFS-shortest path, hence the maximal budget), so each node sends one
@@ -630,6 +629,7 @@ TEST(CongestProtocols, BroadcastBudgetedRunIsThreadCountInvariant) {
     EXPECT_EQ(seq.reached, par.reached);
     EXPECT_EQ(seq.stats.rounds, par.stats.rounds);
     EXPECT_EQ(seq.stats.messages, par.stats.messages);
+    EXPECT_EQ(seq.metrics.words_total, par.metrics.words_total);
     EXPECT_EQ(seq.metrics.deferrals_total, par.metrics.deferrals_total);
   }
 }

@@ -119,14 +119,6 @@ TEST(SpannerCheck, CappedDistanceMatchesFullBfs) {
   }
 }
 
-TEST(SpannerCheck, PairwiseStretchSaneOnTree) {
-  const Graph g = star(20);
-  std::vector<EdgeId> all(g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) all[e] = e;
-  util::Xoshiro256 rng(13);
-  EXPECT_DOUBLE_EQ(sampled_pairwise_stretch(g, all, 5, rng), 1.0);
-}
-
 TEST(SpannerCheck, ValidatesEdgeSubset) {
   const Graph g = complete(5);
   EXPECT_TRUE(is_valid_edge_subset(g, std::vector<EdgeId>{0, 3, 9}));

@@ -158,16 +158,10 @@ TEST(Stats, FitLoglogRecoversExponent) {
   EXPECT_NEAR(fit.r_squared, 1.0, 1e-9);
 }
 
-TEST(Stats, GeometricMean) {
-  EXPECT_NEAR(geometric_mean({1.0, 4.0}), 2.0, 1e-12);
-  EXPECT_NEAR(geometric_mean({8.0}), 8.0, 1e-12);
-}
-
 TEST(Stats, ContractViolations) {
   EXPECT_THROW(percentile({}, 50), ContractViolation);
   EXPECT_THROW(fit_line({1}, {1}), ContractViolation);
   EXPECT_THROW(fit_loglog({1, -2}, {1, 2}), ContractViolation);
-  EXPECT_THROW(geometric_mean({}), ContractViolation);
 }
 
 TEST(Table, AlignsAndCounts) {
