@@ -53,6 +53,13 @@ linter, so this pass checks them directly over ``src/``:
                           rounds. Sizing a loop, cap, or buffer from
                           total_rounds outside the sampler driver silently
                           couples callers to the LOCAL-only timetable.
+  FL012 oracle-read       code under src/{core,localsim,baseline} calls
+                          network_silent() or all_delivered(): both read a
+                          global drain fact no real node can observe, so
+                          every protocol that advances on one has
+                          oracle-assisted round counts (CONTRACTS.md C13).
+                          Each reader is an allowlisted, justified entry;
+                          a deployable synchronizer empties the list.
 
 Retired IDs, never reused: FL007 (payload-assert, which required a
 static_assert(Payload::stores_inline<T>) beside every braced send — the
@@ -78,8 +85,18 @@ import tempfile
 
 CHECK_IDS = (
     "FL001", "FL002", "FL003", "FL004", "FL005", "FL006", "FL008", "FL009",
-    "FL010",
+    "FL010", "FL012",
 )
+
+
+def is_digit_separator(text: str, i: int) -> bool:
+    """True when the quote at text[i] separates digits of a number literal
+    (1'000'000, 0xFF'FF) rather than opening a char literal (u8'a')."""
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] == "'"):
+        j -= 1
+    return j < i and text[j].isdigit() and i + 1 < len(text) and \
+        text[i + 1].isalnum()
 
 
 def strip_comments(text: str) -> str:
@@ -99,6 +116,9 @@ def strip_comments(text: str) -> str:
             j = n if j < 0 else j + 2
             out.append("".join(ch if ch == "\n" else " " for ch in text[i:j]))
             i = j
+        elif c == "'" and is_digit_separator(text, i):
+            out.append(c)
+            i += 1
         elif c in "\"'":
             quote = c
             j = i + 1
@@ -299,6 +319,27 @@ def check_schedule_length(path: str, code: str) -> list:
     return findings
 
 
+# --------------------------------------------------------------------- FL012
+
+# Protocol code only: the engine (src/sim) defines the accessors and reads
+# round_silent() itself to decide which nodes step.
+FL012_SCOPE = re.compile(r"(?:^|/)src/(?:core|localsim|baseline)/")
+FL012_CALL = re.compile(r"\b(?:network_silent|all_delivered)\s*\(")
+
+
+def check_oracle_reads(path: str, code: str) -> list:
+    if not FL012_SCOPE.search(path.replace("\\", "/")):
+        return []
+    findings = []
+    for m in FL012_CALL.finditer(code):
+        findings.append(Finding(
+            path, line_of(code, m.start()), "FL012",
+            "protocol reads a global drain fact — its round counts are "
+            "oracle-assisted (CONTRACTS.md C13); allowlist it with a "
+            "justification or use a synchronizer nodes can run"))
+    return findings
+
+
 # ----------------------------------------------------------------- allowlist
 
 def load_allowlist(path: str) -> list:
@@ -352,6 +393,7 @@ def lint_file(path: str, rel: str, allow: list) -> list:
     findings += check_message_planes(rel, code)
     findings += check_obs_feedback(rel, code)
     findings += check_schedule_length(rel, code)
+    findings += check_oracle_reads(rel, code)
     lines = text.split("\n")
     return [f for f in findings if not suppressed(f, lines, allow)]
 
@@ -426,6 +468,12 @@ FIXTURES = {
               "std::size_t cap(const core::Schedule& s) {\n"
               "  return s.total_rounds * 64 + 4096;\n"
               "}\n"),
+    # A protocol phase advancing on the global drain fact — the oracle
+    # C13 names, outside the allowlisted readers.
+    "FL012": ("src/localsim/fixture_fl012.cpp",
+              "void Node::on_round(sim::Context& ctx, sim::InboxView in) {\n"
+              "  if (ctx.all_delivered()) advance_phase(ctx);\n"
+              "}\n"),
 }
 
 # Files that must produce no findings: a compliant protocol, the obs layer
@@ -484,6 +532,16 @@ def self_test() -> int:
                 failures.append(
                     f"clean fixture {rel} tripped: {[str(f) for f in got]}")
             os.remove(path)
+        # A digit separator does not open a char literal: the code after
+        # it stays visible, at its own line.
+        rel = "src/digits.cpp"
+        path = write_fixture(rel, "constexpr int kBig = 1'000;\n"
+                                  "char c = u8'x';\n"
+                                  + FIXTURES["FL001"][1])
+        got = [(f.check, f.line) for f in lint_file(path, rel, allow=[])]
+        if got != [("FL001", 3)]:
+            failures.append(f"digit separator hid code: got {got}")
+        os.remove(path)
         # The allowlist mechanism itself: a suppressed finding must vanish.
         rel = "src/allowed.cpp"
         path = write_fixture(rel, FIXTURES["FL001"][1])

@@ -1,6 +1,5 @@
 #include "localsim/tlocal_broadcast.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -18,111 +17,73 @@ namespace {
 
 struct MsgOrigins {
   std::shared_ptr<const std::vector<NodeId>> origins;
-  /// How many further hops this bundle's origins may still travel. In
-  /// LOCAL mode a bundle arriving in round r always carries R - r (rounds
-  /// and hops coincide), so the field is redundant there; under a CONGEST
-  /// budget it is what keeps the flood hop-limited when delivery lags.
-  std::uint32_t hops_left = 0;
 };
 
-// The bundle's content: the origin list and its remaining hop budget.
-FL_WIRE_FIELDS(MsgOrigins, origins, hops_left);
+// The bundle's content: the origins its sender learned in the previous
+// logical round.
+FL_WIRE_FIELDS(MsgOrigins, origins);
 
-/// Per-node flooding program over a fixed incident edge subset. One rule:
-/// each round a node groups everything it learned by remaining hop budget
-/// and sends each group as one bundle per subset edge — the LOCAL-model
-/// accounting of Lemma 12. An origin is learned when it arrives with a
-/// larger remaining budget than any copy seen before. In LOCAL mode that
-/// is only the first arrival (it rides the BFS-shortest path, so it
-/// carries the maximal budget), and hop budgets cut forwarding off exactly
-/// where a round counter would; under a CONGEST budget a delayed shorter
-/// path can bring a larger budget later, and forwarding it keeps coverage
-/// exactly B_{H,R}(v) under any delivery schedule.
+/// Per-node flooding program over a fixed incident edge subset. The flood
+/// runs R logical rounds. At the start of each, a node sends everything it
+/// learned in the previous one as one bundle per subset edge — the
+/// LOCAL-model accounting of Lemma 12. A logical round ends on the first
+/// step at which nothing is parked in a congest calendar
+/// (Context::all_delivered), so every bundle of the round has arrived and
+/// each node has learned exactly the origins at H-distance r in logical
+/// round r, under any delivery schedule. In LOCAL mode that is every step:
+/// logical and engine rounds coincide.
 class FloodNode final : public sim::NodeProgram {
  public:
   FloodNode(NodeId self, std::shared_ptr<const std::vector<bool>> edge_in,
             unsigned rounds, NodeId n)
       : self_(self), edge_in_(std::move(edge_in)), rounds_(rounds), n_(n) {}
 
-  /// The known set is exactly {u : best_hops_[u] >= 0}, so one ascending
-  /// scan extracts it already sorted.
+  /// One ascending scan of the known set extracts it already sorted.
   std::vector<NodeId> known_sorted() const {
     std::vector<NodeId> out;
     out.reserve(known_count_);
     for (NodeId u = 0; u < n_; ++u)
-      if (best_hops_[u] >= 0) out.push_back(u);
+      if (known_[u]) out.push_back(u);
     return out;
   }
 
   void on_start(sim::Context& ctx) override {
-    best_hops_.assign(n_, -1);
-    best_hops_[self_] = static_cast<std::int32_t>(rounds_);
+    known_.assign(n_, false);
+    known_[self_] = true;
     known_count_ = 1;
-    if (rounds_ == 0) {
-      finished_ = true;
-      return;
-    }
-    auto batch = std::make_shared<const std::vector<NodeId>>(1, self_);
-    send_over_subset(ctx, batch, rounds_ - 1);
+    pending_.push_back(self_);
+    if (rounds_ > 0) send_pending(ctx);
   }
 
   void on_round(sim::Context& ctx, sim::InboxView inbox) override {
-    // Record and regroup everything heard — even after the local send
-    // schedule ended, because under a finite bandwidth budget bundles
-    // straggle in late and must still be learned and forwarded. Groups
-    // live in a flat vector keyed by remaining budget: in LOCAL mode every
-    // arrival of a round carries the same budget (exactly one group, found
-    // without a tree in the transformer's hot path), and under a budget
-    // the handful of distinct keys keeps the linear scan trivial.
-    struct Group {
-      std::uint32_t hops;
-      std::vector<NodeId> ids;
-    };
-    std::vector<Group> fresh;
-    auto bucket = [&](std::uint32_t h) -> std::vector<NodeId>& {
-      for (auto& grp : fresh)
-        if (grp.hops == h) return grp.ids;
-      return fresh.emplace_back(Group{h, {}}).ids;
-    };
+    // What the last logical round brings is never sent on.
+    const bool forward = closed_ + 1 < rounds_;
     for (const auto& m : inbox) {
-      const auto& o = sim::payload_as<MsgOrigins>(m);
-      const auto hops = static_cast<std::int32_t>(o.hops_left);
-      for (const NodeId id : *o.origins) {
-        if (hops <= best_hops_[id]) continue;
-        if (best_hops_[id] < 0) ++known_count_;
-        best_hops_[id] = hops;
-        if (hops >= 1)
-          bucket(static_cast<std::uint32_t>(hops - 1)).push_back(id);
+      for (const NodeId id : *sim::payload_as<MsgOrigins>(m).origins) {
+        if (known_[id]) continue;
+        known_[id] = true;
+        ++known_count_;
+        if (forward) pending_.push_back(id);
       }
     }
-    // The done-state schedule is untouched by congestion: after `rounds_`
-    // steps this node's own sending duty is over (hop budgets gate any
-    // residual forwarding), which keeps LOCAL-mode termination — and every
-    // pinned golden trace — bit-identical to the seed behaviour.
-    if (!finished_) {
-      ++send_round_;
-      if (send_round_ >= rounds_) finished_ = true;
-    }
-    // Largest remaining budget first: hop keys are unique, so the order is
-    // fixed and lane-independent.
-    std::sort(fresh.begin(), fresh.end(),
-              [](const Group& a, const Group& b) { return a.hops > b.hops; });
-    for (auto& grp : fresh) {
-      auto batch =
-          std::make_shared<const std::vector<NodeId>>(std::move(grp.ids));
-      send_over_subset(ctx, batch, grp.hops);
+    // Every bundle of the open logical round has arrived: close it, and
+    // open the next one unless it was the last.
+    if (closed_ < rounds_ && ctx.all_delivered()) {
+      ++closed_;
+      if (closed_ < rounds_) send_pending(ctx);
     }
   }
 
-  bool done() const override { return finished_; }
+  bool done() const override { return closed_ == rounds_; }
 
  private:
-  void send_over_subset(sim::Context& ctx,
-                        const std::shared_ptr<const std::vector<NodeId>>& batch,
-                        std::uint32_t hops_left) {
+  void send_pending(sim::Context& ctx) {
+    if (pending_.empty()) return;
+    auto batch = std::make_shared<const std::vector<NodeId>>(
+        std::exchange(pending_, {}));
     for (const EdgeId e : ctx.incident_edges()) {
       if (!(*edge_in_)[e]) continue;
-      ctx.send(e, MsgOrigins{batch, hops_left},
+      ctx.send(e, MsgOrigins{batch},
                static_cast<std::uint32_t>(batch->size()));
     }
   }
@@ -131,12 +92,10 @@ class FloodNode final : public sim::NodeProgram {
   std::shared_ptr<const std::vector<bool>> edge_in_;
   unsigned rounds_;
   NodeId n_;
-  unsigned send_round_ = 0;
-  bool finished_ = false;
-  std::size_t known_count_ = 0;  // |{u : best_hops_[u] >= 0}|
-  // best_hops_[u] = largest remaining hop budget this node has seen for
-  // origin u (-1 = never heard). In LOCAL mode it only ever improves once.
-  std::vector<std::int32_t> best_hops_;
+  unsigned closed_ = 0;          // logical rounds ended so far
+  std::size_t known_count_ = 0;  // |{u : known_[u]}|
+  std::vector<bool> known_;      // known_[u]: origin u has reached this node
+  std::vector<NodeId> pending_;  // learned in the open logical round
 };
 
 }  // namespace
@@ -164,8 +123,9 @@ BroadcastRun run_tlocal_broadcast(const Graph& g,
 
   BroadcastRun run;
   // Event-driven drain: delivery rounds are uncapped (a budget stretches
-  // the flood by whatever it actually costs), and the hop-budgeted flood
-  // never idles while alive, so the stall cap only covers framing rounds.
+  // the flood by whatever it actually costs). A silent round has nothing
+  // parked, so it closes a logical round at every node: stall rounds are
+  // at most R, and the cap adds a few framing rounds.
   const std::size_t stall_cap = static_cast<std::size_t>(rounds) + 4;
   {
     // Named protocol span on the engine track (no-op when tracing is off)

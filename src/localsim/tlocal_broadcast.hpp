@@ -2,22 +2,24 @@
 //
 // Task: every node v must deliver its message M_v to all nodes of
 // B_{G,t}(v). Implementation: bundled flooding over a subgraph H = (V, S)
-// with one forwarding rule: each round, every node groups the origins it
-// learned by remaining hop budget and sends each group as ONE message per
-// incident H-edge. In LOCAL mode every origin learned in a round carries
-// the same budget, so a node sends one message per H-edge per round for R
-// rounds: at most 2|S| per round, i.e. O(R · |S|) total — with H an
-// α-spanner and R = αt this is the Õ(t · n^{1+ε}) of Lemma 12; with H = G
-// and R = t it is the Θ(t·m) baseline.
+// for R logical rounds, with one forwarding rule: at the start of each
+// logical round, every node sends the origins it learned in the previous
+// one as ONE message per incident H-edge. A node therefore sends at most
+// one message per H-edge per logical round: at most 2|S| per round, i.e.
+// O(R · |S|) total — with H an α-spanner and R = αt this is the
+// Õ(t · n^{1+ε}) of Lemma 12; with H = G and R = t it is the Θ(t·m)
+// baseline.
 //
-// Under an enforced CONGEST budget (sim/congest.hpp) the same rule runs on
-// per-hop budgets instead of the round counter: every origin travels at
-// most R hops, and an origin that arrives again later with a larger
-// remaining budget (a shorter path the budget delayed) is learned and
-// re-forwarded like any other. Coverage is therefore still exactly
-// B_{H,R}(v). The budget stretches RunStats.rounds (multi-word bundles
-// crawl through B-word edges) and adds the re-forwards to the message
-// count without shrinking what anyone learns.
+// A logical round ends on the first engine round at which nothing is
+// parked in a congest calendar. In LOCAL mode that is every round, so
+// logical and engine rounds coincide. Under an enforced CONGEST budget
+// (sim/congest.hpp) a round waits until its bundles have crawled through
+// the B-word edges; every node then learns in logical round r exactly the
+// origins at H-distance r, as in LOCAL. Messages, words and the reached
+// sets B_{H,R}(v) are therefore those of the LOCAL run under any budget;
+// only RunStats.rounds stretches. The drain fact is a global oracle (an
+// oracle-assisted synchronizer in the sense of Awerbuch, JACM 1985), so
+// budgeted round counts are oracle-assisted (docs/CONTRACTS.md C13).
 #pragma once
 
 #include <cstdint>
@@ -30,6 +32,9 @@
 
 namespace fl::localsim {
 
+/// One broadcast's result. `reached`, stats.messages and metrics.words_total
+/// are independent of the CONGEST budget; stats.rounds and
+/// metrics.deferrals_total are not.
 struct BroadcastRun {
   /// reached[v] = origins known to v after the run (ascending node ids).
   std::vector<std::vector<graph::NodeId>> reached;
@@ -37,10 +42,11 @@ struct BroadcastRun {
   sim::Metrics metrics;
 };
 
-/// Flood origin ids for `rounds` rounds over the subgraph given by `edges`
-/// (pass all edge ids for G itself). Every node is an origin. `congest` is
-/// the network's bandwidth budget (default: unlimited, plain LOCAL); with a
-/// finite budget the run takes more rounds but reaches the same sets.
+/// Flood origin ids for `rounds` logical rounds over the subgraph given by
+/// `edges` (pass all edge ids for G itself). Every node is an origin.
+/// `congest` is the network's bandwidth budget (default: unlimited, plain
+/// LOCAL); with a finite budget the run takes more (oracle-assisted)
+/// rounds but sends the same messages and words and reaches the same sets.
 BroadcastRun run_tlocal_broadcast(
     const graph::Graph& g, const std::vector<graph::EdgeId>& edges,
     unsigned rounds, std::uint64_t seed, sim::CongestConfig congest = {});

@@ -33,6 +33,10 @@ double Context::n_bound() const {
 
 bool Context::network_silent() const { return net_->round_silent(); }
 
+bool Context::all_delivered() const {
+  return net_->carried_messages() == 0;
+}
+
 util::Xoshiro256& Context::rng() {
   // The per-node RNG stream is mutable node state: drawing from another
   // shard's stream would silently change that node's randomness (and the

@@ -139,8 +139,12 @@ class Network {
   ///
   /// Oracle-assisted: silence is a *global* fact about the whole network
   /// that no real node can observe locally, so round counts of protocols
-  /// that advance on it (the sampler under a CONGEST budget, contract C13)
-  /// are oracle-assisted, not the cost of a deployable barrier.
+  /// that advance on it are oracle-assisted, not the cost of a deployable
+  /// barrier (contract C13). Two protocols read such a fact: the
+  /// distributed Sampler under a CONGEST budget ends each phase on
+  /// silence (Context::network_silent), and the t-local broadcast ends
+  /// each logical round on its carried half alone (Context::all_delivered,
+  /// carried_messages() == 0).
   bool round_silent() const {
     return delivered_last_round_ == 0 && carry_total_ == 0;
   }

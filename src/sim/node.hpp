@@ -78,6 +78,15 @@ class Context {
   /// oracle-assisted (contract C13).
   bool network_silent() const;
 
+  /// Drain fact (Network::carried_messages() == 0): no message is parked
+  /// in a congest calendar, so every message sent before this step has
+  /// been delivered — at the latest in this step's inbox. Always true in
+  /// LOCAL mode. A merge-barrier output with the same guarantees as
+  /// network_silent(); the t-local broadcast ends each logical round on
+  /// it. An oracle as well: round counts that rest on it are
+  /// oracle-assisted (contract C13).
+  bool all_delivered() const;
+
  private:
   friend class Network;
   Context(Network& net, graph::NodeId self, SendLane& lane)
