@@ -120,6 +120,17 @@ def collect_tables(objs):
     return tables
 
 
+def keyed_tables(objs):
+    """Map each table's identity -> (title, rows). The identity is the tag
+    before the title's " — " (E9c, E6d, ...) when no other table in the
+    snapshot shares that tag, else the full title, so a retitled table is
+    still diffed against its baseline."""
+    tables = collect_tables(objs)
+    tags = [title.split(" — ", 1)[0] for title in tables]
+    return {(tag if tags.count(tag) == 1 else title): (title, rows)
+            for tag, (title, rows) in zip(tags, tables.items())}
+
+
 def describe(key):
     ident, dup = key
     label = ", ".join(f"{f}={v}" for f, v in ident) or f"#{dup}"
@@ -128,14 +139,17 @@ def describe(key):
 
 def diff_snapshots(old_objs, new_objs, threshold):
     """Return (model_flags, timing_flags, notes) lists of printable lines."""
-    old_tables = collect_tables(old_objs)
-    new_tables = collect_tables(new_objs)
+    old_tables = keyed_tables(old_objs)
+    new_tables = keyed_tables(new_objs)
     model_flags, timing_flags, notes = [], [], []
-    for title, new_rows in new_tables.items():
-        old_rows = old_tables.get(title)
-        if old_rows is None:
+    for ident, (title, new_rows) in new_tables.items():
+        if ident not in old_tables:
             notes.append(f"  [{title}]: no baseline table, skipped")
             continue
+        old_title, old_rows = old_tables[ident]
+        if old_title != title:
+            model_flags.append(
+                f"  [{ident}]: title changed: {old_title} → {title}")
         for key, new_row in new_rows.items():
             old_row = old_rows.get(key)
             if old_row is None:
@@ -182,8 +196,8 @@ def diff_snapshots(old_objs, new_objs, threshold):
             if key not in new_rows:
                 model_flags.append(
                     f"  [{title}] {describe(key)}: row disappeared")
-    for title in old_tables:
-        if title not in new_tables:
+    for ident, (title, _) in old_tables.items():
+        if ident not in new_tables:
             model_flags.append(
                 f"  [{title}]: table disappeared from the snapshot")
     return model_flags, timing_flags, notes

@@ -60,6 +60,17 @@ linter, so this pass checks them directly over ``src/``:
                           oracle-assisted round counts (CONTRACTS.md C13).
                           Each reader is an allowlisted, justified entry;
                           a deployable synchronizer empties the list.
+  FL013 local-read        code in src/localsim/algorithms.hpp or under
+                          src/localsim/algorithms/ calls a graph
+                          topology accessor (incident, degree, endpoints,
+                          other_endpoint, has_edge, find_edge, edges()):
+                          a LOCAL algorithm is a one-hop round rule that
+                          reads only its own state and its neighbours'
+                          previous states (CONTRACTS.md C15), so B_G(v, t)
+                          fixes its t-round output by construction. A rule
+                          that walks the graph itself can read past its
+                          ball, and run_reference would then agree with a
+                          wrong transform.
 
 Retired IDs, never reused: FL007 (payload-assert, which required a
 static_assert(Payload::stores_inline<T>) beside every braced send — the
@@ -85,7 +96,7 @@ import tempfile
 
 CHECK_IDS = (
     "FL001", "FL002", "FL003", "FL004", "FL005", "FL006", "FL008", "FL009",
-    "FL010", "FL012",
+    "FL010", "FL012", "FL013",
 )
 
 
@@ -340,6 +351,27 @@ def check_oracle_reads(path: str, code: str) -> list:
     return findings
 
 
+# --------------------------------------------------------------------- FL013
+
+FL013_SCOPE = re.compile(r"(?:^|/)src/localsim/algorithms(?:/|\.hpp$)")
+FL013_CALL = re.compile(
+    r"\b(?:incident|degree|endpoints|other_endpoint|has_edge|find_edge)"
+    r"\s*\(|\bedges\s*\(\s*\)")
+
+
+def check_local_reads(path: str, code: str) -> list:
+    if not FL013_SCOPE.search(path.replace("\\", "/")):
+        return []
+    findings = []
+    for m in FL013_CALL.finditer(code):
+        findings.append(Finding(
+            path, line_of(code, m.start()), "FL013",
+            "LOCAL algorithm reads the graph — a round rule reads only its "
+            "own state and its neighbours' previous states (CONTRACTS.md "
+            "C15)"))
+    return findings
+
+
 # ----------------------------------------------------------------- allowlist
 
 def load_allowlist(path: str) -> list:
@@ -394,6 +426,7 @@ def lint_file(path: str, rel: str, allow: list) -> list:
     findings += check_obs_feedback(rel, code)
     findings += check_schedule_length(rel, code)
     findings += check_oracle_reads(rel, code)
+    findings += check_local_reads(rel, code)
     lines = text.split("\n")
     return [f for f in findings if not suppressed(f, lines, allow)]
 
@@ -474,6 +507,13 @@ FIXTURES = {
               "void Node::on_round(sim::Context& ctx, sim::InboxView in) {\n"
               "  if (ctx.all_delivered()) advance_phase(ctx);\n"
               "}\n"),
+    # A round rule walking the graph past its one-hop neighbour view.
+    "FL013": ("src/localsim/algorithms/fixture_fl013.cpp",
+              "std::uint64_t Rule::step(unsigned r, NodeId v, std::uint64_t s,\n"
+              "                         const Neighbours& nbrs) const {\n"
+              "  for (const auto& inc : g_->incident(v)) s += g_->degree(inc.to);\n"
+              "  return s;\n"
+              "}\n"),
 }
 
 # Files that must produce no findings: a compliant protocol, the obs layer
@@ -498,6 +538,13 @@ CLEAN_FIXTURES = [
      "#include \"obs/trace.hpp\"\n"
      "void phase(obs::Tracer* trace, unsigned s, std::size_t round) {\n"
      "  const obs::SpanScope span(trace, obs::SpanKind::StepLane, s, round);\n"
+     "}\n"),
+    # FL013's scope: a round rule reading its neighbour view only.
+    ("src/localsim/algorithms/fixture_clean_rule.cpp",
+     "std::uint64_t Rule::step(unsigned, NodeId, std::uint64_t s,\n"
+     "                         const Neighbours& neighbours) const {\n"
+     "  for (const Neighbour nb : neighbours) s = std::max(s, nb.edge);\n"
+     "  return s;\n"
      "}\n"),
     # FL010's carve-out: the sampler driver is the one legal consumer of
     # the timetable length (the LOCAL fixed-timetable stall cap).

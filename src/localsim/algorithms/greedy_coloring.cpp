@@ -16,7 +16,8 @@ std::uint64_t priority(std::uint64_t seed, NodeId v, unsigned round) {
                                    round * 2654435761u);
 }
 
-constexpr std::uint32_t kUncolored = 0xffffffffu;
+// The state is the output encoding: 0 while uncolored, color + 1 after.
+constexpr std::uint64_t kUncolored = 0;
 
 }  // namespace
 
@@ -26,54 +27,32 @@ unsigned GreedyColoring::radius(const graph::Graph& g) const {
   return 6u * static_cast<unsigned>(std::ceil(std::log2(n)));
 }
 
-std::uint64_t GreedyColoring::compute(const BallView& ball) const {
-  const graph::Graph& g = *ball.g;
-  const unsigned t = ball.radius;
+std::uint64_t GreedyColoring::init(NodeId) const { return kUncolored; }
 
-  std::vector<NodeId> members;
-  for (NodeId u = 0; u < g.num_nodes(); ++u)
-    if (ball.contains(u)) members.push_back(u);
-
-  std::vector<std::uint32_t> color(g.num_nodes(), kUncolored);
-  // prio[u] is valid only for the uncolored members, which are the only
-  // nodes the win loop compares.
-  std::vector<std::uint64_t> prio(g.num_nodes());
-  std::vector<bool> used;
-  for (unsigned r = 0; r < t; ++r) {
-    for (const NodeId u : members)
-      if (color[u] == kUncolored) prio[u] = priority(seed_, u, r);
-    std::vector<NodeId> winners;
-    for (const NodeId u : members) {
-      if (color[u] != kUncolored) continue;
-      const std::uint64_t mine = prio[u];
-      bool wins = true;
-      for (const auto& inc : g.incident(u)) {
-        if (!ball.contains(inc.to) || color[inc.to] != kUncolored) continue;
-        const std::uint64_t theirs = prio[inc.to];
-        if (theirs > mine || (theirs == mine && inc.to > u)) {
-          wins = false;
-          break;
-        }
-      }
-      if (wins) winners.push_back(u);
+std::uint64_t GreedyColoring::step(unsigned round, NodeId v,
+                                   std::uint64_t state,
+                                   const Neighbours& neighbours) const {
+  if (state != kUncolored) return state;
+  const std::uint64_t mine = priority(seed_, v, round);
+  std::size_t colored = 0;
+  for (const Neighbour nb : neighbours) {
+    if (nb.state != kUncolored) {
+      ++colored;
+      continue;
     }
-    // Winners are an independent set among undecided nodes, so coloring
-    // them simultaneously from their decided neighbourhoods is race-free.
-    for (const NodeId u : winners) {
-      used.assign(g.degree(u) + 2, false);
-      for (const auto& inc : g.incident(u)) {
-        if (!ball.contains(inc.to)) continue;
-        const std::uint32_t c = color[inc.to];
-        if (c != kUncolored && c < used.size()) used[c] = true;
-      }
-      std::uint32_t c = 0;
-      while (used[c]) ++c;
-      color[u] = c;
-    }
+    const std::uint64_t theirs = priority(seed_, nb.id, round);
+    if (theirs > mine || (theirs == mine && nb.id > v)) return kUncolored;
   }
-  return color[ball.center] == kUncolored
-             ? 0
-             : static_cast<std::uint64_t>(color[ball.center]) + 1;
+  // Winners are an independent set among undecided nodes, so coloring
+  // them simultaneously from their decided neighbourhoods is race-free.
+  // The smallest free color is at most the number of colored neighbours.
+  std::vector<bool> used(colored + 1, false);
+  for (const Neighbour nb : neighbours)
+    if (nb.state != kUncolored && nb.state - 1 < used.size())
+      used[nb.state - 1] = true;
+  std::uint64_t c = 0;
+  while (used[c]) ++c;
+  return c + 1;
 }
 
 }  // namespace fl::localsim

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "localsim/algorithms.hpp"
 #include "util/rng.hpp"
@@ -12,75 +11,61 @@ using graph::NodeId;
 
 namespace {
 
-/// Per-(edge, round) priority; deterministic function of the seed so the
-/// algorithm is a ball function (edge ids are known to both endpoints —
-/// exactly the paper's model assumption).
-std::uint64_t priority(std::uint64_t seed, EdgeId e, unsigned round) {
+/// Per-(edge, phase) priority; deterministic function of the seed, so both
+/// endpoints of an edge draw the same coin (edge ids are known to both
+/// endpoints — exactly the paper's model assumption).
+std::uint64_t priority(std::uint64_t seed, EdgeId e, unsigned phase) {
   return util::SplitMix64::combine(
-      util::SplitMix64::combine(seed ^ 0xabcdef12345ULL, e), round);
+      util::SplitMix64::combine(seed ^ 0xabcdef12345ULL, e), phase);
 }
+
+// The state is 0 while unmatched and not proposing, kProposing | e while
+// proposing along edge e, and kMatched | partner once matched.
+constexpr std::uint64_t kMatched = 1ULL << 63;
+constexpr std::uint64_t kProposing = 1ULL << 62;
+constexpr std::uint64_t kIdMask = 0xffffffffULL;
 
 }  // namespace
 
 unsigned MaximalMatching::radius(const graph::Graph& g) const {
   if (rounds_ > 0) return rounds_;
   const double n = std::max<double>(g.num_nodes(), 2);
-  return 4u * static_cast<unsigned>(std::ceil(std::log2(n)));
+  return 8u * static_cast<unsigned>(std::ceil(std::log2(n)));
 }
 
-std::uint64_t MaximalMatching::compute(const BallView& ball) const {
-  // Simulate on the induced ball subgraph; the usual LOCAL argument keeps
-  // the center's state exact for all `radius` rounds.
-  const graph::Graph& g = *ball.g;
-  const unsigned t = ball.radius;
+std::uint64_t MaximalMatching::init(NodeId) const { return 0; }
 
-  std::vector<NodeId> members;
-  for (NodeId u = 0; u < g.num_nodes(); ++u)
-    if (ball.contains(u)) members.push_back(u);
-
-  std::vector<NodeId> partner(g.num_nodes(), graph::kInvalidNode);
-  auto live = [&](NodeId v) {
-    return ball.contains(v) && partner[v] == graph::kInvalidNode;
-  };
-  // prio[e] is valid only for live edges (both endpoints in the ball and
-  // unmatched), the only edges the win test compares. It is drawn once per
-  // round, at the edge's smaller endpoint, which the ascending member walk
-  // reaches first. best[u] is u's live edge with the largest (priority,
-  // edge id).
-  std::vector<std::uint64_t> prio(g.num_edges());
-  std::vector<graph::Incidence> best(g.num_nodes());
-  for (unsigned r = 0; r < t; ++r) {
-    for (const NodeId u : members) {
-      if (partner[u] != graph::kInvalidNode) continue;
-      graph::Incidence top;
-      for (const auto& inc : g.incident(u)) {
-        if (!live(inc.to)) continue;
-        const EdgeId e = inc.edge;
-        if (inc.to >= u) prio[e] = priority(seed_, e, r);
-        if (top.edge == graph::kInvalidEdge || prio[e] > prio[top.edge] ||
-            (prio[e] == prio[top.edge] && e > top.edge))
-          top = inc;
-      }
-      best[u] = top;
-    }
-    // An edge joins the matching iff both endpoints are unmatched and its
-    // priority beats every competing live edge at both ends, i.e. it is
-    // both endpoints' best. Winners are vertex-disjoint by construction.
-    std::vector<std::pair<NodeId, NodeId>> winners;
-    for (const NodeId u : members) {
-      if (partner[u] != graph::kInvalidNode) continue;
-      const auto [v, e] = best[u];
-      if (e != graph::kInvalidEdge && v >= u && best[v].edge == e)
-        winners.emplace_back(u, v);
-    }
-    for (const auto& [u, v] : winners) {
-      partner[u] = v;
-      partner[v] = u;
+std::uint64_t MaximalMatching::step(unsigned round, NodeId,
+                                    std::uint64_t state,
+                                    const Neighbours& neighbours) const {
+  if (state & kMatched) return state;
+  if (round % 2 == 1) {
+    // Match round: an edge proposed from both ends joins the matching. A
+    // neighbour in v's state proposes along v's edge, so it is the other
+    // end; each node proposes along one edge, so matches are disjoint.
+    if (state == 0) return 0;
+    for (const Neighbour nb : neighbours)
+      if (nb.state == state) return kMatched | nb.id;
+    return 0;
+  }
+  // Propose round: along the live edge with the largest (priority, id).
+  const unsigned phase = round / 2;
+  EdgeId best = graph::kInvalidEdge;
+  std::uint64_t best_prio = 0;
+  for (const Neighbour nb : neighbours) {
+    if (nb.state & kMatched) continue;
+    const std::uint64_t p = priority(seed_, nb.edge, phase);
+    if (best == graph::kInvalidEdge || p > best_prio ||
+        (p == best_prio && nb.edge > best)) {
+      best = nb.edge;
+      best_prio = p;
     }
   }
-  return partner[ball.center] == graph::kInvalidNode
-             ? 0
-             : static_cast<std::uint64_t>(partner[ball.center]) + 1;
+  return best == graph::kInvalidEdge ? 0 : kProposing | best;
+}
+
+std::uint64_t MaximalMatching::output(NodeId, std::uint64_t state) const {
+  return state & kMatched ? (state & kIdMask) + 1 : 0;
 }
 
 }  // namespace fl::localsim

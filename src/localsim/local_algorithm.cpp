@@ -1,27 +1,21 @@
 #include "localsim/local_algorithm.hpp"
 
-#include "graph/algorithms.hpp"
-#include "util/assert.hpp"
-
 namespace fl::localsim {
-
-BallView make_ball(const graph::Graph& g, graph::NodeId center,
-                   unsigned radius) {
-  BallView ball;
-  ball.g = &g;
-  ball.center = center;
-  ball.radius = radius;
-  ball.dist = graph::bfs_distances_bounded(g, center, radius);
-  return ball;
-}
 
 std::vector<std::uint64_t> run_reference(const graph::Graph& g,
                                          const LocalAlgorithm& alg) {
   const unsigned t = alg.radius(g);
-  std::vector<std::uint64_t> out(g.num_nodes());
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v)
-    out[v] = alg.compute(make_ball(g, v, t));
-  return out;
+  const graph::NodeId n = g.num_nodes();
+  std::vector<std::uint64_t> state(n), next(n);
+  for (graph::NodeId v = 0; v < n; ++v) state[v] = alg.init(v);
+  for (unsigned r = 0; r < t; ++r) {
+    for (graph::NodeId v = 0; v < n; ++v)
+      next[v] = alg.step(r, v, state[v],
+                         Neighbours{g.incident(v), state.data(), nullptr, 0});
+    state.swap(next);
+  }
+  for (graph::NodeId v = 0; v < n; ++v) state[v] = alg.output(v, state[v]);
+  return state;
 }
 
 }  // namespace fl::localsim

@@ -1,28 +1,32 @@
 // The t-round LOCAL algorithm abstraction used by the message-reduction
 // scheme (paper Section 6).
 //
-// In the LOCAL model the output of a t-round algorithm at node v is a
-// function of v's radius-t ball: the IDs, initial states and incident edge
-// sets of all nodes within distance t (the paper's B_{G,t}(v)). We
-// therefore represent an algorithm by that function directly:
+// An algorithm is a one-hop synchronous round rule: every node starts in
+// init(v), and in each round r = 0..t-1 replaces its state by
 //
-//     output(v) = compute(ball of radius t around v)
+//     step(r, v, own previous state, neighbours' previous states)
 //
-// Native execution evaluates it per node (the reference semantics and also
-// the local computation every simulation variant ends with); the metered
-// executions differ only in *how the ball's information reaches v*:
-//   * run_native() (transformer.hpp): t rounds of bundled flooding over G —
-//     Θ(t·m) messages, the behaviour the paper improves on;
-//   * transformer.hpp: Sampler spanner + αt-radius flooding over H —
+// until output(v, state) reads the result. A state is one word. The rule
+// sees no graph: only v's id, the id and edge id of each neighbour and the
+// neighbour's state after the previous round. So after t rounds v's output
+// is fixed by its radius-t ball B_G(v, t) (the locality argument of
+// Linial, SICOMP 1992) by construction, not by each algorithm's care.
+//
+// run_reference() runs the rule over all of G: the reference semantics.
+// The metered executions (transformer.hpp) differ only in how the ball's
+// information reaches v, then run the same rule on v's collected ball:
+//   * run_native(): t rounds of bundled flooding over G — Θ(t·m)
+//     messages, the behaviour the paper improves on;
+//   * run_simulated(): Sampler spanner + αt-radius flooding over H —
 //     Õ(t·n^{1+ε}) messages (Theorem 3).
 //
-// Randomized LOCAL algorithms fit by keying their coins on (seed, node,
-// round): the coins become part of each node's initial state, so outputs
-// remain ball-computable and the native/simulated equality is exact.
+// Randomized LOCAL algorithms fit by keying their coins on (seed, node or
+// edge, round), so every node can draw a neighbour's coin from its id and
+// outputs stay deterministic.
 #pragma once
 
 #include <cstdint>
-#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,44 +34,87 @@
 
 namespace fl::localsim {
 
-/// The radius-t ball of `center`, as collected by a t-local broadcast.
-struct BallView {
-  const graph::Graph* g = nullptr;
-  graph::NodeId center = graph::kInvalidNode;
-  unsigned radius = 0;
-  /// dist[u] = dist_G(center, u) for u in the ball, kUnreachable outside.
-  /// An algorithm must only read nodes/edges whose endpoints are both in
-  /// the ball — the harness verifies collected coverage, not the reads.
-  std::vector<std::uint32_t> dist;
-
-  bool contains(graph::NodeId u) const {
-    return dist[u] != std::numeric_limits<std::uint32_t>::max();
-  }
+/// One neighbour of the node being stepped, as its round rule sees it.
+struct Neighbour {
+  graph::NodeId id;
+  graph::EdgeId edge;     ///< the edge joining it to the stepped node
+  std::uint64_t state;    ///< its state after the previous round
 };
 
-/// A t-round LOCAL algorithm with per-node word outputs.
+/// The neighbours of one node inside the evaluated set, each with its
+/// previous-round state: a lazy view over the node's incidence list that
+/// skips the neighbours whose mask entry differs from `epoch` (a null
+/// mask keeps every neighbour). It may be iterated more than once.
+struct Neighbours {
+  std::span<const graph::Incidence> incident;
+  const std::uint64_t* states;  ///< indexed by node id
+  const std::uint32_t* mask;
+  std::uint32_t epoch;
+
+  class iterator {
+   public:
+    iterator(const Neighbours* r, const graph::Incidence* p) : r_(r), p_(p) {
+      skip();
+    }
+    Neighbour operator*() const {
+      return {p_->to, p_->edge, r_->states[p_->to]};
+    }
+    iterator& operator++() {
+      ++p_;
+      skip();
+      return *this;
+    }
+    bool operator==(const iterator& o) const { return p_ == o.p_; }
+
+   private:
+    void skip() {
+      while (r_->mask != nullptr && p_ != r_->last() &&
+             r_->mask[p_->to] != r_->epoch)
+        ++p_;
+    }
+    const Neighbours* r_;
+    const graph::Incidence* p_;
+  };
+
+  const graph::Incidence* last() const {
+    return incident.data() + incident.size();
+  }
+  iterator begin() const { return {this, incident.data()}; }
+  iterator end() const { return {this, last()}; }
+};
+
+/// A t-round LOCAL algorithm with per-node word outputs. All three rule
+/// methods must be reentrant: ball evaluation runs on the execution lanes,
+/// which call them on one algorithm object concurrently.
 class LocalAlgorithm {
  public:
   virtual ~LocalAlgorithm() = default;
 
   virtual std::string name() const = 0;
 
-  /// The round complexity t on graph `g` (may depend on n).
+  /// The round count t on graph `g` (may depend on n).
   virtual unsigned radius(const graph::Graph& g) const = 0;
 
-  /// The output of ball.center given exactly its radius-t ball. Must be
-  /// reentrant: ball evaluation runs on the execution lanes, which call
-  /// compute() on one algorithm object concurrently for different balls.
-  virtual std::uint64_t compute(const BallView& ball) const = 0;
+  /// v's state before round 0.
+  virtual std::uint64_t init(graph::NodeId v) const = 0;
+
+  /// v's state after round `round`, from its own and its neighbours'
+  /// states after the previous one.
+  virtual std::uint64_t step(unsigned round, graph::NodeId v,
+                             std::uint64_t state,
+                             const Neighbours& neighbours) const = 0;
+
+  /// v's output from its state after the last round (by default the
+  /// state itself).
+  virtual std::uint64_t output(graph::NodeId, std::uint64_t state) const {
+    return state;
+  }
 };
 
-/// Reference semantics: evaluate compute() on the true ball of every node
-/// (no messages, no metering). All execution paths must agree with this.
+/// Reference semantics: radius(g) rounds of the rule over all of G, in
+/// O(t·m) (no messages, no metering). All execution paths must agree with
+/// this.
 std::vector<std::uint64_t> run_reference(const graph::Graph& g,
                                          const LocalAlgorithm& alg);
-
-/// Build the BallView of one node (exposed for algorithm unit tests).
-BallView make_ball(const graph::Graph& g, graph::NodeId center,
-                   unsigned radius);
 
 }  // namespace fl::localsim

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/distributed_sampler.hpp"
-#include "graph/algorithms.hpp"
 #include "localsim/tlocal_broadcast.hpp"
 #include "sim/exec.hpp"
 #include "util/assert.hpp"
@@ -12,68 +11,85 @@
 namespace fl::localsim {
 
 using graph::Graph;
-using graph::kUnreachable;
 using graph::NodeId;
 
 namespace {
 
-/// BFS from `center` bounded at `radius`, restricted to nodes whose mask
-/// epoch matches — i.e. the subgraph induced by the collected origin set.
-/// When the collected set covers B_G(center, radius) this equals the true
-/// ball (shortest paths of length <= radius stay inside the ball); when
-/// coverage is violated the computed outputs may differ from the reference,
-/// which is exactly how a broken spanner manifests and what tests detect.
-std::vector<std::uint32_t> restricted_bfs(const Graph& g, NodeId center,
-                                          unsigned radius,
-                                          const std::vector<unsigned>& mask,
-                                          unsigned epoch) {
-  std::vector<std::uint32_t> dist(g.num_nodes(), kUnreachable);
-  if (mask[center] != epoch) return dist;
-  std::vector<NodeId> frontier{center};
-  dist[center] = 0;
-  std::vector<NodeId> next;
-  for (unsigned d = 0; d < radius && !frontier.empty(); ++d) {
-    next.clear();
-    for (const NodeId v : frontier) {
-      for (const auto& inc : g.incident(v)) {
-        if (mask[inc.to] != epoch || dist[inc.to] != kUnreachable) continue;
-        dist[inc.to] = d + 1;
-        next.push_back(inc.to);
-      }
-    }
-    frontier.swap(next);
-  }
-  return dist;
-}
-
-/// Evaluate the algorithm at every node from its collected origin set.
+/// Evaluate the algorithm at every node from its collected origin set: run
+/// the round rule on the subgraph induced by reached[v]. When the set
+/// covers B_G(v, t) this is v's true t-round output (paths of length <= t
+/// from v stay inside the ball); when coverage is violated the output may
+/// differ from the reference, which is exactly how a broken spanner
+/// manifests and what tests detect.
+///
+/// Round r steps only the nodes within t-1-r hops of v: nothing farther
+/// out reaches v in the t-1-r rounds left. A BFS inside reached[v] places
+/// those nodes layer by layer, to depth t-1 only, and stops once every
+/// reached node is placed. A stepped node's reached neighbours lie within
+/// t hops, so in round r each was stepped in round r-1 (or holds its init
+/// state, in round 0), and the rule reads no state it was not given.
+///
 /// Balls are independent, so the nodes are cut into contiguous shards, one
 /// per execution lane (FL_SIM_THREADS, as for the broadcast's Network),
-/// weighted by ball size. Each lane keeps its own epoch mask and writes
-/// out[v] only for the nodes it owns, so outputs do not depend on the lane
-/// count.
+/// weighted by ball size. Each lane reuses one scratch set across its
+/// nodes and writes out[v] only for the nodes it owns, so outputs do not
+/// depend on the lane count.
 std::vector<std::uint64_t> evaluate_from_collections(
     const Graph& g, const LocalAlgorithm& alg, unsigned t,
     const std::vector<std::vector<NodeId>>& reached) {
   const NodeId n = g.num_nodes();
-  std::vector<std::uint64_t> out(n);
+  std::vector<std::uint64_t> out(n), init(n);
   std::vector<std::uint64_t> weights(n);
-  for (NodeId v = 0; v < n; ++v) weights[v] = reached[v].size() + 1;
+  for (NodeId v = 0; v < n; ++v) {
+    init[v] = alg.init(v);
+    weights[v] = reached[v].size() + 1;
+  }
   const auto shards =
       sim::partition_nodes(n, sim::default_parallel_config(), weights);
   sim::ExecPool pool(static_cast<unsigned>(shards.size()));
   pool.run([&](unsigned lane) {
     const sim::ShardRange range = shards[lane];
-    std::vector<unsigned> mask(n, 0);
+    // in_ball[u] == v + 1 iff u is in reached[v]; placed[u] == v + 1 iff
+    // the BFS from v placed u. A stepped node writes states[r % 2] in
+    // round r and reads the previous round's array (init in round 0).
+    std::vector<std::uint32_t> in_ball(n, 0), placed(n, 0);
+    std::vector<std::uint64_t> states[2] = {std::vector<std::uint64_t>(n),
+                                            std::vector<std::uint64_t>(n)};
+    std::vector<NodeId> order;           // placed nodes, layer by layer
+    std::vector<std::size_t> layer_end;  // order[0, layer_end[d]): depth <= d
     for (NodeId v = range.begin; v < range.end; ++v) {
-      const unsigned epoch = v + 1;
-      for (const NodeId u : reached[v]) mask[u] = epoch;
-      BallView ball;
-      ball.g = &g;
-      ball.center = v;
-      ball.radius = t;
-      ball.dist = restricted_bfs(g, v, t, mask, epoch);
-      out[v] = alg.compute(ball);
+      const std::uint32_t epoch = v + 1;
+      for (const NodeId u : reached[v]) in_ball[u] = epoch;
+      order.assign(1, v);
+      placed[v] = epoch;
+      layer_end.clear();
+      for (std::size_t head = 0; layer_end.size() + 1 < t &&
+                                 order.size() < reached[v].size();) {
+        const std::size_t tail = order.size();
+        for (; head < tail; ++head)
+          for (const auto& inc : g.incident(order[head]))
+            if (in_ball[inc.to] == epoch && placed[inc.to] != epoch) {
+              placed[inc.to] = epoch;
+              order.push_back(inc.to);
+            }
+        layer_end.push_back(tail);
+      }
+      layer_end.resize(t, order.size());
+      // A ball that holds every node needs no filter; skipping it halves
+      // the neighbour scans on dense graphs, whose balls are whole.
+      const std::uint32_t* mask =
+          reached[v].size() == n ? nullptr : in_ball.data();
+      const std::uint64_t* prev = init.data();
+      for (unsigned r = 0; r < t; ++r) {
+        std::uint64_t* cur = states[r % 2].data();
+        for (std::size_t i = 0; i < layer_end[t - 1 - r]; ++i) {
+          const NodeId u = order[i];
+          cur[u] = alg.step(r, u, prev[u],
+                            Neighbours{g.incident(u), prev, mask, epoch});
+        }
+        prev = cur;
+      }
+      out[v] = alg.output(v, prev[v]);
     }
   });
   return out;

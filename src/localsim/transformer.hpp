@@ -7,10 +7,12 @@
 //      H, α = 2·3^γ − 1, costing O(6^γ)-ish rounds and Õ(n^{1+...}) msgs;
 //   2. αt-local broadcast over H (Lemma 12): every node learns
 //      B_H(v, αt) ⊇ B_G(v, t);
-//   3. every node locally evaluates A on its collected ball — free in the
-//      LOCAL model.
+//   3. every node runs A's round rule on its collected ball for t rounds,
+//      stepping in round r only the ball nodes within t−1−r hops of
+//      itself — local computation, free in the LOCAL model.
 // The native execution for comparison floods over G for t rounds: Θ(t·m)
-// messages. Outputs of both paths are verified equal to run_reference().
+// messages. Outputs of both paths are verified equal to run_reference(),
+// one global run of the same rule over G.
 #pragma once
 
 #include <cstdint>

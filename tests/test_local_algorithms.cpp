@@ -144,14 +144,108 @@ TEST(LocalMin, AtLeastOneMinimumExists) {
   EXPECT_GE(minima, 1u);  // node 0 is always a local minimum
 }
 
-TEST(BallView, MakeBallMatchesBfs) {
-  util::Xoshiro256 rng(29);
-  const Graph g = graph::erdos_renyi_gnm(80, 300, rng);
-  const auto ball = localsim::make_ball(g, 5, 2);
-  const auto dist = graph::bfs_distances_bounded(g, 5, 2);
-  EXPECT_EQ(ball.dist, dist);
-  EXPECT_EQ(ball.center, 5u);
-  EXPECT_EQ(ball.radius, 2u);
+// ---------------------------------------------- independent phase oracles
+//
+// Global Luby and maximal matching in their original phase form, where a
+// phase is one synchronous step over all of G that reads two hops (a node
+// joins and its neighbours drop out, or an edge wins and both ends match).
+// They share no code with the round rules; only the coin formulas are the
+// algorithms' specification. A rule's 2p LOCAL rounds must equal p phases.
+
+std::uint64_t luby_coin(std::uint64_t seed, NodeId v, unsigned phase) {
+  return util::SplitMix64::combine(util::SplitMix64::combine(seed, v), phase);
+}
+
+std::vector<std::uint64_t> luby_phase_oracle(const Graph& g,
+                                             std::uint64_t seed,
+                                             unsigned phases) {
+  constexpr std::uint64_t kOut = 0, kIn = 1, kUndecided = 2;
+  std::vector<std::uint64_t> st(g.num_nodes(), kUndecided);
+  for (unsigned p = 0; p < phases; ++p) {
+    std::vector<NodeId> joiners;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (st[v] != kUndecided) continue;
+      bool wins = true;
+      for (const auto& inc : g.incident(v)) {
+        const NodeId w = inc.to;
+        if (st[w] != kUndecided) continue;
+        const auto cv = luby_coin(seed, v, p), cw = luby_coin(seed, w, p);
+        if (cw > cv || (cw == cv && w > v)) wins = false;
+      }
+      if (wins) joiners.push_back(v);
+    }
+    for (const NodeId v : joiners) st[v] = kIn;
+    for (const NodeId v : joiners)
+      for (const auto& inc : g.incident(v))
+        if (st[inc.to] == kUndecided) st[inc.to] = kOut;
+  }
+  return st;
+}
+
+std::uint64_t matching_coin(std::uint64_t seed, graph::EdgeId e,
+                            unsigned phase) {
+  return util::SplitMix64::combine(
+      util::SplitMix64::combine(seed ^ 0xabcdef12345ULL, e), phase);
+}
+
+std::vector<std::uint64_t> matching_phase_oracle(const Graph& g,
+                                                 std::uint64_t seed,
+                                                 unsigned phases) {
+  std::vector<NodeId> partner(g.num_nodes(), graph::kInvalidNode);
+  auto free = [&](NodeId v) { return partner[v] == graph::kInvalidNode; };
+  for (unsigned p = 0; p < phases; ++p) {
+    // The phase's winners: live edges (both ends free) whose (coin, id)
+    // beats every other live edge at both ends.
+    auto beats = [&](graph::EdgeId a, graph::EdgeId b) {
+      const auto ca = matching_coin(seed, a, p), cb = matching_coin(seed, b, p);
+      return ca > cb || (ca == cb && a > b);
+    };
+    std::vector<graph::EdgeId> winners;
+    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+      const auto [u, v] = g.endpoints(e);
+      if (!free(u) || !free(v)) continue;
+      bool wins = true;
+      for (const NodeId end : {u, v})
+        for (const auto& inc : g.incident(end))
+          if (inc.edge != e && free(inc.to) && beats(inc.edge, e))
+            wins = false;
+      if (wins) winners.push_back(e);
+    }
+    for (const graph::EdgeId e : winners) {
+      const auto [u, v] = g.endpoints(e);
+      partner[u] = v;
+      partner[v] = u;
+    }
+  }
+  std::vector<std::uint64_t> out(g.num_nodes(), 0);
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    if (!free(v)) out[v] = static_cast<std::uint64_t>(partner[v]) + 1;
+  return out;
+}
+
+std::vector<Graph> oracle_graphs() {
+  util::Xoshiro256 rng(3);
+  std::vector<Graph> out;
+  out.push_back(graph::erdos_renyi_gnm(600, 1800, rng));
+  out.push_back(graph::grid(32, 32));
+  return out;
+}
+
+TEST(LubyMis, TwoRoundsPerPhaseMatchPhaseOracle) {
+  for (const Graph& g : oracle_graphs())
+    for (unsigned p = 1; p <= 3; ++p)
+      EXPECT_EQ(localsim::run_reference(g, localsim::LubyMis(11, 2 * p)),
+                luby_phase_oracle(g, 11, p))
+          << g.summary() << " phases=" << p;
+}
+
+TEST(MaximalMatching, TwoRoundsPerPhaseMatchPhaseOracle) {
+  for (const Graph& g : oracle_graphs())
+    for (unsigned p = 1; p <= 3; ++p)
+      EXPECT_EQ(
+          localsim::run_reference(g, localsim::MaximalMatching(11, 2 * p)),
+          matching_phase_oracle(g, 11, p))
+          << g.summary() << " phases=" << p;
 }
 
 }  // namespace

@@ -27,23 +27,36 @@ namespace {
 using core::SamplerConfig;
 using graph::Graph;
 
-std::vector<std::unique_ptr<localsim::LocalAlgorithm>> payloads() {
+/// All six local algorithms, each run for t rounds.
+std::vector<std::unique_ptr<localsim::LocalAlgorithm>> payloads(unsigned t) {
   std::vector<std::unique_ptr<localsim::LocalAlgorithm>> out;
-  out.push_back(std::make_unique<localsim::LubyMis>(101, 6));
-  out.push_back(std::make_unique<localsim::GreedyColoring>(103, 5));
-  out.push_back(std::make_unique<localsim::BfsLayers>(3));
-  out.push_back(std::make_unique<localsim::LeaderElection>(2));
-  out.push_back(std::make_unique<localsim::LocalMin>(2));
+  out.push_back(std::make_unique<localsim::LubyMis>(101, t));
+  out.push_back(std::make_unique<localsim::GreedyColoring>(103, t));
+  out.push_back(std::make_unique<localsim::BfsLayers>(t));
+  out.push_back(std::make_unique<localsim::LeaderElection>(t));
+  out.push_back(std::make_unique<localsim::LocalMin>(t));
+  out.push_back(std::make_unique<localsim::MaximalMatching>(107, t));
   return out;
 }
 
 TEST(Transformer, NativeMatchesReference) {
+  // Native flooding, and flooding over a Baswana–Sen spanner (k = 2,
+  // stretch 3) that drops edges, must both reproduce the global run.
   util::Xoshiro256 rng(3);
-  const Graph g = graph::erdos_renyi_gnm(150, 900, rng);
-  for (const auto& alg : payloads()) {
-    const auto native = localsim::run_native(g, *alg, 7);
-    const auto ref = localsim::run_reference(g, *alg);
-    EXPECT_EQ(native.outputs, ref) << alg->name();
+  for (const Graph& g : {graph::erdos_renyi_gnm(150, 900, rng),
+                         graph::barabasi_albert(150, 2, rng)}) {
+    const auto bs = baseline::build_baswana_sen(g, 2, 59);
+    ASSERT_LT(bs.edges.size(), g.num_edges()) << g.summary();
+    for (unsigned t = 1; t <= 4; ++t) {
+      for (const auto& alg : payloads(t)) {
+        const auto ref = localsim::run_reference(g, *alg);
+        const auto native = localsim::run_native(g, *alg, 7);
+        const auto over = localsim::run_over_spanner(g, *alg, bs.edges,
+                                                     bs.stretch_bound(), 7);
+        EXPECT_EQ(native.outputs, ref) << alg->name() << " t=" << t;
+        EXPECT_EQ(over.outputs, ref) << alg->name() << " t=" << t;
+      }
+    }
   }
 }
 
@@ -52,7 +65,7 @@ TEST(Transformer, SimulatedMatchesReference) {
   util::Xoshiro256 rng(5);
   const Graph g = graph::erdos_renyi_gnm(150, 1200, rng);
   const auto cfg = SamplerConfig::paper_faithful(1, 2, 11);
-  for (const auto& alg : payloads()) {
+  for (const auto& alg : payloads(3)) {
     const auto sim = localsim::run_simulated(g, *alg, cfg);
     const auto ref = localsim::run_reference(g, *alg);
     EXPECT_EQ(sim.outputs, ref) << alg->name();
@@ -138,6 +151,17 @@ TEST(Transformer, RunOverSpannerWithWholeGraphIsNative) {
   EXPECT_EQ(over.messages, native.messages);
 }
 
+TEST(Transformer, BallEvaluationReadsOnlyCollectedNodes) {
+  // Over an empty subgraph every node collects only itself, so it must
+  // evaluate as if isolated, whatever G's topology: its own id leads.
+  util::Xoshiro256 rng(37);
+  const Graph g = graph::erdos_renyi_gnm(60, 240, rng);
+  const localsim::LeaderElection alg(2);
+  const auto rep = localsim::run_over_spanner(g, alg, {}, 1.0, 43);
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v)
+    EXPECT_EQ(rep.outputs[v], v);
+}
+
 TEST(Transformer, TwoStagePipelineMatchesReference) {
   // Theorem 3 second branch in miniature: stage 1 = Sampler spanner H;
   // stage 2 = the Voronoi nearly-additive construction *expressed as a
@@ -200,29 +224,31 @@ std::uint64_t local_output_hash(const std::vector<std::uint64_t>& reference,
 }
 
 /// Output golden for the local algorithms and the transformer's last two
-/// steps: any change to an algorithm's compute(), to what a broadcast
+/// steps: any change to an algorithm's round rule, to what a broadcast
 /// collects, or to how a node evaluates its collected ball fails here. The
-/// harness only compares the transform against run_reference, which calls
-/// the same compute(), so a change to compute() alone would pass it.
+/// harness only compares the transform against run_reference, a global run
+/// of the same rule, so a change to a rule alone would pass it; the phase
+/// oracles in test_local_algorithms.cpp cover LubyMis and MaximalMatching
+/// independently.
 TEST(LocalAlgorithmGolden, OutputsMatchPinnedHashes) {
   using graph::Family;
   const sim::CongestConfig local{};
   const sim::CongestConfig budget2{2};
   const LocalGoldenPoint points[] = {
       {Family::ErdosRenyi, 150, 16, 3, 2, local,
-       {0xc7d79da1e067e645ull, 0x6e2656ab2288f1a5ull, 0xe470b0f55f2b1045ull,
-        0x8c359051dbd45965ull, 0x35cb8d2ba5dfe6c5ull, 0x8ad220ec4d2bc9c5ull}},
+       {0x2cb0655c0fe8fe85ull, 0x6e2656ab2288f1a5ull, 0xe470b0f55f2b1045ull,
+        0x8c359051dbd45965ull, 0x35cb8d2ba5dfe6c5ull, 0xd2b26db3da5ba9e5ull}},
       {Family::Grid, 144, 0, 1, 3, local,
-       {0xc2eb59f6ecae0ad9ull, 0x24dc3d0e5c43ed99ull, 0xfce29c7eeeed2b43ull,
-        0x33f08de52b5fa3baull, 0xca49de802c9c597aull, 0xa7c1913aa78a43a3ull}},
+       {0xeb34ba1622708e19ull, 0x24dc3d0e5c43ed99ull, 0xfce29c7eeeed2b43ull,
+        0x33f08de52b5fa3baull, 0xca49de802c9c597aull, 0xd21231b5a0c5dd83ull}},
       {Family::BarabasiAlbert, 150, 4, 5, 2, local,
-       {0x57f0b506bb9fb2c5ull, 0xbf733bb19d52e485ull, 0x6404d30b8b8fc885ull,
-        0x8d9ea38f2b563e5full, 0xcc13333bb5ab21ffull, 0xa453a2b64c653645ull}},
+       {0xfdf86b32278f7985ull, 0xbf733bb19d52e485ull, 0x6404d30b8b8fc885ull,
+        0x8d9ea38f2b563e5full, 0xcc13333bb5ab21ffull, 0x2b012753b928f5e5ull}},
       // A binding budget stretches the rounds but not what is collected,
       // so this point pins the same hashes as the first one.
       {Family::ErdosRenyi, 150, 16, 3, 2, budget2,
-       {0xc7d79da1e067e645ull, 0x6e2656ab2288f1a5ull, 0xe470b0f55f2b1045ull,
-        0x8c359051dbd45965ull, 0x35cb8d2ba5dfe6c5ull, 0x8ad220ec4d2bc9c5ull}},
+       {0x2cb0655c0fe8fe85ull, 0x6e2656ab2288f1a5ull, 0xe470b0f55f2b1045ull,
+        0x8c359051dbd45965ull, 0x35cb8d2ba5dfe6c5ull, 0xd2b26db3da5ba9e5ull}},
   };
   const auto algs = golden_algorithms();
   for (const auto& p : points) {
