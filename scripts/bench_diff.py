@@ -93,7 +93,12 @@ def parse_concatenated_json(text: str):
 
 
 def committed_version(path: Path) -> str | None:
-    rel = path.resolve().relative_to(REPO)
+    """The snapshot's text at HEAD, or None when it has none (uncommitted,
+    or a path outside the repository)."""
+    try:
+        rel = path.resolve().relative_to(REPO)
+    except ValueError:
+        return None
     res = subprocess.run(
         ["git", "-C", str(REPO), "show", f"HEAD:{rel.as_posix()}"],
         capture_output=True, text=True)

@@ -99,4 +99,15 @@ done
 python3 scripts/bench_diff.py --lint-schema
 python3 scripts/bench_diff.py
 
+# A snapshot outside the repository has no committed baseline: bench_diff
+# must say so and go on, not abort the whole diff.
+outside="$(mktemp -d)"
+cp BENCH_e1.json "$outside/"
+out="$(python3 scripts/bench_diff.py "$outside/BENCH_e1.json")" \
+  || { echo "check.sh: bench_diff failed on a snapshot outside the repo"; rm -rf "$outside"; exit 1; }
+rm -rf "$outside"
+grep -qF "BENCH_e1.json: not committed yet, no baseline" <<<"$out" \
+  || { echo "check.sh: bench_diff printed no no-baseline line for a snapshot outside the repo"; exit 1; }
+echo "check.sh: bench_diff reports no baseline for a snapshot outside the repo"
+
 echo "check.sh: all green"

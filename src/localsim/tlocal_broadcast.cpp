@@ -1,5 +1,10 @@
+// t-local broadcast: the flooding program behind run_tlocal_broadcast.
+// Bundles carry their origins as 64-origin blocks and each node keeps its
+// known set as a bitset of the same blocks; every send bills the number of
+// origins in the bundle (one LOCAL word per ID), not the encoding's size.
 #include "localsim/tlocal_broadcast.hpp"
 
+#include <bit>
 #include <memory>
 #include <utility>
 
@@ -15,13 +20,21 @@ using graph::NodeId;
 
 namespace {
 
+/// One 64-origin block of a bundle: bit b of `bits` stands for origin
+/// 64·index + b.
+struct OriginBlock {
+  std::uint32_t index;
+  std::uint64_t bits;
+};
+
 struct MsgOrigins {
-  std::shared_ptr<const std::vector<NodeId>> origins;
+  std::shared_ptr<const std::vector<OriginBlock>> blocks;
 };
 
 // The bundle's content: the origins its sender learned in the previous
-// logical round.
-FL_WIRE_FIELDS(MsgOrigins, origins);
+// logical round, as nonzero blocks in no particular order. Its word bill
+// is the sum of the blocks' popcounts.
+FL_WIRE_FIELDS(MsgOrigins, blocks);
 
 /// Per-node flooding program over a fixed incident edge subset. The flood
 /// runs R logical rounds. At the start of each, a node sends everything it
@@ -32,40 +45,41 @@ FL_WIRE_FIELDS(MsgOrigins, origins);
 /// each node has learned exactly the origins at H-distance r in logical
 /// round r, under any delivery schedule. In LOCAL mode that is every step:
 /// logical and engine rounds coincide.
+///
+/// The known set is a bitset of 64-origin blocks, so a received block
+/// merges in one word operation. The first time a block gains bits in the
+/// open logical round, the node records the block's old mask (and a dirty
+/// flag, so it is recorded once); at send time the block's new origins are
+/// its current mask minus that old one.
 class FloodNode final : public sim::NodeProgram {
  public:
   FloodNode(NodeId self, std::shared_ptr<const std::vector<bool>> edge_in,
             unsigned rounds, NodeId n)
       : self_(self), edge_in_(std::move(edge_in)), rounds_(rounds), n_(n) {}
 
-  /// One ascending scan of the known set extracts it already sorted.
+  /// One ascending scan of the nonzero blocks extracts the set sorted.
   std::vector<NodeId> known_sorted() const {
     std::vector<NodeId> out;
     out.reserve(known_count_);
-    for (NodeId u = 0; u < n_; ++u)
-      if (known_[u]) out.push_back(u);
+    for (std::size_t i = 0; i < known_.size(); ++i)
+      for (std::uint64_t w = known_[i]; w != 0; w &= w - 1)
+        out.push_back(static_cast<NodeId>(64 * i + std::countr_zero(w)));
     return out;
   }
 
   void on_start(sim::Context& ctx) override {
-    known_.assign(n_, false);
-    known_[self_] = true;
-    known_count_ = 1;
-    pending_.push_back(self_);
+    known_.assign((static_cast<std::size_t>(n_) + 63) / 64, 0);
+    dirty_.assign((known_.size() + 63) / 64, 0);
+    learn(self_ / 64, std::uint64_t{1} << (self_ % 64), true);
     if (rounds_ > 0) send_pending(ctx);
   }
 
   void on_round(sim::Context& ctx, sim::InboxView inbox) override {
     // What the last logical round brings is never sent on.
     const bool forward = closed_ + 1 < rounds_;
-    for (const auto& m : inbox) {
-      for (const NodeId id : *sim::payload_as<MsgOrigins>(m).origins) {
-        if (known_[id]) continue;
-        known_[id] = true;
-        ++known_count_;
-        if (forward) pending_.push_back(id);
-      }
-    }
+    for (const auto& m : inbox)
+      for (const OriginBlock& b : *sim::payload_as<MsgOrigins>(m).blocks)
+        learn(b.index, b.bits, forward);
     // Every bundle of the open logical round has arrived: close it, and
     // open the next one unless it was the last.
     if (closed_ < rounds_ && ctx.all_delivered()) {
@@ -77,14 +91,36 @@ class FloodNode final : public sim::NodeProgram {
   bool done() const override { return closed_ == rounds_; }
 
  private:
+  /// Merges one block of origins into the known set; with `forward`, the
+  /// new ones are queued for the next send.
+  void learn(std::uint32_t i, std::uint64_t bits, bool forward) {
+    const std::uint64_t fresh = bits & ~known_[i];
+    if (fresh == 0) return;
+    if (forward) {
+      std::uint64_t& flags = dirty_[i / 64];
+      const std::uint64_t flag = std::uint64_t{1} << (i % 64);
+      if ((flags & flag) == 0) {
+        flags |= flag;
+        pending_.push_back({i, known_[i]});
+      }
+    }
+    known_[i] |= fresh;
+    known_count_ += static_cast<std::size_t>(std::popcount(fresh));
+  }
+
   void send_pending(sim::Context& ctx) {
     if (pending_.empty()) return;
-    auto batch = std::make_shared<const std::vector<NodeId>>(
+    std::uint32_t words = 0;
+    for (OriginBlock& b : pending_) {
+      dirty_[b.index / 64] &= ~(std::uint64_t{1} << (b.index % 64));
+      b.bits = known_[b.index] & ~b.bits;  // old mask -> new origins
+      words += static_cast<std::uint32_t>(std::popcount(b.bits));
+    }
+    auto batch = std::make_shared<const std::vector<OriginBlock>>(
         std::exchange(pending_, {}));
     for (const EdgeId e : ctx.incident_edges()) {
       if (!(*edge_in_)[e]) continue;
-      ctx.send(e, MsgOrigins{batch},
-               static_cast<std::uint32_t>(batch->size()));
+      ctx.send(e, MsgOrigins{batch}, words);
     }
   }
 
@@ -92,10 +128,14 @@ class FloodNode final : public sim::NodeProgram {
   std::shared_ptr<const std::vector<bool>> edge_in_;
   unsigned rounds_;
   NodeId n_;
-  unsigned closed_ = 0;          // logical rounds ended so far
-  std::size_t known_count_ = 0;  // |{u : known_[u]}|
-  std::vector<bool> known_;      // known_[u]: origin u has reached this node
-  std::vector<NodeId> pending_;  // learned in the open logical round
+  unsigned closed_ = 0;               // logical rounds ended so far
+  std::size_t known_count_ = 0;       // set bits in known_
+  std::vector<std::uint64_t> known_;  // bit u: origin u has reached this node
+  std::vector<std::uint64_t> dirty_;  // bit i: block i is in pending_
+  // Blocks that gained origins in the open logical round, each holding its
+  // mask from before the first gain until send_pending turns it into the
+  // gained origins.
+  std::vector<OriginBlock> pending_;
 };
 
 }  // namespace

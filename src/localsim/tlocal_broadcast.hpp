@@ -10,6 +10,12 @@
 // Õ(t · n^{1+ε}) of Lemma 12; with H = G and R = t it is the Θ(t·m)
 // baseline.
 //
+// A bundle encodes its origin set as 64-origin blocks: (block index,
+// 64-bit mask) pairs, so a receiver merges 64 origins per machine word.
+// Its word bill is still the number of origins it carries (one LOCAL word
+// per ID), not the size of that encoding, so messages and words are those
+// of a plain ID list.
+//
 // A logical round ends on the first engine round at which nothing is
 // parked in a congest calendar. In LOCAL mode that is every round, so
 // logical and engine rounds coincide. Under an enforced CONGEST budget

@@ -2,12 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
+#include "baseline/baswana_sen.hpp"
 #include "core/config.hpp"
 #include "core/sampler.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "localsim/tlocal_broadcast.hpp"
+#include "sim/congest.hpp"
 #include "util/rng.hpp"
 
 namespace fl {
@@ -62,6 +66,55 @@ TEST(TLocalBroadcast, MessageCountBoundedByEdgesTimesRounds) {
   const auto run =
       localsim::run_tlocal_broadcast(g, localsim::all_edges(g), t, 13);
   EXPECT_LE(run.stats.messages, 2ull * g.num_edges() * t);
+}
+
+TEST(TLocalBroadcast, BillEqualsSphereSums) {
+  // The exact bill, from BFS alone: in logical round r < R node v sends its
+  // sphere S_r(v) (the H-nodes at distance exactly r) over each of its
+  // deg_H(v) H-edges, if S_r(v) is nonempty. So
+  //   messages = sum_v sum_{r<R} [S_r(v) != {}] * deg_H(v),
+  //   words    = sum_v sum_{r<R} |S_r(v)| * deg_H(v),
+  // under any budget. No n below is a multiple of 64, so 64-origin blocks
+  // straddle rows and the last block is partial.
+  util::Xoshiro256 rng(41);
+  const Graph er = graph::erdos_renyi_gnm(130, 700, rng);
+  const Graph grid = graph::grid(3, 67);
+  const Graph er200 = graph::erdos_renyi_gnm(200, 1600, rng);
+  const auto bs = baseline::build_baswana_sen(er200, 2, 43);
+  struct Case {
+    const char* name;
+    const Graph& g;
+    std::vector<graph::EdgeId> edges;
+  };
+  const Case cases[] = {{"er130", er, localsim::all_edges(er)},
+                        {"grid3x67", grid, localsim::all_edges(grid)},
+                        {"bs_k2_er200", er200, bs.edges}};
+  for (const Case& c : cases) {
+    const graph::SubgraphView h(c.g, c.edges);
+    for (unsigned rounds = 0; rounds <= 5; ++rounds) {
+      std::uint64_t messages = 0;
+      std::uint64_t words = 0;
+      for (NodeId v = 0; v < c.g.num_nodes(); ++v) {
+        const std::uint64_t deg = h.incident(v).size();
+        std::vector<std::uint64_t> sphere(rounds, 0);
+        for (const std::uint32_t d : h.bfs_distances_bounded(v, rounds))
+          if (d < rounds) ++sphere[d];
+        for (const std::uint64_t size : sphere) {
+          messages += size > 0 ? deg : 0;
+          words += size * deg;
+        }
+      }
+      for (const std::uint64_t budget :
+           {sim::CongestConfig::kUnlimited, std::uint64_t{1}}) {
+        const auto run = localsim::run_tlocal_broadcast(
+            c.g, c.edges, rounds, 47, sim::CongestConfig{budget});
+        EXPECT_EQ(run.stats.messages, messages)
+            << c.name << " R=" << rounds << " budget=" << budget;
+        EXPECT_EQ(run.metrics.words_total, words)
+            << c.name << " R=" << rounds << " budget=" << budget;
+      }
+    }
+  }
 }
 
 TEST(TLocalBroadcast, SpannerBroadcastCoversGBall) {
