@@ -79,16 +79,21 @@ every send) and FL011 (raw-transport, which fenced the socket API inside
 the deleted TCP delivery backend).
 
 Violations that are understood and accepted live in the tracked allowlist
-(``scripts/fl_lint_allowlist.txt``); everything else fails the build.
+(``scripts/fl_lint_allowlist.txt``); everything else fails the build. So
+does an allowlist entry that suppresses no finding: a fixed violation must
+take its exemption with it.
 
 Usage:
   fl_lint.py [--root REPO] [--allowlist FILE]   lint src/, exit 1 on findings
+                                                or stale allowlist entries
   fl_lint.py --self-test                        prove each check still fires
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import re
 import sys
@@ -397,8 +402,11 @@ def load_allowlist(path: str) -> list:
     return entries
 
 
-def suppressed(finding: Finding, source_lines: list, allow: list) -> bool:
-    for check, path_suffix, substr in allow:
+def suppressed(finding: Finding, source_lines: list, allow: list,
+               used: set) -> bool:
+    """True when an allowlist entry covers the finding; the first such
+    entry's index goes into `used`."""
+    for i, (check, path_suffix, substr) in enumerate(allow):
         if check != finding.check:
             continue
         if not finding.path.endswith(path_suffix):
@@ -408,13 +416,14 @@ def suppressed(finding: Finding, source_lines: list, allow: list) -> bool:
                     if finding.line <= len(source_lines) else "")
             if substr not in text:
                 continue
+        used.add(i)
         return True
     return False
 
 
 # ---------------------------------------------------------------------- main
 
-def lint_file(path: str, rel: str, allow: list) -> list:
+def lint_file(path: str, rel: str, allow: list, used=None) -> list:
     with open(path, encoding="utf-8") as f:
         text = f.read()
     code = strip_comments(text)
@@ -428,7 +437,8 @@ def lint_file(path: str, rel: str, allow: list) -> list:
     findings += check_oracle_reads(rel, code)
     findings += check_local_reads(rel, code)
     lines = text.split("\n")
-    return [f for f in findings if not suppressed(f, lines, allow)]
+    used = set() if used is None else used
+    return [f for f in findings if not suppressed(f, lines, allow, used)]
 
 
 def lint_tree(root: str, allowlist_path: str) -> int:
@@ -438,16 +448,24 @@ def lint_tree(root: str, allowlist_path: str) -> int:
         print(f"fl_lint: no src/ under {root}", file=sys.stderr)
         return 2
     findings = []
+    used = set()
     for dirpath, _, files in os.walk(src):
         for name in sorted(files):
             if not name.endswith((".hpp", ".cpp", ".h", ".cc")):
                 continue
             path = os.path.join(dirpath, name)
             rel = os.path.relpath(path, root)
-            findings += lint_file(path, rel, allow)
+            findings += lint_file(path, rel, allow, used)
     findings.sort(key=lambda f: (f.path, f.line))
     for f in findings:
         print(f)
+    # An entry that suppressed nothing is a dead exemption: the violation
+    # it excused is gone, and the allowlist no longer records the tree.
+    stale = [e for i, e in enumerate(allow) if i not in used]
+    for check, path_suffix, substr in stale:
+        print(f"{allowlist_path}: stale allowlist entry suppresses no "
+              f"finding: {check} {path_suffix}"
+              + (f" {substr!r}" if substr is not None else ""))
     if findings:
         counts = {}
         for f in findings:
@@ -455,8 +473,10 @@ def lint_tree(root: str, allowlist_path: str) -> int:
         summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
         print(f"fl_lint: {len(findings)} finding(s) ({summary})",
               file=sys.stderr)
-        return 1
-    return 0
+    if stale:
+        print(f"fl_lint: {len(stale)} stale allowlist entr"
+              f"{'y' if len(stale) == 1 else 'ies'}", file=sys.stderr)
+    return 1 if findings or stale else 0
 
 
 # ------------------------------------------------------------------ selftest
@@ -596,12 +616,27 @@ def self_test() -> int:
         if got:
             failures.append(f"allowlist did not suppress: "
                             f"{[str(f) for f in got]}")
+        # An entry that suppresses nothing fails the tree and is named; the
+        # live entry beside it is not.
+        allowlist = write_fixture(
+            "allowlist.txt",
+            "FL001 src/allowed.cpp\n"
+            "FL003 src/allowed.cpp per_cluster\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = lint_tree(tmp, allowlist)
+        report = out.getvalue()
+        if rc != 1 or "FL003 src/allowed.cpp 'per_cluster'" not in report \
+                or "FL001" in report:
+            failures.append(f"stale allowlist entry not reported alone: "
+                            f"rc={rc}, output {report!r}")
     for msg in failures:
         print(f"fl_lint self-test FAILED: {msg}", file=sys.stderr)
     if not failures:
         print(f"fl_lint self-test OK: {len(FIXTURES)} violation classes "
               f"fire, {len(CLEAN_FIXTURES)} clean fixtures pass, allowlist "
-              "suppresses")
+              "suppresses, stale entries fail")
     return 1 if failures else 0
 
 

@@ -2,7 +2,7 @@
 //
 // Runs as a NodeProgram on the synchronous LOCAL simulator with unique edge
 // IDs. Every physical node executes the same deterministic phase schedule,
-// computable locally from (k, h) and the promised log n bound — no global
+// computable locally from (k, h) and the n its driver hands it — no global
 // orchestrator exists, matching the model.
 //
 // Realization of the paper's simulation argument:

@@ -11,7 +11,7 @@ std::vector<std::uint64_t> run_reference(const graph::Graph& g,
   for (unsigned r = 0; r < t; ++r) {
     for (graph::NodeId v = 0; v < n; ++v)
       next[v] = alg.step(r, v, state[v],
-                         Neighbours{g.incident(v), state.data(), nullptr, 0});
+                         Neighbours{g.incident(v), state.data(), nullptr});
     state.swap(next);
   }
   for (graph::NodeId v = 0; v < n; ++v) state[v] = alg.output(v, state[v]);

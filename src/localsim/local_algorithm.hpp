@@ -43,13 +43,13 @@ struct Neighbour {
 
 /// The neighbours of one node inside the evaluated set, each with its
 /// previous-round state: a lazy view over the node's incidence list that
-/// skips the neighbours whose mask entry differs from `epoch` (a null
-/// mask keeps every neighbour). It may be iterated more than once.
+/// skips the neighbours outside `in_set`, a bitset over node ids (bit
+/// u % 64 of in_set[u / 64]); a null `in_set` keeps every neighbour. It
+/// may be iterated more than once.
 struct Neighbours {
   std::span<const graph::Incidence> incident;
   const std::uint64_t* states;  ///< indexed by node id
-  const std::uint32_t* mask;
-  std::uint32_t epoch;
+  const std::uint64_t* in_set;
 
   class iterator {
    public:
@@ -68,8 +68,8 @@ struct Neighbours {
 
    private:
     void skip() {
-      while (r_->mask != nullptr && p_ != r_->last() &&
-             r_->mask[p_->to] != r_->epoch)
+      while (r_->in_set != nullptr && p_ != r_->last() &&
+             ((r_->in_set[p_->to / 64] >> (p_->to % 64)) & 1) == 0)
         ++p_;
     }
     const Neighbours* r_;

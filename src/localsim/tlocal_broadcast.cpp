@@ -1,7 +1,8 @@
 // t-local broadcast: the flooding program behind run_tlocal_broadcast.
 // Bundles carry their origins as 64-origin blocks and each node keeps its
-// known set as a bitset of the same blocks; every send bills the number of
-// origins in the bundle (one LOCAL word per ID), not the encoding's size.
+// known set as a bitset of the same blocks, which the run moves out as the
+// node's reached set; every send bills the number of origins in the bundle
+// (one LOCAL word per ID), not the encoding's size.
 #include "localsim/tlocal_broadcast.hpp"
 
 #include <bit>
@@ -57,19 +58,12 @@ class FloodNode final : public sim::NodeProgram {
             unsigned rounds, NodeId n)
       : self_(self), edge_in_(std::move(edge_in)), rounds_(rounds), n_(n) {}
 
-  /// One ascending scan of the nonzero blocks extracts the set sorted.
-  std::vector<NodeId> known_sorted() const {
-    std::vector<NodeId> out;
-    out.reserve(known_count_);
-    for (std::size_t i = 0; i < known_.size(); ++i)
-      for (std::uint64_t w = known_[i]; w != 0; w &= w - 1)
-        out.push_back(static_cast<NodeId>(64 * i + std::countr_zero(w)));
-    return out;
-  }
+  /// Hands the known set over once the run is over.
+  OriginSet take_known() { return std::move(known_); }
 
   void on_start(sim::Context& ctx) override {
-    known_.assign((static_cast<std::size_t>(n_) + 63) / 64, 0);
-    dirty_.assign((known_.size() + 63) / 64, 0);
+    known_.words.assign((static_cast<std::size_t>(n_) + 63) / 64, 0);
+    dirty_.assign((known_.words.size() + 63) / 64, 0);
     learn(self_ / 64, std::uint64_t{1} << (self_ % 64), true);
     if (rounds_ > 0) send_pending(ctx);
   }
@@ -94,18 +88,19 @@ class FloodNode final : public sim::NodeProgram {
   /// Merges one block of origins into the known set; with `forward`, the
   /// new ones are queued for the next send.
   void learn(std::uint32_t i, std::uint64_t bits, bool forward) {
-    const std::uint64_t fresh = bits & ~known_[i];
+    std::uint64_t& word = known_.words[i];
+    const std::uint64_t fresh = bits & ~word;
     if (fresh == 0) return;
     if (forward) {
       std::uint64_t& flags = dirty_[i / 64];
       const std::uint64_t flag = std::uint64_t{1} << (i % 64);
       if ((flags & flag) == 0) {
         flags |= flag;
-        pending_.push_back({i, known_[i]});
+        pending_.push_back({i, word});
       }
     }
-    known_[i] |= fresh;
-    known_count_ += static_cast<std::size_t>(std::popcount(fresh));
+    word |= fresh;
+    known_.count += static_cast<std::size_t>(std::popcount(fresh));
   }
 
   void send_pending(sim::Context& ctx) {
@@ -113,7 +108,7 @@ class FloodNode final : public sim::NodeProgram {
     std::uint32_t words = 0;
     for (OriginBlock& b : pending_) {
       dirty_[b.index / 64] &= ~(std::uint64_t{1} << (b.index % 64));
-      b.bits = known_[b.index] & ~b.bits;  // old mask -> new origins
+      b.bits = known_.words[b.index] & ~b.bits;  // old mask -> new origins
       words += static_cast<std::uint32_t>(std::popcount(b.bits));
     }
     auto batch = std::make_shared<const std::vector<OriginBlock>>(
@@ -129,8 +124,7 @@ class FloodNode final : public sim::NodeProgram {
   unsigned rounds_;
   NodeId n_;
   unsigned closed_ = 0;               // logical rounds ended so far
-  std::size_t known_count_ = 0;       // set bits in known_
-  std::vector<std::uint64_t> known_;  // bit u: origin u has reached this node
+  OriginSet known_;                   // origins that have reached this node
   std::vector<std::uint64_t> dirty_;  // bit i: block i is in pending_
   // Blocks that gained origins in the open logical round, each holding its
   // mask from before the first gain until send_pending turns it into the
@@ -177,7 +171,7 @@ BroadcastRun run_tlocal_broadcast(const Graph& g,
   run.metrics = net.metrics();
   run.reached.reserve(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v)
-    run.reached.push_back(net.program_as<FloodNode>(v).known_sorted());
+    run.reached.push_back(net.program_as<FloodNode>(v).take_known());
   return run;
 }
 

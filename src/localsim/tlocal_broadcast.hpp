@@ -16,6 +16,11 @@
 // per ID), not the size of that encoding, so messages and words are those
 // of a plain ID list.
 //
+// Each node keeps its known set as a bitset of the same 64-origin blocks
+// (OriginSet). The run hands those bitsets out as they are, moved out of
+// the nodes: a reached set is n/64 words, not a sorted ID list, and the
+// transformer's ball evaluation tests membership on it directly.
+//
 // A logical round ends on the first engine round at which nothing is
 // parked in a congest calendar. In LOCAL mode that is every round, so
 // logical and engine rounds coincide. Under an enforced CONGEST budget
@@ -28,6 +33,7 @@
 // budgeted round counts are oracle-assisted (docs/CONTRACTS.md C13).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -38,12 +44,26 @@
 
 namespace fl::localsim {
 
+/// A set of node ids as a bitset: bit u % 64 of words[u / 64] is set iff
+/// u is in the set. `count` is the number of set bits.
+struct OriginSet {
+  std::vector<std::uint64_t> words;
+  std::size_t count = 0;
+
+  std::size_t size() const { return count; }
+  bool contains(graph::NodeId u) const {
+    return ((words[u / 64] >> (u % 64)) & 1) != 0;
+  }
+  bool operator==(const OriginSet&) const = default;
+};
+
 /// One broadcast's result. `reached`, stats.messages and metrics.words_total
 /// are independent of the CONGEST budget; stats.rounds and
 /// metrics.deferrals_total are not.
 struct BroadcastRun {
-  /// reached[v] = origins known to v after the run (ascending node ids).
-  std::vector<std::vector<graph::NodeId>> reached;
+  /// reached[v] = origins known to v after the run: v's own known-set
+  /// bitset, moved out of its flooding program.
+  std::vector<OriginSet> reached;
   sim::RunStats stats;
   sim::Metrics metrics;
 };

@@ -15,8 +15,9 @@ using graph::NodeId;
 
 namespace {
 
-/// Evaluate the algorithm at every node from its collected origin set: run
-/// the round rule on the subgraph induced by reached[v]. When the set
+/// Evaluate the algorithm at every node from its collected origin set (the
+/// broadcast's own bitset): run the round rule on the subgraph induced by
+/// reached[v], testing membership on the bitset itself. When the set
 /// covers B_G(v, t) this is v's true t-round output (paths of length <= t
 /// from v stay inside the ball); when coverage is violated the output may
 /// differ from the reference, which is exactly how a broken spanner
@@ -31,12 +32,12 @@ namespace {
 ///
 /// Balls are independent, so the nodes are cut into contiguous shards, one
 /// per execution lane (FL_SIM_THREADS, as for the broadcast's Network),
-/// weighted by ball size. Each lane reuses one scratch set across its
-/// nodes and writes out[v] only for the nodes it owns, so outputs do not
-/// depend on the lane count.
+/// weighted by ball size. Each lane reuses its placed mask, layer list and
+/// state arrays across its nodes and writes out[v] only for the nodes it
+/// owns, so outputs do not depend on the lane count.
 std::vector<std::uint64_t> evaluate_from_collections(
     const Graph& g, const LocalAlgorithm& alg, unsigned t,
-    const std::vector<std::vector<NodeId>>& reached) {
+    const std::vector<OriginSet>& reached) {
   const NodeId n = g.num_nodes();
   std::vector<std::uint64_t> out(n), init(n);
   std::vector<std::uint64_t> weights(n);
@@ -49,26 +50,26 @@ std::vector<std::uint64_t> evaluate_from_collections(
   sim::ExecPool pool(static_cast<unsigned>(shards.size()));
   pool.run([&](unsigned lane) {
     const sim::ShardRange range = shards[lane];
-    // in_ball[u] == v + 1 iff u is in reached[v]; placed[u] == v + 1 iff
-    // the BFS from v placed u. A stepped node writes states[r % 2] in
-    // round r and reads the previous round's array (init in round 0).
-    std::vector<std::uint32_t> in_ball(n, 0), placed(n, 0);
+    // placed[u] == v + 1 iff the BFS from v placed u. A stepped node
+    // writes states[r % 2] in round r and reads the previous round's
+    // array (init in round 0).
+    std::vector<std::uint32_t> placed(n, 0);
     std::vector<std::uint64_t> states[2] = {std::vector<std::uint64_t>(n),
                                             std::vector<std::uint64_t>(n)};
     std::vector<NodeId> order;           // placed nodes, layer by layer
     std::vector<std::size_t> layer_end;  // order[0, layer_end[d]): depth <= d
     for (NodeId v = range.begin; v < range.end; ++v) {
+      const OriginSet& ball = reached[v];
       const std::uint32_t epoch = v + 1;
-      for (const NodeId u : reached[v]) in_ball[u] = epoch;
       order.assign(1, v);
       placed[v] = epoch;
       layer_end.clear();
-      for (std::size_t head = 0; layer_end.size() + 1 < t &&
-                                 order.size() < reached[v].size();) {
+      for (std::size_t head = 0;
+           layer_end.size() + 1 < t && order.size() < ball.size();) {
         const std::size_t tail = order.size();
         for (; head < tail; ++head)
           for (const auto& inc : g.incident(order[head]))
-            if (in_ball[inc.to] == epoch && placed[inc.to] != epoch) {
+            if (ball.contains(inc.to) && placed[inc.to] != epoch) {
               placed[inc.to] = epoch;
               order.push_back(inc.to);
             }
@@ -77,15 +78,15 @@ std::vector<std::uint64_t> evaluate_from_collections(
       layer_end.resize(t, order.size());
       // A ball that holds every node needs no filter; skipping it halves
       // the neighbour scans on dense graphs, whose balls are whole.
-      const std::uint32_t* mask =
-          reached[v].size() == n ? nullptr : in_ball.data();
+      const std::uint64_t* in_set =
+          ball.size() == n ? nullptr : ball.words.data();
       const std::uint64_t* prev = init.data();
       for (unsigned r = 0; r < t; ++r) {
         std::uint64_t* cur = states[r % 2].data();
         for (std::size_t i = 0; i < layer_end[t - 1 - r]; ++i) {
           const NodeId u = order[i];
           cur[u] = alg.step(r, u, prev[u],
-                            Neighbours{g.incident(u), prev, mask, epoch});
+                            Neighbours{g.incident(u), prev, in_set});
         }
         prev = cur;
       }

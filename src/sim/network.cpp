@@ -1,7 +1,6 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -24,12 +23,6 @@ void Context::send(EdgeId edge, Payload payload,
 }
 
 std::size_t Context::round() const { return net_->round(); }
-
-double Context::log_n_bound() const { return net_->log_n_bound(); }
-
-double Context::n_bound() const {
-  return std::exp2(net_->log_n_bound());
-}
 
 bool Context::network_silent() const { return net_->round_silent(); }
 
@@ -57,7 +50,6 @@ Network::Network(const graph::Graph& graph, std::uint64_t seed)
   }
   const NodeId n = graph.num_nodes();
   FL_REQUIRE(n >= 1, "network needs at least one node");
-  log_n_bound_ = std::log2(std::max<double>(2.0, n));
   arena_offsets_.assign(n + 1, 0);
 
   incident_edges_.resize(n);
@@ -93,13 +85,6 @@ void Network::set_trace(obs::TraceConfig cfg) {
   } else {
     trace_.reset();
   }
-}
-
-void Network::set_log_n_bound(double bound) {
-  FL_REQUIRE(bound >= std::log2(std::max<double>(2.0, graph_->num_nodes())),
-             "log n bound must be an upper bound");
-  FL_REQUIRE(!started_, "cannot change the log n bound after the run started");
-  log_n_bound_ = bound;
 }
 
 void Network::set_parallelism(unsigned threads) {

@@ -102,11 +102,6 @@ class Network {
   const graph::Graph& graph() const { return *graph_; }
   const Metrics& metrics() const { return metrics_; }
   std::size_t round() const { return round_; }
-  double log_n_bound() const { return log_n_bound_; }
-
-  /// Override the advertised log n bound (tests exercise the approximation
-  /// slack the model allows).
-  void set_log_n_bound(double bound);
 
   /// Execution lane count (defaults to FL_SIM_THREADS, else 1); only
   /// legal before the first round. Shards are cut by degree weight
@@ -249,7 +244,6 @@ class Network {
 
   const graph::Graph* graph_;
   util::StreamFactory streams_;
-  double log_n_bound_;
 
   std::vector<std::unique_ptr<NodeProgram>> programs_;
   std::vector<util::Xoshiro256> node_rngs_;

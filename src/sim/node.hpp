@@ -4,10 +4,12 @@
 // node. Each round the network calls on_round() with the node's inbox (a
 // reactive program only when it has mail or the round is silent — see
 // NodeProgram::reactive); the program reacts and sends messages through
-// the Context. The model assumptions of the paper (Section 1.1) are
-// encoded in Context:
-//   * nodes know an O(1)-approximate upper bound on log n  -> log_n_bound();
-//   * unique edge IDs known to both endpoints              -> incident_edges().
+// the Context. The model assumptions of the paper (Section 1.1):
+//   * nodes know an O(1)-approximate upper bound on log n. The driver that
+//     builds a program hands it n itself, the tightest such bound (the
+//     distributed Sampler's SamplerNode gets it from
+//     run_distributed_sampler);
+//   * unique edge IDs known to both endpoints -> Context::incident_edges().
 // Nodes have NO other a-priori topology knowledge — Context has no call that
 // reveals a neighbour's ID — and programs must not touch the Graph directly
 // (the simulator owns it).
@@ -57,12 +59,6 @@ class Context {
 
   /// Current round number (0-based).
   std::size_t round() const;
-
-  /// The promised O(1)-approximate upper bound on log2 n.
-  double log_n_bound() const;
-
-  /// Poly(n) upper bound on n implied by log_n_bound().
-  double n_bound() const;
 
   /// This node's private random stream (deterministic per run seed).
   util::Xoshiro256& rng();

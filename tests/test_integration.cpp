@@ -2,8 +2,6 @@
 // pipeline, the two-stage scheme of Section 6, and cross-baseline plumbing.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "baseline/baswana_sen.hpp"
 #include "baseline/nearly_additive.hpp"
 #include "baseline/topology_collect.hpp"
@@ -66,8 +64,7 @@ TEST(Integration, TwoStageSchemeReconstructsStage2Spanner) {
     const auto dist = graph::bfs_distances_bounded(g, v, r + 1);
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       if (dist[u] == graph::kUnreachable) continue;
-      EXPECT_TRUE(std::binary_search(broadcast.reached[v].begin(),
-                                     broadcast.reached[v].end(), u))
+      EXPECT_TRUE(broadcast.reached[v].contains(u))
           << "node " << v << " missing " << u;
     }
   }
@@ -107,8 +104,7 @@ TEST(Integration, SamplerSpannerFeedsBaswanaSenSimulation) {
     const auto dist = graph::bfs_distances_bounded(g, v, k);
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       if (dist[u] == graph::kUnreachable) continue;
-      EXPECT_TRUE(std::binary_search(broadcast.reached[v].begin(),
-                                     broadcast.reached[v].end(), u));
+      EXPECT_TRUE(broadcast.reached[v].contains(u));
     }
   }
 }

@@ -136,29 +136,6 @@ TEST(Network, MaxRoundsStopsNonTerminatingRun) {
   EXPECT_GE(stats.rounds, 20u);
 }
 
-TEST(Network, LogNBoundIsUpperBound) {
-  const Graph g = graph::ring(16);
-  Network net(g, 1);
-  EXPECT_DOUBLE_EQ(net.log_n_bound(), 4.0);
-  net.set_log_n_bound(7.5);  // the model allows slack upward
-  EXPECT_DOUBLE_EQ(net.log_n_bound(), 7.5);
-  EXPECT_THROW(net.set_log_n_bound(2.0), util::ContractViolation);
-  // Running programs were promised the bound: it is fixed once the run
-  // starts.
-  net.install([](NodeId) {
-    class P final : public NodeProgram {
-     public:
-      void on_start(Context&) override {}
-      void on_round(Context&, InboxView) override {}
-      bool done() const override { return true; }
-    };
-    return std::make_unique<P>();
-  });
-  net.run(3);
-  EXPECT_THROW(net.set_log_n_bound(8.0), util::ContractViolation);
-  EXPECT_DOUBLE_EQ(net.log_n_bound(), 7.5);
-}
-
 /// Sends its id over every incident edge in rounds where (round + id) % 3
 /// == 0, for the first `active` rounds; records everything it hears and
 /// asserts its inbox span is correctly partitioned (every message is

@@ -218,7 +218,8 @@ std::uint64_t local_output_hash(const std::vector<std::uint64_t>& reference,
   for (const auto x : outputs) h.u64(x);
   for (const auto& known : broadcast.reached) {
     h.u64(known.size());
-    for (const auto u : known) h.u64(u);
+    for (graph::NodeId u = 0; u < reference.size(); ++u)
+      if (known.contains(u)) h.u64(u);
   }
   return h.value();
 }
